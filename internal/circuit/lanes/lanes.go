@@ -14,14 +14,28 @@
 // per-candidate price of gate evaluation, wave bookkeeping, and
 // clocking divides by the pack width.
 //
-// Accounting stays exact per lane, not per word: when a net's word
-// changes, the XOR against its previous word yields the per-lane
-// transition mask, and TrailingZeros-style bit extraction attributes
-// each toggle to its lane's per-kind counters and first-arrival table.
-// A lane can therefore be frozen independently (its race finished or
-// hit the threshold bound) by masking it out of the per-word accounting
-// masks while the shared word simulation keeps stepping for the others
-// — exactly reproducing what a solo scalar race would have recorded at
+// Accounting is word-parallel as well, and stays exact per lane.  At
+// Compile the nets are grouped into toggle classes: nets with the same
+// driver kind and the same reader-pin loads, which the energy model
+// prices identically.  Each class keeps a bit-sliced ("vertical")
+// counter per slab word — counterPlanes uint64 planes whose bit l of
+// plane p is bit p of lane l's toggle count.  When a net's word
+// changes, the XOR against its previous word, masked to the accounted
+// lanes, is the per-lane transition mask; it enters the class counter
+// with one ripple-carry add, and carries out of the top plane spill
+// into a per-lane overflow table.  A word whose lanes see their first 1
+// appends one (cycle, mask) event to a rise log, chained from a
+// per-slab head.  A net change therefore costs a handful of word
+// operations however many lanes moved, and LaneActivity and LaneArrival
+// decode a lane only when it is read: class counts times reader-pin
+// counts sum back into the per-kind NetToggles/LoadToggles maps, and a
+// lane's arrival is the cycle of the one event in its slab's chain that
+// carries its bit.
+//
+// A lane can be frozen independently (its race finished or hit the
+// threshold bound) by masking it out of the per-word accounting masks
+// while the shared word simulation keeps stepping for the others —
+// exactly reproducing what a solo scalar race would have recorded at
 // its own stop cycle.  LaneActivity and LaneArrival rebuild the full
 // circuit.Backend observables per lane, byte-identical to the
 // cycle-accurate reference; the internal/oracle differential suite
@@ -45,17 +59,38 @@ const WordBits = 64
 // MaxWords bounds the slab width: up to 8 words = 512 lanes per pack.
 const MaxWords = 8
 
-// numKinds sizes the per-kind × per-lane accounting tables.
+// counterPlanes is the height of each bit-sliced toggle counter: a lane
+// counts up to 2^counterPlanes − 1 toggles per class in the planes, and
+// every further wrap spills 2^counterPlanes into the overflow table.
+const counterPlanes = 16
+
+// numKinds sizes the compile-time reader-pin census.
 //
 //racelint:published set once at init, read-only afterwards
 var numKinds = len(circuit.Kinds())
 
-// readerPair is one (cell kind, pin count) load on a net, precomputed
-// at Compile so per-toggle LoadToggles attribution is a short slice
-// walk instead of a gate scan.
+// readerPair is one (cell kind, pin count) load on a net.
 type readerPair struct {
 	kind  circuit.Kind
 	count uint32
+}
+
+// toggleClass is the energy signature shared by every net in the class:
+// the kind of the driving cell and the input-pin loads on the net, in
+// kind order.  One toggle of any member adds one NetToggles[kind] and
+// count LoadToggles[reader kind] per reader pair.
+type toggleClass struct {
+	kind    circuit.Kind
+	readers []readerPair
+}
+
+// riseEvent is one entry of the rise log: the lanes of one slab word
+// that first carried a 1 in the given cycle, and the index of the
+// slab's previous event (-1 ends the chain).
+type riseEvent struct {
+	mask  uint64
+	cycle int32
+	next  int32
 }
 
 // Sim is the bit-parallel backend.  Like the other backends it is not
@@ -80,23 +115,24 @@ type Sim struct {
 	ffInitW []uint64      // slot → power-on Q word pattern (0 or all-ones)
 	plain   uint64        // flip-flops clocked every cycle (no enable pin)
 
-	drivKind []circuit.Kind // net → kind of the driving cell
-	readers  [][]readerPair // net → per-kind input-pin loads
+	classes []toggleClass
+	classOf []int32 // net → toggle class
 
-	// Dynamic per-lane state.  vals, ffState, and arrived are W-word
-	// slabs (net*W+w, bit = lane within word w); the accounting tables
-	// are per (kind, lane) or per (net, lane).
-	vals       []uint64
-	ffState    []uint64   // slot*W+w
-	arrived    []uint64   // net*W+w → lanes whose first 1 came after the reset settle
-	firstOneAt []int32    // net*width+lane → that arrival cycle; valid iff arrived bit set
-	toggles0   []uint64   // net → lane-0 toggles, the scalar Toggles contract
-	netTog     [][]uint64 // kind → per-lane toggles of nets driven by that kind
-	loadTog    [][]uint64 // kind → per-lane toggles seen by that kind's input pins
-	ffClocked  []uint64   // lane → Σ enabled flip-flops per stepped cycle
-	enabledE   []uint64   // lane → DFFEs whose enable currently carries 1
-	laneCycle  []int      // lane → cycle its RaceUntil stopped at
-	cycle      int
+	// Dynamic state.  vals, ffState, seen, and riseHead are W-word
+	// slabs (net*W+w, bit = lane within word w); the toggle counters are
+	// bit-sliced per (class, word); the clock tables are per lane.
+	vals      []uint64
+	ffState   []uint64 // slot*W+w
+	seen      []uint64 // net*W+w → lanes that have carried a 1 since Reset, baseline included
+	riseHead  []int32  // net*W+w → latest rise event; valid iff seen differs from baseVals
+	rises     []riseEvent
+	planes    []uint64 // (class*W+w)*counterPlanes+p → bit p of each lane's toggle count
+	spill     []uint64 // class*width+lane → counts carried out of the top plane; nil until needed
+	toggles0  []uint64 // net → lane-0 toggles, the scalar Toggles contract
+	ffClocked []uint64 // lane → Σ enabled flip-flops per stepped cycle
+	enabledE  []uint64 // lane → DFFEs whose enable currently carries 1
+	laneCycle []int    // lane → cycle its RaceUntil stopped at
+	cycle     int
 
 	// account masks, word by word, the lanes whose transitions are
 	// recorded: all lanes under the scalar Backend interface, the active
@@ -157,53 +193,47 @@ func CompileWords(nl *circuit.Netlist, words int) (*Sim, error) {
 	nn := nl.NumNets()
 	width := words * WordBits
 	s := &Sim{
-		nl:         nl,
-		words:      words,
-		width:      width,
-		kinds:      make([]circuit.Kind, ng),
-		ins:        make([][]circuit.Net, ng),
-		level:      make([]int32, ng),
-		comb:       make([][]int32, nn),
-		dOf:        make([][]int32, nn),
-		eOf:        make([][]int32, nn),
-		drivKind:   make([]circuit.Kind, nn),
-		readers:    make([][]readerPair, nn),
-		vals:       make([]uint64, nn*words),
-		arrived:    make([]uint64, nn*words),
-		firstOneAt: make([]int32, nn*width),
-		toggles0:   make([]uint64, nn),
-		netTog:     make([][]uint64, numKinds),
-		loadTog:    make([][]uint64, numKinds),
-		ffClocked:  make([]uint64, width),
-		enabledE:   make([]uint64, width),
-		laneCycle:  make([]int, width),
-		account:    make([]uint64, words),
-		queued:     make([]bool, ng),
-		evalBuf:    make([]uint64, words),
-		qBuf:       make([]uint64, words),
-		inBuf:      make([]uint64, words),
-		bcastBuf:   make([]uint64, words),
-		racingBuf:  make([]uint64, words),
-	}
-	for k := range s.netTog {
-		s.netTog[k] = make([]uint64, width)
-		s.loadTog[k] = make([]uint64, width)
+		nl:        nl,
+		words:     words,
+		width:     width,
+		kinds:     make([]circuit.Kind, ng),
+		ins:       make([][]circuit.Net, ng),
+		level:     make([]int32, ng),
+		comb:      make([][]int32, nn),
+		dOf:       make([][]int32, nn),
+		eOf:       make([][]int32, nn),
+		classOf:   make([]int32, nn),
+		vals:      make([]uint64, nn*words),
+		riseHead:  make([]int32, nn*words),
+		toggles0:  make([]uint64, nn),
+		ffClocked: make([]uint64, width),
+		enabledE:  make([]uint64, width),
+		laneCycle: make([]int, width),
+		account:   make([]uint64, words),
+		queued:    make([]bool, ng),
+		evalBuf:   make([]uint64, words),
+		qBuf:      make([]uint64, words),
+		inBuf:     make([]uint64, words),
+		bcastBuf:  make([]uint64, words),
+		racingBuf: make([]uint64, words),
 	}
 	for w := range s.account {
 		s.account[w] = ^uint64(0)
 	}
 	isComb := func(k circuit.Kind) bool { return k != circuit.KindDFF && k != circuit.KindInput }
-	s.drivKind[circuit.Zero] = circuit.KindConst
-	s.drivKind[circuit.One] = circuit.KindConst
-	// readerCount[net*numKinds+kind] tallies pins during the structure
-	// scan; it is compacted into the readers slices below and dropped.
+	// drivKind and readerCount[net*numKinds+kind] describe every net
+	// during the structure scan; they are folded into toggle classes
+	// below and dropped.
+	drivKind := make([]circuit.Kind, nn)
+	drivKind[circuit.Zero] = circuit.KindConst
+	drivKind[circuit.One] = circuit.KindConst
 	readerCount := make([]uint32, nn*numKinds)
 	for i := 0; i < ng; i++ {
 		g := nl.Gate(i)
 		s.kinds[i] = g.Kind
 		s.ins[i] = g.In
 		s.level[i] = -1
-		s.drivKind[i+2] = g.Kind
+		drivKind[i+2] = g.Kind
 		for _, in := range g.In {
 			readerCount[int(in)*numKinds+int(g.Kind)]++
 		}
@@ -225,13 +255,33 @@ func CompileWords(nl *circuit.Netlist, words int) (*Sim, error) {
 			}
 		}
 	}
+	// Group the nets into toggle classes by driver kind plus reader-pin
+	// loads, numbering classes in first-seen net order.
+	classID := make(map[string]int32)
+	key := make([]byte, 0, 1+5*numKinds)
 	for net := 0; net < nn; net++ {
-		for k := 0; k < numKinds; k++ {
-			if c := readerCount[net*numKinds+k]; c != 0 {
-				s.readers[net] = append(s.readers[net], readerPair{kind: circuit.Kind(k), count: c})
+		counts := readerCount[net*numKinds : (net+1)*numKinds]
+		key = append(key[:0], byte(drivKind[net]))
+		for k, c := range counts {
+			if c != 0 {
+				key = append(key, byte(k), byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 			}
 		}
+		id, ok := classID[string(key)]
+		if !ok {
+			id = int32(len(s.classes))
+			classID[string(key)] = id
+			tc := toggleClass{kind: drivKind[net]}
+			for k, c := range counts {
+				if c != 0 {
+					tc.readers = append(tc.readers, readerPair{kind: circuit.Kind(k), count: c})
+				}
+			}
+			s.classes = append(s.classes, tc)
+		}
+		s.classOf[net] = id
 	}
+	s.planes = make([]uint64, len(s.classes)*words*counterPlanes)
 	s.ffState = make([]uint64, len(s.ffGate)*words)
 	for slot, init := range s.ffInitW {
 		for w := 0; w < words; w++ {
@@ -327,6 +377,7 @@ func CompileWords(nl *circuit.Netlist, words int) (*Sim, error) {
 	}
 
 	s.baseVals = append([]uint64(nil), s.vals...)
+	s.seen = append([]uint64(nil), s.vals...)
 	s.baseArmed = append([]int32(nil), s.armedList...)
 	return s, nil
 }
@@ -343,19 +394,17 @@ func (s *Sim) Width() int { return s.width }
 // Backend contract.  Call SetActiveLanes afterwards to start a pack.
 func (s *Sim) Reset() {
 	copy(s.vals, s.baseVals)
-	for i := range s.arrived {
-		s.arrived[i] = 0
-	}
+	copy(s.seen, s.baseVals)
 	for i := range s.toggles0 {
 		s.toggles0[i] = 0
 	}
-	for k := range s.netTog {
-		nt, lt := s.netTog[k], s.loadTog[k]
-		for l := range nt {
-			nt[l] = 0
-			lt[l] = 0
-		}
+	for i := range s.planes {
+		s.planes[i] = 0
 	}
+	for i := range s.spill {
+		s.spill[i] = 0
+	}
+	s.rises = s.rises[:0]
 	for l := 0; l < s.width; l++ {
 		s.ffClocked[l] = 0
 		s.laneCycle[l] = 0
@@ -485,10 +534,11 @@ func (s *Sim) rearm(slot int32) {
 	s.armedList = s.armedList[:len(s.armedList)-1]
 }
 
-// setWords commits a changed net slab: per-lane accounting word by
-// word, then the comb fan-out is enqueued on the wave and flip-flops
-// listening on the net (as D or enable) are re-armed.  neww must hold W
-// words and must differ from the current slab in at least one of them.
+// setWords commits a changed net slab: each changed word is accounted
+// for its accounted lanes, then the comb fan-out is enqueued on the
+// wave and flip-flops listening on the net (as D or enable) are
+// re-armed.  neww must hold W words and must differ from the current
+// slab in at least one of them.
 func (s *Sim) setWords(net circuit.Net, neww []uint64) {
 	W := s.words
 	base := int(net) * W
@@ -534,34 +584,67 @@ func (s *Sim) setWords(net circuit.Net, neww []uint64) {
 	}
 }
 
-// accountWord attributes one word's transition mask to the per-lane
-// toggle, load, and arrival tables — the popcount-of-XOR step that
-// keeps lane accounting byte-identical to a solo scalar race.
+// accountWord records one word's transition mask: one ripple-carry add
+// into the net's bit-sliced class counter, plus one rise-log event if
+// some of the lanes carry their first 1.  The cost is a few word
+// operations however many lanes toggled.
 func (s *Sim) accountWord(net circuit.Net, w int, nw, acc uint64) {
-	wl := w << 6
-	tog := s.netTog[s.drivKind[net]]
-	for m := acc; m != 0; m &= m - 1 {
-		tog[wl+bits.TrailingZeros64(m)]++
-	}
 	if w == 0 && acc&1 != 0 {
 		s.toggles0[net]++
 	}
-	for _, rp := range s.readers[net] {
-		lt := s.loadTog[rp.kind]
-		c := uint64(rp.count)
-		for m := acc; m != 0; m &= m - 1 {
-			lt[wl+bits.TrailingZeros64(m)] += c
+	c := int(s.classOf[net])
+	pb := (c*s.words + w) * counterPlanes
+	pl := s.planes[pb : pb+counterPlanes : pb+counterPlanes]
+	carry := acc
+	for p := range pl {
+		t := pl[p] & carry
+		pl[p] ^= carry
+		carry = t
+		if carry == 0 {
+			break
 		}
+	}
+	if carry != 0 {
+		s.spillOver(c, w, carry)
 	}
 	slab := int(net)*s.words + w
-	if rise := nw & acc &^ s.baseVals[slab] &^ s.arrived[slab]; rise != 0 {
-		s.arrived[slab] |= rise
-		fb := slab << 6
-		c := int32(s.cycle)
-		for m := rise; m != 0; m &= m - 1 {
-			s.firstOneAt[fb+bits.TrailingZeros64(m)] = c
+	if rise := nw & acc &^ s.seen[slab]; rise != 0 {
+		next := int32(-1)
+		if s.seen[slab] != s.baseVals[slab] {
+			next = s.riseHead[slab]
 		}
+		s.seen[slab] |= rise
+		s.riseHead[slab] = int32(len(s.rises))
+		s.rises = append(s.rises, riseEvent{mask: rise, cycle: int32(s.cycle), next: next})
 	}
+}
+
+// spillOver credits the lanes whose class counter just wrapped past its
+// top plane with 2^counterPlanes toggles in the overflow table.
+func (s *Sim) spillOver(c, w int, carry uint64) {
+	if s.spill == nil {
+		s.spill = make([]uint64, len(s.classes)*s.width)
+	}
+	lb := c*s.width + w<<6
+	for m := carry; m != 0; m &= m - 1 {
+		s.spill[lb+bits.TrailingZeros64(m)] += 1 << counterPlanes
+	}
+}
+
+// classToggles decodes one lane's toggle count for a class: its bits
+// gathered from the counter planes plus whatever spilled over.
+func (s *Sim) classToggles(c, lane int) uint64 {
+	pb := (c*s.words + lane>>6) * counterPlanes
+	pl := s.planes[pb : pb+counterPlanes : pb+counterPlanes]
+	sh := uint(lane & 63)
+	var n uint64
+	for p, plane := range pl {
+		n |= (plane >> sh & 1) << uint(p)
+	}
+	if s.spill != nil {
+		n += s.spill[c*s.width+lane]
+	}
+	return n
 }
 
 // settleWave drains the pending comb gates in level order.  A gate only
@@ -769,7 +852,7 @@ func (s *Sim) RunUntil(net circuit.Net, maxCycles int) temporal.Time {
 // laneArrived reports whether net has carried a 1 in the given lane.
 func (s *Sim) laneArrived(net circuit.Net, lane int) bool {
 	slab := int(net)*s.words + lane>>6
-	return (s.baseVals[slab]|s.arrived[slab])>>uint(lane&63)&1 != 0
+	return s.seen[slab]>>uint(lane&63)&1 != 0
 }
 
 // RaceUntil runs the pack race: it steps until every active lane's copy
@@ -786,7 +869,7 @@ func (s *Sim) RaceUntil(net circuit.Net, maxCycles int) {
 	nb := int(net) * W
 	remaining := uint64(0)
 	for w := 0; w < W; w++ {
-		if arr := (s.baseVals[nb+w] | s.arrived[nb+w]) & racing[w]; arr != 0 {
+		if arr := s.seen[nb+w] & racing[w]; arr != 0 {
 			s.freezeWord(w, arr)
 			racing[w] &^= arr
 		}
@@ -811,7 +894,7 @@ func (s *Sim) RaceUntil(net circuit.Net, maxCycles int) {
 		s.step()
 		remaining = 0
 		for w := 0; w < W; w++ {
-			if arr := s.arrived[nb+w] & racing[w]; arr != 0 {
+			if arr := s.seen[nb+w] & racing[w]; arr != 0 {
 				s.freezeWord(w, arr)
 				racing[w] &^= arr
 			}
@@ -867,10 +950,15 @@ func (s *Sim) LaneArrival(net circuit.Net, lane int) temporal.Time {
 	if s.baseVals[slab]&bit != 0 {
 		return 0
 	}
-	if s.arrived[slab]&bit != 0 {
-		return temporal.Time(s.firstOneAt[int(net)*s.width+lane])
+	if s.seen[slab]&bit == 0 {
+		return temporal.Never
 	}
-	return temporal.Never
+	// Exactly one event of the slab's chain carries the lane's bit.
+	e := s.riseHead[slab]
+	for s.rises[e].mask&bit == 0 {
+		e = s.rises[e].next
+	}
+	return temporal.Time(s.rises[e].cycle)
 }
 
 // Toggles returns the cumulative toggle count of a net in lane 0.
@@ -897,12 +985,14 @@ func (s *Sim) activity(lane, cycles int) circuit.Activity {
 		FFClockedCycles: s.ffClocked[lane],
 		NumDFFs:         s.nl.NumDFFs(),
 	}
-	for _, k := range circuit.Kinds() {
-		if t := s.netTog[k][lane]; t != 0 {
-			a.NetToggles[k] = t
+	for c, tc := range s.classes {
+		n := s.classToggles(c, lane)
+		if n == 0 {
+			continue
 		}
-		if t := s.loadTog[k][lane]; t != 0 {
-			a.LoadToggles[k] = t
+		a.NetToggles[tc.kind] += n
+		for _, rp := range tc.readers {
+			a.LoadToggles[rp.kind] += n * uint64(rp.count)
 		}
 	}
 	return a

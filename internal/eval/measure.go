@@ -42,7 +42,7 @@ func MeasureRace(lib *tech.Library, n int) (*RaceMeasurement, error) {
 	m.BestCycles = rb.Cycles
 	m.BestEnergyJ = eb.TotalJ()
 	m.BestClocklessJ = eb.DataJ
-	m.BestPowerW = lib.Power(rb.Activity)
+	m.BestPowerW = lib.PowerOf(eb.TotalJ(), rb.Activity.Cycles)
 	m.BestFFClocked = rb.Activity.FFClockedCycles
 
 	pw, qw := g.WorstCase(n)
@@ -54,7 +54,7 @@ func MeasureRace(lib *tech.Library, n int) (*RaceMeasurement, error) {
 	m.WorstCycles = rw.Cycles
 	m.WorstEnergyJ = ew.TotalJ()
 	m.WorstClocklessJ = ew.DataJ
-	m.WorstPowerW = lib.Power(rw.Activity)
+	m.WorstPowerW = lib.PowerOf(ew.TotalJ(), rw.Activity.Cycles)
 	m.WorstFFClocked = rw.Activity.FFClockedCycles
 	return m, nil
 }

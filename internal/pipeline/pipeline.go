@@ -1088,7 +1088,7 @@ func (p *Pools) fillSlot(slots *entrySlots, si, i int, s *Snapshot, res *race.Al
 		LatencyNS:        p.lib.LatencyNS(res.Cycles),
 		EnergyJ:          energy,
 		AreaUM2:          area,
-		PowerDensityWCM2: p.lib.Power(res.Activity) / (area / 1e8),
+		PowerDensityWCM2: p.lib.PowerOf(energy, res.Activity.Cycles) / (area / 1e8),
 	}
 }
 

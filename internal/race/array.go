@@ -138,6 +138,7 @@ type AlignResult struct {
 	Cycles int
 	// Arrivals[i][j] is the cycle node (i,j) fired — the Fig. 4c timing
 	// matrix — or temporal.Never if it had not fired when the race ended.
+	// Lane-pack results (AlignLanes, AlignLanesMulti) leave it nil.
 	Arrivals [][]temporal.Time
 	// Activity is the toggle/clock report for the energy model.
 	Activity circuit.Activity

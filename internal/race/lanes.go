@@ -38,18 +38,22 @@ func (a *Array) LaneWidth() int {
 // the word-parallel engine, all racing the same wavefront.  A negative
 // threshold runs the full race; otherwise the Section 6 cut-off applies
 // to every lane exactly as AlignThreshold applies it to one.  The
-// returned results are index-aligned with qs and byte-identical to what
-// Align/AlignThreshold would have produced candidate by candidate.
-// Candidate-specific failures are reported as *LaneError.
+// returned results are index-aligned with qs, and their Score, Cycles
+// and Activity are byte-identical to what Align/AlignThreshold would
+// have produced candidate by candidate; Arrivals is left nil, since a
+// pack scores candidates and no caller traces back through one.  Use
+// Align for the Fig. 4c timing matrix.  Candidate-specific failures are
+// reported as *LaneError.
 func (a *Array) AlignLanes(p string, qs []string, threshold temporal.Time) ([]*AlignResult, error) {
 	return a.alignLanes(p, nil, qs, threshold)
 }
 
 // AlignLanesMulti is AlignLanes for a mixed pack: lane k races query
 // ps[k] against candidate qs[k], so one netlist pass can serve several
-// in-flight queries of the same shape at once.  Every lane's result is
-// byte-identical to the solo Align/AlignThreshold of its own (p, q)
-// pair, and lane-k failures carry *LaneError with Lane = k.
+// in-flight queries of the same shape at once.  Every lane's Score,
+// Cycles and Activity are byte-identical to the solo
+// Align/AlignThreshold of its own (p, q) pair, Arrivals is left nil as
+// in AlignLanes, and lane-k failures carry *LaneError with Lane = k.
 func (a *Array) AlignLanesMulti(ps, qs []string, threshold temporal.Time) ([]*AlignResult, error) {
 	if len(ps) != len(qs) {
 		return nil, fmt.Errorf("race: lane pack has %d queries for %d candidates", len(ps), len(qs))
@@ -173,14 +177,7 @@ func (a *Array) alignLanes(sharedP string, ps []string, qs []string, threshold t
 		res := &AlignResult{
 			Score:    ls.LaneArrival(out, k),
 			Cycles:   ls.LaneCycle(k),
-			Arrivals: make([][]temporal.Time, a.n+1),
 			Activity: ls.LaneActivity(k),
-		}
-		for i := range res.Arrivals {
-			res.Arrivals[i] = make([]temporal.Time, a.m+1)
-			for j := range res.Arrivals[i] {
-				res.Arrivals[i][j] = ls.LaneArrival(a.out[i][j], k)
-			}
 		}
 		if threshold >= 0 {
 			res = applyThreshold(res, threshold)

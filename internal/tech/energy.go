@@ -57,11 +57,19 @@ func (l *Library) Energy(a circuit.Activity) EnergyBreakdown {
 // Power returns the average power of the computation in watts: total
 // energy over total wall-clock time at the library's clock rate.
 func (l *Library) Power(a circuit.Activity) float64 {
-	if a.Cycles == 0 {
+	return l.PowerOf(l.Energy(a).TotalJ(), a.Cycles)
+}
+
+// PowerOf is Power for a computation whose energy is already priced:
+// joules spent over cycles periods of the library's clock, in watts.
+// Callers holding Energy(a).TotalJ() pass it with a.Cycles instead of
+// pricing the activity twice; the result is bit-identical to Power(a).
+func (l *Library) PowerOf(joules float64, cycles int) float64 {
+	if cycles == 0 {
 		return 0
 	}
-	t := float64(a.Cycles) * l.ClockPeriodNS * 1e-9
-	return l.Energy(a).TotalJ() / t
+	t := float64(cycles) * l.ClockPeriodNS * 1e-9
+	return joules / t
 }
 
 // PowerDensityWCM2 returns power density in W/cm² for the Fig. 9b series:

@@ -489,12 +489,13 @@ func buildConfig(opts []Option) (*config, error) {
 }
 
 func toMetrics(l *tech.Library, area float64, res *race.AlignResult) Metrics {
+	energy := l.Energy(res.Activity).TotalJ()
 	return Metrics{
 		Cycles:           res.Cycles,
 		LatencyNS:        l.LatencyNS(res.Cycles),
-		EnergyJ:          l.Energy(res.Activity).TotalJ(),
+		EnergyJ:          energy,
 		AreaUM2:          area,
-		PowerDensityWCM2: l.Power(res.Activity) / (area / 1e8),
+		PowerDensityWCM2: l.PowerOf(energy, res.Activity.Cycles) / (area / 1e8),
 	}
 }
 
