@@ -32,7 +32,7 @@ var ErrUnknownID = errors.New("no entry with that id")
 // tables, tombstone accounting, and — when durable — write-ahead-log
 // segment, behind its own write lock.  Mutations touching different
 // shards therefore proceed in parallel, and the per-insert seed-index
-// update copies one shard's postings map, not the whole database's.
+// update copies only the postings buckets the new k-mers land in.
 //
 // A Search scatters across the shards: per-shard candidate scans fan
 // out over one shared worker pool (engines are pooled per shape in one

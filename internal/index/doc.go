@@ -14,10 +14,13 @@
 //
 // The index is an inverted map from every k-mer to the ascending list of
 // entries containing it, built once per database and grown incrementally
-// (copy-on-write, see Grow) as entries are inserted.  The sharded
-// database keeps one Index instance per shard, over that shard's local
-// slots: a Grow then copies one shard's postings-map header, not the
-// whole database's, so the per-insert index cost is O(shard) and
+// (copy-on-write, see Grow) as entries are inserted.  The map is split
+// into a fixed directory of buckets selected by a hash of the k-mer, so
+// a Grow copies the directory and only the buckets its new k-mers land
+// in, each holding about 1/1024 of the index's k-mers, instead of the
+// whole map; WAL replay, which re-applies inserts through the same
+// Grow, pays the same per record.  The sharded database keeps
+// one Index instance per shard, over that shard's local slots, so
 // inserts landing on different shards grow their indexes in parallel.
 // Candidate lookup is a union over the query's k-mers, run per shard
 // and merged by the pipeline's scatter-gather search.  Entries shorter than k carry no k-mer

@@ -1,12 +1,31 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync/atomic"
 )
+
+// fanout is the number of buckets in an index's postings directory.
+// 1024 keeps buckets at ~64 k-mers for the 65536 possible DNA 8-mers,
+// so the buckets a Grow copies stay small next to the 8 KiB directory.
+const fanout = 1024
+
+// bucketOf selects a k-mer's directory bucket by its 32-bit FNV-1a hash.
+// The hash is seedless, so bucket placement — and with it every
+// derived index — is the same in every process.
+func bucketOf(kmer string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(kmer); i++ {
+		h ^= uint32(kmer[i])
+		h *= 16777619
+	}
+	return int(h % fanout)
+}
 
 // Stats is a shared sink of seed-lookup counters.  One Stats may be
 // attached to many indexes (every shard of one database, every Grow
@@ -29,9 +48,15 @@ type Stats struct {
 //
 //racelint:cow
 type Index struct {
-	k        int
-	n        int
-	postings map[string][]int
+	k int
+	n int
+	// dir is the postings directory: the map from every k-mer to its
+	// ascending entry list, split into fanout buckets by bucketOf.  A
+	// bucket is nil exactly when no k-mer hashes to it.  Versions of one
+	// lineage share every bucket a Grow did not touch.
+	dir []map[string][]int
+	// kmers is the number of distinct k-mers across all buckets.
+	kmers int
 	// always holds the entries shorter than k: they carry no k-mer, so
 	// seed lookup can never rule them out.
 	always []int
@@ -57,31 +82,17 @@ func New(entries []string, k int) (*Index, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("index: seed length %d must be ≥ 1", k)
 	}
-	ix := &Index{k: k, n: len(entries), postings: make(map[string][]int)}
-	for i, entry := range entries {
-		if len(entry) < k {
-			ix.always = append(ix.always, i)
-			continue
-		}
-		for j := 0; j+k <= len(entry); j++ {
-			kmer := entry[j : j+k]
-			post := ix.postings[kmer]
-			// Consecutive windows of one entry often repeat a k-mer;
-			// the ascending build order makes dedup a tail check.
-			if len(post) == 0 || post[len(post)-1] != i {
-				ix.postings[kmer] = append(post, i)
-			}
-		}
-	}
-	return ix, nil
+	return (&Index{k: k}).Grow(entries), nil
 }
 
 // Grow returns a new Index covering the old entries plus entries
 // appended at slots [ix.Len(), ix.Len()+len(entries)) — the incremental
-// update for a database insert, costing one postings-map header copy
-// plus the new entries' own k-mers instead of a from-scratch rebuild.
+// update for a database insert.  It copies the postings directory and
+// each bucket the new entries' k-mers land in, and shares every other
+// bucket with the parent, so its cost is O(fanout + touched buckets +
+// the new entries' own k-mers) rather than O(every indexed k-mer).
 //
-// Posting lists are shared with the parent: new slot numbers exceed
+// Posting lists are shared with the parent too: new slot numbers exceed
 // every indexed one, so appends land past the length of every older
 // Index and readers of those keep an intact view.  That copy-on-write
 // argument requires growth to be linear — derive each Grow from the
@@ -91,15 +102,16 @@ func New(entries []string, k int) (*Index, error) {
 //racelint:cowsafe
 func (ix *Index) Grow(entries []string) *Index {
 	nx := &Index{
-		k:        ix.k,
-		n:        ix.n + len(entries),
-		postings: make(map[string][]int, len(ix.postings)),
-		always:   ix.always,
-		stats:    ix.stats,
+		k:      ix.k,
+		n:      ix.n + len(entries),
+		dir:    make([]map[string][]int, fanout),
+		kmers:  ix.kmers,
+		always: ix.always,
+		stats:  ix.stats,
 	}
-	for kmer, post := range ix.postings {
-		nx.postings[kmer] = post
-	}
+	copy(nx.dir, ix.dir)
+	// owned marks the buckets already copied away from the parent.
+	var owned [fanout]bool
 	for j, entry := range entries {
 		i := ix.n + j
 		if len(entry) < ix.k {
@@ -108,9 +120,25 @@ func (ix *Index) Grow(entries []string) *Index {
 		}
 		for o := 0; o+ix.k <= len(entry); o++ {
 			kmer := entry[o : o+ix.k]
-			post := nx.postings[kmer]
+			b := bucketOf(kmer)
+			bucket := nx.dir[b]
+			if !owned[b] {
+				owned[b] = true
+				if bucket == nil {
+					bucket = make(map[string][]int)
+				} else {
+					bucket = maps.Clone(bucket)
+				}
+				nx.dir[b] = bucket
+			}
+			post := bucket[kmer]
+			if len(post) == 0 {
+				nx.kmers++
+			}
+			// Consecutive windows of one entry often repeat a k-mer;
+			// the ascending slot order makes dedup a tail check.
 			if len(post) == 0 || post[len(post)-1] != i {
-				nx.postings[kmer] = append(post, i)
+				bucket[kmer] = append(post, i)
 			}
 		}
 	}
@@ -138,16 +166,27 @@ func (ix *Index) Partition(n int, shardOf func(slot int) int) []*Index {
 	}
 	parts := make([]*Index, n)
 	for i := range parts {
-		parts[i] = &Index{k: ix.k, n: counts[i], postings: make(map[string][]int), stats: ix.stats}
+		parts[i] = &Index{k: ix.k, n: counts[i], dir: make([]map[string][]int, fanout), stats: ix.stats}
 	}
 	for _, s := range ix.always {
 		p := parts[shard[s]]
 		p.always = append(p.always, local[s])
 	}
-	for kmer, post := range ix.postings {
-		for _, s := range post {
-			p := parts[shard[s]]
-			p.postings[kmer] = append(p.postings[kmer], local[s])
+	// A k-mer hashes to the same bucket in every part.
+	for b, bucket := range ix.dir {
+		for kmer, post := range bucket {
+			for _, s := range post {
+				p := parts[shard[s]]
+				if p.dir[b] == nil {
+					p.dir[b] = make(map[string][]int)
+				}
+				p.dir[b][kmer] = append(p.dir[b][kmer], local[s])
+			}
+		}
+	}
+	for _, p := range parts {
+		for _, bucket := range p.dir {
+			p.kmers += len(bucket)
 		}
 	}
 	return parts
@@ -165,7 +204,7 @@ func Merge(parts []*Index, n int, globalOf func(shard, local int) int) (*Index, 
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("index: merge of zero parts")
 	}
-	out := &Index{k: parts[0].k, n: n, postings: make(map[string][]int)}
+	out := &Index{k: parts[0].k, n: n, dir: make([]map[string][]int, fanout)}
 	for sh, part := range parts {
 		if part.k != out.k {
 			return nil, fmt.Errorf("index: merge: shard %d has k=%d, shard 0 has %d", sh, part.k, out.k)
@@ -173,17 +212,25 @@ func Merge(parts []*Index, n int, globalOf func(shard, local int) int) (*Index, 
 		for _, local := range part.always {
 			out.always = append(out.always, globalOf(sh, local))
 		}
-		for kmer, post := range part.postings {
-			dst := out.postings[kmer]
-			for _, local := range post {
-				dst = append(dst, globalOf(sh, local))
+		for b, bucket := range part.dir {
+			if len(bucket) > 0 && out.dir[b] == nil {
+				out.dir[b] = make(map[string][]int)
 			}
-			out.postings[kmer] = dst
+			for kmer, post := range bucket {
+				dst := out.dir[b][kmer]
+				for _, local := range post {
+					dst = append(dst, globalOf(sh, local))
+				}
+				out.dir[b][kmer] = dst
+			}
 		}
 	}
 	sort.Ints(out.always)
-	for _, post := range out.postings {
-		sort.Ints(post)
+	for _, bucket := range out.dir {
+		out.kmers += len(bucket)
+		for _, post := range bucket {
+			sort.Ints(post)
+		}
 	}
 	return out, nil
 }
@@ -195,7 +242,11 @@ func (ix *Index) K() int { return ix.k }
 func (ix *Index) Len() int { return ix.n }
 
 // Kmers returns the number of distinct k-mers in the database.
-func (ix *Index) Kmers() int { return len(ix.postings) }
+func (ix *Index) Kmers() int { return ix.kmers }
+
+// postings returns the ascending entry list of one k-mer, nil when no
+// entry contains it.
+func (ix *Index) postings(kmer string) []int { return ix.dir[bucketOf(kmer)][kmer] }
 
 // Candidates returns the ascending indices of every entry sharing at
 // least one k-mer with query, plus the entries too short to index.  A
@@ -219,6 +270,7 @@ func (ix *Index) Candidates(query string) []int {
 		return all
 	}
 	mark := make([]bool, ix.n)
+	hits := 0
 	seen := make(map[string]bool, len(query)-ix.k+1)
 	for j := 0; j+ix.k <= len(query); j++ {
 		kmer := query[j : j+ix.k]
@@ -226,14 +278,20 @@ func (ix *Index) Candidates(query string) []int {
 			continue
 		}
 		seen[kmer] = true
-		for _, i := range ix.postings[kmer] {
-			mark[i] = true
+		for _, i := range ix.postings(kmer) {
+			if !mark[i] {
+				mark[i] = true
+				hits++
+			}
 		}
 	}
 	for _, i := range ix.always {
-		mark[i] = true
+		if !mark[i] {
+			mark[i] = true
+			hits++
+		}
 	}
-	cands := make([]int, 0, ix.n)
+	cands := make([]int, 0, hits)
 	for i, hit := range mark {
 		if hit {
 			cands = append(cands, i)
@@ -265,16 +323,18 @@ func (ix *Index) Encode(w io.Writer) error {
 	for _, i := range ix.always {
 		u(i)
 	}
-	kmers := make([]string, 0, len(ix.postings))
-	for kmer := range ix.postings {
-		kmers = append(kmers, kmer)
+	kmers := make([]string, 0, ix.kmers)
+	for _, bucket := range ix.dir {
+		for kmer := range bucket {
+			kmers = append(kmers, kmer)
+		}
 	}
 	sort.Strings(kmers)
 	u(len(kmers))
 	for _, kmer := range kmers {
 		u(len(kmer))
 		buf = append(buf, kmer...)
-		post := ix.postings[kmer]
+		post := ix.postings(kmer)
 		u(len(post))
 		for _, i := range post {
 			u(i)
@@ -311,7 +371,7 @@ func Decode(r Source) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{k: k, n: n, postings: make(map[string][]int)}
+	ix := &Index{k: k, n: n, dir: make([]map[string][]int, fanout)}
 	nAlways, err := u()
 	if err != nil {
 		return nil, err
@@ -332,6 +392,9 @@ func Decode(r Source) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	// k is untrusted: the k-mer buffer grows with the bytes the stream
+	// actually holds instead of being allocated at k up front.
+	var kb bytes.Buffer
 	for m := 0; m < nKmers; m++ {
 		klen, err := u()
 		if err != nil {
@@ -340,12 +403,19 @@ func Decode(r Source) (*Index, error) {
 		if klen != k {
 			return nil, fmt.Errorf("index: decode: k-mer length %d, want %d", klen, k)
 		}
-		kb := make([]byte, klen)
-		if _, err := io.ReadFull(r, kb); err != nil {
+		kb.Reset()
+		if _, err := kb.ReadFrom(io.LimitReader(r, int64(klen))); err != nil {
 			return nil, fmt.Errorf("index: decode: %w", err)
 		}
-		kmer := string(kb)
-		if _, dup := ix.postings[kmer]; dup {
+		if kb.Len() != klen {
+			return nil, fmt.Errorf("index: decode: %w", io.ErrUnexpectedEOF)
+		}
+		kmer := kb.String()
+		b := bucketOf(kmer)
+		if ix.dir[b] == nil {
+			ix.dir[b] = make(map[string][]int)
+		}
+		if _, dup := ix.dir[b][kmer]; dup {
 			return nil, fmt.Errorf("index: decode: duplicate k-mer %q", kmer)
 		}
 		nPost, err := u()
@@ -368,7 +438,8 @@ func Decode(r Source) (*Index, error) {
 			prev = i
 			post = append(post, i)
 		}
-		ix.postings[kmer] = post
+		ix.dir[b][kmer] = post
+		ix.kmers++
 	}
 	return ix, nil
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"racelogic/internal/seqgen"
@@ -118,47 +119,179 @@ func TestStats(t *testing.T) {
 // TestGrowMatchesFromScratch is the incremental-update property: growing
 // an index batch by batch must leave it bit-identical (k-mers, postings,
 // unfilterable short entries) to a from-scratch New over the same
-// entries, and must leave every parent index untouched.
+// entries.  Every Grow must copy only the buckets its k-mers land in and
+// leave its parent untouched (checkGrowShares).  The one-entry lineage
+// is the shape database inserts and WAL replay produce.
 func TestGrowMatchesFromScratch(t *testing.T) {
 	g := seqgen.NewDNA(37)
-	var all []string
+	var mixed []string
 	for _, n := range []int{2, 5, 8, 11} {
-		all = append(all, g.Database(6, n)...)
+		mixed = append(mixed, g.Database(6, n)...)
 	}
-	for _, k := range []int{3, 4, 6} {
-		ix, err := New(all[:5], k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for at := 5; at < len(all); at += 7 {
-			end := at + 7
-			if end > len(all) {
-				end = len(all)
+	var lineage []string
+	for i := 0; i < 330; i++ {
+		lineage = append(lineage, g.Random([]int{3, 12, 24}[i%3]))
+	}
+	for _, tc := range []struct {
+		name       string
+		all        []string
+		base, step int
+	}{
+		{"batches of 7", mixed, 5, 7},
+		{"one-entry lineage", lineage, 30, 1},
+	} {
+		for _, k := range []int{3, 4, 6} {
+			ix, err := New(tc.all[:tc.base], k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			parent := ix
-			parentCands := parent.Candidates(all[0])
-			ix = ix.Grow(all[at:end])
-			if got := parent.Candidates(all[0]); !reflect.DeepEqual(got, parentCands) {
-				t.Fatalf("k=%d: Grow mutated its parent: %v vs %v", k, got, parentCands)
+			for at := tc.base; at < len(tc.all); at += tc.step {
+				end := min(at+tc.step, len(tc.all))
+				parent, before := ix, deepCopy(ix)
+				ix = ix.Grow(tc.all[at:end])
+				if !checkGrowShares(t, parent, before, ix, tc.all[at:end]) {
+					t.Fatalf("%s, k=%d: Grow at slot %d broke copy-on-write", tc.name, k, at)
+				}
+				if ix.Len() != end {
+					t.Fatalf("%s, k=%d: grown Len=%d, want %d", tc.name, k, ix.Len(), end)
+				}
 			}
-			if ix.Len() != end {
-				t.Fatalf("k=%d: grown Len=%d, want %d", k, ix.Len(), end)
+			fresh, err := New(tc.all, k)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		fresh, err := New(all, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ix, fresh) {
-			t.Errorf("k=%d: incrementally grown index differs from from-scratch build", k)
-		}
-		for trial := 0; trial < 8; trial++ {
-			q := g.Random(3 + trial)
-			if got, want := ix.Candidates(q), fresh.Candidates(q); !reflect.DeepEqual(got, want) {
-				t.Errorf("k=%d query %q: grown candidates %v, fresh %v", k, q, got, want)
+			if !reflect.DeepEqual(ix, fresh) {
+				t.Errorf("%s, k=%d: incrementally grown index differs from from-scratch build", tc.name, k)
+			}
+			for trial := 0; trial < 8; trial++ {
+				q := g.Random(3 + trial)
+				if got, want := ix.Candidates(q), fresh.Candidates(q); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, k=%d query %q: grown candidates %v, fresh %v", tc.name, k, q, got, want)
+				}
 			}
 		}
 	}
+}
+
+// checkGrowShares asserts the copy-on-write shape of child =
+// parent.Grow(entries): the child shares, by map pointer, every bucket
+// the entries' k-mers miss, holds its own copy of every bucket they hit,
+// and the parent still deep-equals before, a copy taken ahead of the
+// Grow.
+func checkGrowShares(t *testing.T, parent, before, child *Index, entries []string) bool {
+	t.Helper()
+	touched := make(map[int]bool)
+	for _, e := range entries {
+		for o := 0; o+parent.k <= len(e); o++ {
+			touched[bucketOf(e[o:o+parent.k])] = true
+		}
+	}
+	ok := true
+	for b := range child.dir {
+		same := reflect.ValueOf(child.dir[b]).Pointer() == reflect.ValueOf(parent.dir[b]).Pointer()
+		if touched[b] && same {
+			t.Errorf("bucket %d: written in place, shared with the parent", b)
+			ok = false
+		}
+		if !touched[b] && !same {
+			t.Errorf("bucket %d: copied, though no new k-mer lands in it", b)
+			ok = false
+		}
+	}
+	if !reflect.DeepEqual(parent, before) {
+		t.Error("Grow mutated its parent")
+		ok = false
+	}
+	return ok
+}
+
+// deepCopy returns a copy of ix sharing no map or slice with it.
+func deepCopy(ix *Index) *Index {
+	cp := *ix
+	cp.always = append([]int(nil), ix.always...)
+	cp.dir = make([]map[string][]int, len(ix.dir))
+	for b, bucket := range ix.dir {
+		if bucket == nil {
+			continue
+		}
+		cp.dir[b] = make(map[string][]int, len(bucket))
+		for kmer, post := range bucket {
+			cp.dir[b][kmer] = append([]int(nil), post...)
+		}
+	}
+	return &cp
+}
+
+// TestConcurrentCandidatesDuringGrow races seed lookups on published
+// versions against the growth of later ones.  Versions of one lineage
+// share bucket maps and posting arrays, so under -race this checks that
+// a Grow never writes memory an earlier version reads.  One goroutine
+// grows, as the shard lock serializes writers; the readers check every
+// published version against the answer recorded when it was published.
+func TestConcurrentCandidatesDuringGrow(t *testing.T) {
+	g := seqgen.NewDNA(47)
+	entries := g.Database(400, 16)
+	queries := []string{entries[3], entries[250], entries[399], g.Random(16), g.Random(9), "AC"}
+	type version struct {
+		ix   *Index
+		want [][]int
+	}
+	answers := func(ix *Index) [][]int {
+		want := make([][]int, len(queries))
+		for q, query := range queries {
+			want[q] = ix.Candidates(query)
+		}
+		return want
+	}
+	ix, err := New(entries[:100], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	published := []version{{ix, answers(ix)}}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				// One last full pass after the writer stops, so every
+				// version is checked at least once.
+				var last bool
+				select {
+				case <-done:
+					last = true
+				default:
+				}
+				mu.Lock()
+				vs := published
+				mu.Unlock()
+				// Newest first: the version the writer just grew from is
+				// the one whose memory the next Grow shares most.
+				for v := len(vs) - 1; v >= 0; v-- {
+					for q, query := range queries {
+						if got := vs[v].ix.Candidates(query); !reflect.DeepEqual(got, vs[v].want[q]) {
+							t.Errorf("version %d query %q: candidates %v, %v at publish", v, query, got, vs[v].want[q])
+							return
+						}
+					}
+				}
+				if last {
+					return
+				}
+			}
+		}()
+	}
+	for _, e := range entries[100:] {
+		ix = ix.Grow([]string{e})
+		v := version{ix, answers(ix)}
+		mu.Lock()
+		published = append(published, v)
+		mu.Unlock()
+	}
+	close(done)
+	wg.Wait()
 }
 
 // TestGrowEmptyAndShort pins the edge cases: growing by nothing is an
@@ -293,4 +426,24 @@ func TestMergeInvertsPartition(t *testing.T) {
 			t.Errorf("query %q: merged candidates %v, original %v", q, back.Candidates(q), global.Candidates(q))
 		}
 	}
+}
+
+var sinkIndex *Index
+
+// BenchmarkGrow measures one-entry Grows on a 10k-entry DNA index at
+// k=8, derived linearly as database inserts and WAL replay derive them.
+func BenchmarkGrow(b *testing.B) {
+	g := seqgen.NewDNA(61)
+	ix, err := New(g.Database(10000, 24), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	extra := g.Database(1024, 24)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(extra)
+		ix = ix.Grow(extra[j : j+1])
+	}
+	sinkIndex = ix
 }

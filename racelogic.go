@@ -367,8 +367,7 @@ func WithFullScan() Option {
 // of each entry's stable ID.  Every shard owns its own copy-on-write
 // snapshot, seed index, tombstone accounting, and (when durable)
 // write-ahead-log segment, so mutations landing on different shards
-// proceed under different locks and the per-insert index update costs
-// O(shard), not O(database).  Searches scatter across the shards over
+// proceed under different locks.  Searches scatter across the shards over
 // one shared worker pool and gather under a deterministic global
 // ranking, so reports are byte-identical (modulo EnginesBuilt) for
 // every shard count.  n ≤ 0 or omitting the option selects

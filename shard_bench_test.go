@@ -47,10 +47,9 @@ func BenchmarkSearchShards(b *testing.B) {
 }
 
 // BenchmarkInsertShards hammers concurrent single-entry inserts into a
-// database with a sizable seed index — the workload where the
-// unpartitioned postings-map copy serializes writers.  Compare
-// shards=8 against shards=1 on a multicore runner; the acceptance
-// floor for this PR is >1.5x.
+// database with a sizable seed index.  Compare shards=8 against
+// shards=1 on a multicore runner: writers on different shards take
+// different write locks.
 func BenchmarkInsertShards(b *testing.B) {
 	g := seqgen.NewDNA(223)
 	seed := g.Database(4000, 12)
