@@ -1,12 +1,15 @@
 package racelogic_test
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"racelogic"
+	"racelogic/internal/obs"
 	"racelogic/internal/seqgen"
 )
 
@@ -140,4 +143,95 @@ func TestSearchBatchErrors(t *testing.T) {
 	if len(reps) != 0 {
 		t.Fatalf("empty batch returned %d reports", len(reps))
 	}
+}
+
+// TestSearchBatchTrace pins batch tracing: a trace attached to
+// SearchBatchContext records one seed/plan/race/merge span sequence,
+// its per-shard scanned/skipped/cycles sums equal the sums over the
+// batch's reports, and a batch of one traces exactly like SearchContext
+// for the same query once the durations are zeroed.
+func TestSearchBatchTrace(t *testing.T) {
+	g := seqgen.NewDNA(64)
+	var db []string
+	for _, n := range []int{7, 9, 11} {
+		db = append(db, g.Database(25, n)...)
+	}
+	d, err := racelogic.NewDatabase(db,
+		racelogic.WithShards(2), racelogic.WithSeedIndex(4), racelogic.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// Two entries verbatim (certain seed hits), a random query, and one
+	// shorter than k, which the seed index cannot filter.
+	queries := []string{db[3], db[40], g.Random(9), g.Random(3)}
+	// Warm every engine shape so the traced runs build nothing.
+	if _, err := d.SearchBatch(queries); err != nil {
+		t.Fatal(err)
+	}
+
+	// Four workers write the shared trace concurrently; the sums below do
+	// not depend on how chunks were scheduled.
+	tr := obs.NewTrace()
+	reps, err := d.SearchBatchContext(obs.WithTrace(context.Background(), tr), queries, racelogic.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := tr.Report()
+	var names []string
+	for _, sp := range rep.Spans {
+		names = append(names, sp.Name)
+	}
+	if want := []string{"seed", "plan", "race", "merge"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("batch trace spans = %v, want %v", names, want)
+	}
+	if len(rep.Shards) != 2 {
+		t.Fatalf("batch trace has %d shards, want 2", len(rep.Shards))
+	}
+	var traced, reported [3]int // scanned, skipped, cycles
+	for _, sh := range rep.Shards {
+		traced[0] += sh.Scanned
+		traced[1] += sh.Skipped
+		traced[2] += sh.Cycles
+	}
+	for _, r := range reps {
+		reported[0] += r.Scanned
+		reported[1] += r.Skipped
+		reported[2] += r.TotalCycles
+	}
+	if traced != reported {
+		t.Errorf("shard sums (scanned, skipped, cycles) = %v, batch reports sum to %v", traced, reported)
+	}
+	if reported[1] == 0 {
+		t.Error("seed index skipped nothing; the corpus does not exercise skip sums")
+	}
+
+	for _, q := range queries {
+		single, batch := obs.NewTrace(), obs.NewTrace()
+		if _, err := d.SearchContext(obs.WithTrace(context.Background(), single), q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.SearchBatchContext(obs.WithTrace(context.Background(), batch), []string{q}); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(zeroTraceDurations(single.Report()))
+		b, _ := json.Marshal(zeroTraceDurations(batch.Report()))
+		if string(a) != string(b) {
+			t.Errorf("query %q: batch-of-one trace differs from SearchContext:\nsingle: %s\nbatch:  %s", q, a, b)
+		}
+	}
+}
+
+// zeroTraceDurations blanks every wall-clock field of a trace report,
+// leaving the dimensions that are deterministic at one worker.
+func zeroTraceDurations(rep *obs.TraceReport) *obs.TraceReport {
+	rep.DurationUS = 0
+	for i := range rep.Spans {
+		rep.Spans[i].DurationUS = 0
+	}
+	for i := range rep.Shards {
+		rep.Shards[i].CheckoutWaitUS = 0
+		rep.Shards[i].RaceUS = 0
+	}
+	return rep
 }

@@ -1053,8 +1053,8 @@ func seedFiltered(query string, cfg *config) bool {
 
 // shardScans builds one query's per-shard candidate scans against v:
 // the seed-index lookup, tombstone filtering, and the nil
-// "scan everything" fallback, shared by the single-query and batch
-// search paths.  tr may be the nil trace.
+// "scan everything" fallback.  tr may be the nil trace; a batch adds
+// every query's skips to it.
 func (d *Database) shardScans(v *dbview, query string, cfg *config, tr *obs.Trace) []pipeline.ShardScan {
 	filtered := seedFiltered(query, cfg)
 	scans := make([]pipeline.ShardScan, len(d.shards))
@@ -1072,7 +1072,7 @@ func (d *Database) shardScans(v *dbview, query string, cfg *config, tr *obs.Trac
 				}
 			}
 			cands = cands[:n]
-			tr.SetShardSkipped(s, st.snap.Len()-len(cands))
+			tr.AddShardSkipped(s, st.snap.Len()-len(cands))
 			if len(cands) == st.snap.Len() {
 				// Full shard coverage: fall back to the nil "scan
 				// everything" convention so the pipeline reuses the
@@ -1126,18 +1126,39 @@ func (d *Database) reportFrom(v *dbview, query string, cfg *config, rep *pipelin
 	return out
 }
 
-// search runs one query under a fully resolved config, against the
-// view loaded once here: per-shard seed-index candidate scans scatter
-// over the shared worker pool, and the shard outcomes gather under the
-// global (Score, ID) ranking.
+// search runs one query under a fully resolved config: a batch of one
+// through searchQueries, returning the query's own error unwrapped.
 func (d *Database) search(ctx context.Context, query string, cfg *config) (*SearchReport, error) {
-	tr := obs.TraceFrom(ctx)
 	begin := time.Now()
+	out, err := d.searchQueries(ctx, []string{query}, cfg)
+	var qe *pipeline.QueryError
+	if errors.As(err, &qe) {
+		return nil, qe.Err
+	}
+	if err != nil {
+		return nil, err
+	}
+	d.metrics.observeSearch(time.Since(begin), out[0])
+	return out[0], nil
+}
+
+// searchQueries is the one search body behind search and searchBatch.
+// It loads the view once, so every report is one consistent cut
+// carrying the same Version even under concurrent mutation; builds each
+// query's per-shard seed-index candidate scans under the seed span; and
+// races them all through one scatter-race-fold, gathering each query's
+// shard outcomes under the global (Score, ID) ranking.  A trace
+// attached to ctx records the whole call.
+func (d *Database) searchQueries(ctx context.Context, queries []string, cfg *config) ([]*SearchReport, error) {
+	tr := obs.TraceFrom(ctx)
 	v := d.view.Load()
 	endSeed := tr.StartSpan("seed")
-	scans := d.shardScans(v, query, cfg, tr)
+	scanSets := make([][]pipeline.ShardScan, len(queries))
+	for qi, query := range queries {
+		scanSets[qi] = d.shardScans(v, query, cfg, tr)
+	}
 	endSeed()
-	rep, err := pipeline.MultiSearch(scans, query, pipeline.Request{
+	reps, err := pipeline.MultiSearchBatch(scanSets, queries, pipeline.Request{
 		Threshold: cfg.threshold,
 		Workers:   cfg.workers,
 		TopK:      cfg.topK,
@@ -1146,9 +1167,11 @@ func (d *Database) search(ctx context.Context, query string, cfg *config) (*Sear
 	if err != nil {
 		return nil, err
 	}
-	d.searches.Add(1)
-	out := d.reportFrom(v, query, cfg, rep)
-	d.metrics.observeSearch(time.Since(begin), out)
+	d.searches.Add(int64(len(queries)))
+	out := make([]*SearchReport, len(reps))
+	for qi, rep := range reps {
+		out[qi] = d.reportFrom(v, queries[qi], cfg, rep)
+	}
 	return out, nil
 }
 
@@ -1174,10 +1197,9 @@ func (d *Database) SearchBatch(queries []string, opts ...Option) ([]*SearchRepor
 	return d.SearchBatchContext(context.Background(), queries, opts...)
 }
 
-// SearchBatchContext is SearchBatch with a context.  Per-query tracing
-// is not supported on the batch path: a trace attached to ctx is
-// ignored, because its spans and shard dimensions describe exactly one
-// query.  Trace individual Search calls instead.
+// SearchBatchContext is SearchBatch with a context.  A trace attached
+// via obs.WithTrace records the whole batch: one seed/plan/race/merge
+// span sequence, and per-shard dimensions summed over the queries.
 func (d *Database) SearchBatchContext(ctx context.Context, queries []string, opts ...Option) ([]*SearchReport, error) {
 	cfg := *d.cfg
 	cfg.applied = nil
@@ -1192,35 +1214,22 @@ func (d *Database) SearchBatchContext(ctx context.Context, queries []string, opt
 	return d.searchBatch(ctx, queries, &cfg)
 }
 
-// searchBatch runs the whole batch against one view loaded here, so
-// every report carries the same Version even under concurrent
-// mutation.
-func (d *Database) searchBatch(_ context.Context, queries []string, cfg *config) ([]*SearchReport, error) {
-	begin := time.Now()
-	v := d.view.Load()
-	scanSets := make([][]pipeline.ShardScan, len(queries))
+// searchBatch runs the whole batch through searchQueries, naming a
+// failing query with a *BatchError.
+func (d *Database) searchBatch(ctx context.Context, queries []string, cfg *config) ([]*SearchReport, error) {
 	for qi, query := range queries {
 		if len(query) == 0 {
 			return nil, &BatchError{Query: qi, Err: fmt.Errorf("racelogic: empty query")}
 		}
-		scanSets[qi] = d.shardScans(v, query, cfg, nil)
 	}
-	reps, err := pipeline.MultiSearchBatch(scanSets, queries, pipeline.Request{
-		Threshold: cfg.threshold,
-		Workers:   cfg.workers,
-		TopK:      cfg.topK,
-	})
+	begin := time.Now()
+	out, err := d.searchQueries(ctx, queries, cfg)
+	var qe *pipeline.QueryError
+	if errors.As(err, &qe) {
+		return nil, &BatchError{Query: qe.Query, Err: qe.Err}
+	}
 	if err != nil {
-		var qe *pipeline.QueryError
-		if errors.As(err, &qe) {
-			return nil, &BatchError{Query: qe.Query, Err: qe.Err}
-		}
 		return nil, err
-	}
-	d.searches.Add(int64(len(queries)))
-	out := make([]*SearchReport, len(reps))
-	for qi, rep := range reps {
-		out[qi] = d.reportFrom(v, queries[qi], cfg, rep)
 	}
 	d.metrics.observeSearchBatch(time.Since(begin), out)
 	return out, nil

@@ -29,7 +29,8 @@
 //
 // # Traces
 //
-// A Trace records one query's passage through the search pipeline:
+// A Trace records one search's passage through the pipeline — a single
+// query or a batch, whose shard dimensions sum over its queries:
 // sequential phase spans (seed lookup, plan, race, merge) and one
 // ShardTrace per partition holding the hardware-native dimensions —
 // candidates scanned and skipped, cycles raced, joules spent — plus

@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// Trace records one query's passage through the search pipeline: named
-// phase spans plus one per-shard record of the hardware-native
-// dimensions (candidates scanned and skipped, cycles raced, joules
-// spent) and the engine-checkout and race wall-clock behind them.
+// Trace records one search's passage through the pipeline — a single
+// query or a whole batch: named phase spans plus one per-shard record
+// of the hardware-native dimensions (candidates scanned and skipped,
+// cycles raced, joules spent) and the engine-checkout and race
+// wall-clock behind them.
 //
 // All methods are safe on a nil *Trace and do nothing, so instrumented
 // code can call them unconditionally; the uninstrumented hot path pays
@@ -31,9 +32,12 @@ type Span struct {
 	DurationUS int64  `json:"duration_us"`
 }
 
-// ShardTrace is one shard's share of the query.  The count fields are
-// deterministic for a fixed corpus and query; only the _us fields vary
-// across reruns.
+// ShardTrace is one shard's share of the search, summed over its
+// queries when the trace covers a batch.  A chunk of the race may span
+// shards: Chunks, EngineCheckouts, EnginesBuilt, CheckoutWaitUS and
+// RaceUS are attributed to the shard of the chunk's first pair.  The
+// count fields are deterministic for a fixed corpus, queries and worker
+// count; only the _us fields vary across reruns.
 type ShardTrace struct {
 	Shard           int     `json:"shard"`
 	Scanned         int     `json:"scanned"`
@@ -131,7 +135,8 @@ func (t *Trace) AddRace(shard int, d time.Duration) {
 }
 
 // RecordShardScan sets a shard's deterministic race dimensions:
-// candidates scanned, chunks raced, total cycles, and joules spent.
+// candidates scanned, chunks raced, total cycles, and joules spent,
+// each already summed over every query of the search.
 func (t *Trace) RecordShardScan(shard, scanned, chunks, cycles int, energyJ float64) {
 	if t == nil {
 		return
@@ -145,14 +150,15 @@ func (t *Trace) RecordShardScan(shard, scanned, chunks, cycles int, energyJ floa
 	t.mu.Unlock()
 }
 
-// SetShardSkipped records how many entries the seed index let a shard
-// skip — known to the database layer, not the race pipeline.
-func (t *Trace) SetShardSkipped(shard, skipped int) {
+// AddShardSkipped adds to the entries the seed index let a shard skip —
+// known to the database layer, not the race pipeline.  A batch trace
+// sums the skips of all its queries.
+func (t *Trace) AddShardSkipped(shard, skipped int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.shard(shard).Skipped = skipped
+	t.shard(shard).Skipped += skipped
 	t.mu.Unlock()
 }
 

@@ -14,7 +14,7 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	tr.AddEngineCheckout(0, time.Millisecond, true)
 	tr.AddRace(0, time.Millisecond)
 	tr.RecordShardScan(0, 1, 2, 3, 4)
-	tr.SetShardSkipped(0, 5)
+	tr.AddShardSkipped(0, 5)
 	if tr.Report() != nil {
 		t.Fatal("nil trace should report nil")
 	}
@@ -41,7 +41,7 @@ func TestTraceReportShape(t *testing.T) {
 	tr.StartSpan("race")()
 	// Record shards out of order; report must sort by partition.
 	tr.RecordShardScan(2, 10, 2, 1000, 0.5)
-	tr.SetShardSkipped(2, 5)
+	tr.AddShardSkipped(2, 5)
 	tr.RecordShardScan(0, 20, 3, 2000, 1.25)
 	tr.AddEngineCheckout(2, 3*time.Millisecond, true)
 	tr.AddEngineCheckout(2, time.Millisecond, false)
@@ -92,7 +92,7 @@ func TestTraceDeterministicModuloDurations(t *testing.T) {
 				tr.AddEngineCheckout(n, time.Microsecond, n == 0)
 				tr.AddRace(n, time.Microsecond)
 				tr.RecordShardScan(n, 10+n, 1, 100*n, float64(n)/4)
-				tr.SetShardSkipped(n, n)
+				tr.AddShardSkipped(n, n)
 			}(shard)
 		}
 		wg.Wait()

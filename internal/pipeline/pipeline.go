@@ -32,16 +32,17 @@
 // are worth reclaiming.  Engine pools are keyed by shape alone, so every
 // snapshot version shares the same warm pools.
 //
-// Within one search, buckets are split into chunks and fanned out over a
-// channel-fed worker pool so independent arrays race concurrently; the
+// MultiSearchBatch is the one scatter-race-fold: the (query, entry)
+// pairs of every query and every partition shard are grouped by engine
+// shape, split into chunks, and fanned out over a channel-fed worker
+// pool so independent arrays race concurrently — under the lanes
+// backend a chunk's lane packs span shard and query boundaries.  The
 // Section 6 similarity threshold rejects dissimilar entries after only
-// threshold+1 cycles; and the surviving matches are ranked into a
-// deterministic top-K report with per-result hardware metrics.
-// MultiSearch is the scatter-gather form of the same machinery: the
-// chunks of N partition shards feed one shared worker pool, and the
-// per-shard outcomes merge under a global-ID ordering, so a partitioned
-// database returns reports byte-identical (modulo EnginesBuilt) to an
-// unpartitioned one.
+// threshold+1 cycles, and each query's outcomes fold under a global-ID
+// ordering into a deterministic top-K report with per-result hardware
+// metrics, so a partitioned database returns reports byte-identical
+// (modulo EnginesBuilt) to an unpartitioned one.  A single query is a
+// batch of one: MultiSearch and DB.Search are thin adapters over it.
 package pipeline
 
 import (
@@ -72,16 +73,13 @@ type Engine interface {
 // LaneEngine is an Engine that can race a pack of same-shape candidates
 // through one pass of its netlist — race.Array under the bit-parallel
 // lanes backend.  LaneWidth reports the pack capacity (1 means scalar:
-// the pipeline falls back to the per-entry loop); AlignLanes races up
-// to LaneWidth candidates of one query at once, and AlignLanesMulti
-// races a mixed pack where lane k pairs query ps[k] with candidate
-// qs[k] — the cross-query coalescing MultiSearchBatch uses.  Both are
-// byte-identical to scoring lane by lane, with a negative threshold
-// disabling the Section 6 cut-off.
+// the pipeline falls back to the per-pair loop); AlignLanesMulti races
+// up to LaneWidth pairs at once, lane k pairing query ps[k] with
+// candidate qs[k], byte-identical to scoring lane by lane, with a
+// negative threshold disabling the Section 6 cut-off.
 type LaneEngine interface {
 	Engine
 	LaneWidth() int
-	AlignLanes(p string, qs []string, threshold temporal.Time) ([]*race.AlignResult, error)
 	AlignLanesMulti(ps, qs []string, threshold temporal.Time) ([]*race.AlignResult, error)
 }
 
@@ -99,14 +97,16 @@ type Request struct {
 	Workers int
 	// TopK truncates the ranked results; ≤ 0 keeps every match.
 	TopK int
-	// Candidates restricts the scan to these entry indices (ascending,
-	// as produced by a seed index).  Nil means scan the whole database;
-	// an empty non-nil slice races nothing.  MultiSearch takes its
-	// candidates per shard instead (ShardScan.Candidates) and ignores
-	// this field.
+	// Candidates restricts DB.Search's scan to these entry indices
+	// (ascending, as produced by a seed index).  Nil means scan the whole
+	// database; an empty non-nil slice races nothing.  MultiSearch and
+	// MultiSearchBatch take their candidates per shard instead
+	// (ShardScan.Candidates) and ignore this field.
 	Candidates []int
-	// Trace, when non-nil, receives this query's phase spans and
-	// per-shard race dimensions.  Untraced queries pay one nil check.
+	// Trace, when non-nil, receives the search's plan/race/merge spans
+	// and per-shard race dimensions; a multi-query batch sums each
+	// shard's dimensions over its queries.  Untraced searches pay one
+	// nil check.
 	Trace *obs.Trace
 }
 
@@ -659,17 +659,6 @@ func (d *DB) SetMaxIdleEngines(n int) { d.pools.SetMaxIdleEngines(n) }
 // parked in the pool set.
 func (d *DB) PooledEngines() int { return d.pools.PooledEngines() }
 
-// chunk is one unit of worker-pool work: a run of same-length entries of
-// one shard scored on a single checked-out engine.  Indices are
-// positions in the shard's scan slice (dense), not raw database indices,
-// so a seeded search's collector state scales with the candidate count
-// rather than the database size.
-type chunk struct {
-	shard   int   // ShardScan index under MultiSearch; 0 under SearchAt
-	m       int   // entry length
-	indices []int // positions in the scan slice
-}
-
 // entrySlots is the collector state the workers fill in, one slot per
 // scanned entry.  Every scan position is owned by exactly one chunk, so
 // workers write disjoint slots and no locking is needed; the final fold
@@ -735,23 +724,6 @@ func resolveScan(s *Snapshot, candidates []int) (*scanPlan, error) {
 	return p, nil
 }
 
-// appendChunks splits a plan's buckets into chunks of at most target
-// entries so a single dominant bucket still spreads across the worker
-// pool, while small buckets stay whole and cost one engine checkout
-// each.  The shared bucket slices are only re-sliced here, never
-// written.
-func (p *scanPlan) appendChunks(chunks []chunk, shard, target int) []chunk {
-	for _, m := range p.lengths {
-		idx := p.buckets[m]
-		for len(idx) > target {
-			chunks = append(chunks, chunk{shard: shard, m: m, indices: idx[:target]})
-			idx = idx[target:]
-		}
-		chunks = append(chunks, chunk{shard: shard, m: m, indices: idx})
-	}
-	return chunks
-}
-
 // Search scores query against the current snapshot.  See SearchAt.
 func (d *DB) Search(query string, req Request) (*Report, error) {
 	return d.SearchAt(d.snap.Load(), query, req)
@@ -769,7 +741,7 @@ func (d *DB) SearchAt(s *Snapshot, query string, req Request) (*Report, error) {
 	return MultiSearch([]ShardScan{{DB: d, Snap: s, Candidates: req.Candidates}}, query, req)
 }
 
-// ShardScan names one partition's contribution to a MultiSearch: the
+// ShardScan names one partition's contribution to a search: the
 // shard's DB (for its engine pools), the immutable snapshot to race,
 // the candidate subset (nil scans the whole shard), and the slot→ID
 // table that positions the shard's entries in the global order.
@@ -779,7 +751,7 @@ type ShardScan struct {
 	Candidates []int
 	// IDs maps the snapshot's slots to their global rank keys; nil
 	// defaults to the slot indices themselves (the single-shard case).
-	// IDs must be unique across every shard of one MultiSearch, and
+	// IDs must be unique across every shard of one query's scan, and
 	// must cover the snapshot's slot span.
 	IDs []uint64
 }
@@ -793,281 +765,26 @@ func (sc *ShardScan) slotID(i int) uint64 {
 }
 
 // slotRef locates one scanned entry during the fold: its shard, its
-// scan position there, its snapshot slot, and its global rank key.
+// scan position there, and its global rank key.
 type slotRef struct {
-	shard, si, slot int
-	id              uint64
+	shard, si int
+	id        uint64
 }
 
-// MultiSearch scores query against N partition shards with one shared
-// worker pool and merges the shard outcomes into a single report — the
-// scatter-gather search.  Chunks from every shard feed the same
-// channel, so a dominant shard cannot leave the rest of the pool idle;
-// the fold then walks every scanned entry in ascending global-ID order,
-// which makes every aggregate (including the floating-point energy
-// total) and the (Score, ID) ranking bit-identical no matter how the
-// database is partitioned.  Shards must share one Pools for EnginesBuilt
-// to count database-wide builds (the racelogic layer guarantees this).
+// MultiSearch scores query against N partition shards and merges the
+// shard outcomes into a single report — the scatter-gather search, run
+// as a batch of one through MultiSearchBatch.  Failures return the
+// single-query error itself, not a *QueryError.
 func MultiSearch(shards []ShardScan, query string, req Request) (*Report, error) {
-	if len(query) == 0 {
-		return nil, fmt.Errorf("pipeline: empty query")
+	reps, err := MultiSearchBatch([][]ShardScan{shards}, []string{query}, req)
+	var qe *QueryError
+	if errors.As(err, &qe) {
+		return nil, qe.Err
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	tr := req.Trace
-
-	endSpan := tr.StartSpan("plan")
-	plans := make([]*scanPlan, len(shards))
-	raced := 0
-	lengthSet := make(map[int]bool)
-	for si, sc := range shards {
-		plan, err := resolveScan(sc.Snap, sc.Candidates)
-		if err != nil {
-			return nil, err
-		}
-		plans[si] = plan
-		raced += plan.raced
-		for _, m := range plan.lengths {
-			lengthSet[m] = true
-		}
-	}
-	report := &Report{Scanned: raced, Buckets: len(lengthSet)}
-	if raced == 0 {
-		endSpan()
-		report.Results = []Result{}
-		return report, nil
-	}
-
-	// Chunk every shard against the whole search's target size, so the
-	// single-shard plan chunks exactly like the pre-shard pipeline and a
-	// dominant bucket anywhere still spreads across the pool.
-	target := (raced + workers - 1) / workers
-	var chunks []chunk
-	for si, plan := range plans {
-		chunks = plan.appendChunks(chunks, si, target)
-	}
-	endSpan()
-
-	slots := make([]*entrySlots, len(shards))
-	for si, plan := range plans {
-		slots[si] = newEntrySlots(plan.slotSpan)
-	}
-	chunkErrs := make([]error, len(chunks))   // indexed by chunk
-	chunkErrID := make([]uint64, len(chunks)) // rank key an error hit
-	var builds atomic.Int64                   // engines built for this search
-	endSpan = tr.StartSpan("race")
-	jobs := make(chan int) // chunk indices
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range jobs {
-				c := chunks[ci]
-				sc := &shards[c.shard]
-				err, errSlot := sc.DB.pools.runChunk(sc.Snap, query, c, plans[c.shard].scan, req.Threshold, slots[c.shard], &builds, tr)
-				if err != nil {
-					chunkErrs[ci] = err
-					chunkErrID[ci] = sc.slotID(errSlot)
-				}
-			}
-		}()
-	}
-	for ci := range chunks {
-		jobs <- ci
-	}
-	close(jobs)
-	wg.Wait()
-	endSpan()
-	report.EnginesBuilt = int(builds.Load())
-
-	// Errors are reported by lowest rank key (the lowest database index
-	// in the single-shard case); everything else folds in global order.
-	var firstErr error
-	var firstErrID uint64
-	for ci, err := range chunkErrs {
-		if err != nil && (firstErr == nil || chunkErrID[ci] < firstErrID) {
-			firstErr, firstErrID = err, chunkErrID[ci]
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	// The fold order: every scanned entry across every shard, ascending
-	// by global ID.  For one shard with identity IDs this is exactly the
-	// pre-shard slot-order fold.
-	refs := make([]slotRef, 0, raced)
-	for si, sc := range shards {
-		plan := plans[si]
-		if plan.scan != nil {
-			for pos, slot := range plan.scan {
-				refs = append(refs, slotRef{shard: si, si: pos, slot: slot, id: sc.slotID(slot)})
-			}
-			continue
-		}
-		for slot := 0; slot < plan.slotSpan; slot++ {
-			if sc.Snap.Live(slot) {
-				refs = append(refs, slotRef{shard: si, si: slot, slot: slot, id: sc.slotID(slot)})
-			}
-		}
-	}
-	sort.Slice(refs, func(a, b int) bool { return refs[a].id < refs[b].id })
-
-	endSpan = tr.StartSpan("merge")
-	var all []Result
-	for _, ref := range refs {
-		sl := slots[ref.shard]
-		report.TotalCycles += sl.cycles[ref.si]
-		report.TotalEnergyJ += sl.energyJ[ref.si]
-		if sl.rejected[ref.si] {
-			report.Rejected++
-		}
-		if r := sl.results[ref.si]; r != nil {
-			r.ID = ref.id
-			all = append(all, *r)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score < all[j].Score
-		}
-		return all[i].ID < all[j].ID
-	})
-	report.Matched = len(all)
-	if req.TopK > 0 && len(all) > req.TopK {
-		all = all[:req.TopK]
-	}
-	if all == nil {
-		all = []Result{}
-	}
-	report.Results = all
-	endSpan()
-
-	if tr != nil {
-		// Re-walk the scanned entries to fill each shard's deterministic
-		// dimensions — count fields only, so two traced runs of the same
-		// query over the same corpus report identical values.
-		perChunks := make([]int, len(shards))
-		for _, c := range chunks {
-			perChunks[c.shard]++
-		}
-		perCycles := make([]int, len(shards))
-		perEnergy := make([]float64, len(shards))
-		for _, ref := range refs {
-			sl := slots[ref.shard]
-			perCycles[ref.shard] += sl.cycles[ref.si]
-			perEnergy[ref.shard] += sl.energyJ[ref.si]
-		}
-		for si, plan := range plans {
-			tr.RecordShardScan(si, plan.raced, perChunks[si], perCycles[si], perEnergy[si])
-		}
-	}
-	return report, nil
-}
-
-// runChunk checks one engine out of the shape pool, races every entry of
-// the chunk on it, and writes each entry's outcome into its own slot.
-// A nil scan means chunk indices are snapshot slots directly.  It
-// returns the first error and the snapshot slot it occurred at.
-func (p *Pools) runChunk(s *Snapshot, query string, c chunk, scan []int, threshold int64,
-	slots *entrySlots, builds *atomic.Int64, tr *obs.Trace) (error, int) {
-
-	key := poolKey{n: len(query), m: c.m}
-	eng, area, built, err := p.acquireObserved(key, c.shard, tr)
 	if err != nil {
-		first := c.indices[0]
-		if scan != nil {
-			first = scan[first]
-		}
-		return err, first
+		return nil, err
 	}
-	if built {
-		builds.Add(1)
-	}
-	defer p.release(key, eng)
-	if tr != nil {
-		raceBegin := time.Now()
-		defer func() { tr.AddRace(c.shard, time.Since(raceBegin)) }()
-	}
-	if le, ok := eng.(LaneEngine); ok {
-		if w := le.LaneWidth(); w > 1 {
-			return p.runChunkLanes(s, query, c, scan, threshold, slots, le, w, area)
-		}
-	}
-	for _, si := range c.indices {
-		i := si
-		if scan != nil {
-			i = scan[si]
-		}
-		var res *race.AlignResult
-		if threshold >= 0 {
-			res, err = eng.AlignThreshold(query, s.entries[i], temporal.Time(threshold))
-		} else {
-			res, err = eng.Align(query, s.entries[i])
-		}
-		if err != nil {
-			return err, i
-		}
-		p.fillSlot(slots, si, i, s, res, area)
-	}
-	return nil, -1
-}
-
-// runChunkLanes is the batched body of runChunk: the chunk's entries —
-// all the same length by construction — race through the checked-out
-// engine in lane packs of at most width candidates.  Outcomes, errors,
-// and the slot an error is attributed to are byte-identical to the
-// per-entry loop; only the number of netlist passes changes.
-func (p *Pools) runChunkLanes(s *Snapshot, query string, c chunk, scan []int, threshold int64,
-	slots *entrySlots, eng LaneEngine, width int, area float64) (error, int) {
-
-	obsFn := p.laneObs.Load()
-	qs := make([]string, 0, width)
-	for start := 0; start < len(c.indices); start += width {
-		end := start + width
-		if end > len(c.indices) {
-			end = len(c.indices)
-		}
-		pack := c.indices[start:end]
-		qs = qs[:0]
-		for _, si := range pack {
-			i := si
-			if scan != nil {
-				i = scan[si]
-			}
-			qs = append(qs, s.entries[i])
-		}
-		results, err := eng.AlignLanes(query, qs, temporal.Time(threshold))
-		if err != nil {
-			// A lane-attributed failure maps back to the entry the scalar
-			// loop would have stopped at, with the same underlying error.
-			lane := 0
-			var le *race.LaneError
-			if errors.As(err, &le) {
-				lane = le.Lane
-				err = le.Err
-			}
-			i := pack[lane]
-			if scan != nil {
-				i = scan[i]
-			}
-			return err, i
-		}
-		if obsFn != nil {
-			(*obsFn)(len(pack), width)
-		}
-		for k, si := range pack {
-			i := si
-			if scan != nil {
-				i = scan[si]
-			}
-			p.fillSlot(slots, si, i, s, results[k], area)
-		}
-	}
-	return nil, -1
+	return reps[0], nil
 }
 
 // fillSlot writes one finished race into its collector slot — the
@@ -1098,7 +815,8 @@ func (p *Pools) fillSlot(slots *entrySlots, si, i int, s *Snapshot, res *race.Al
 type QueryError struct {
 	// Query indexes the queries slice MultiSearchBatch was given.
 	Query int
-	// Err is the underlying error, verbatim from the single-query path.
+	// Err is the underlying error, verbatim as a batch of that query
+	// alone reports it.
 	Err error
 }
 
@@ -1118,8 +836,9 @@ type batchPair struct {
 // pairChunk is one unit of batch work: a run of same-shape (query,
 // entry) pairs — every query of length n, every entry of length m —
 // scored on a single checked-out engine.  Under a lane engine the run
-// is cut into packs that may span query boundaries, which is how a
-// multi-query batch fills wider packs than any one query could.
+// is cut into packs that may span query and shard boundaries, which is
+// how a batch, or a query over a partitioned database, fills wider
+// packs than any one query's shard could.
 type pairChunk struct {
 	n, m  int
 	pairs []batchPair
@@ -1130,19 +849,22 @@ type pairChunk struct {
 // query may carry its own seed-index candidate subsets) with one shared
 // worker pool and returns one report per query, index-aligned with
 // queries.  Same-shape (query, entry) pairs are coalesced across
-// queries: each worker checks out one engine per chunk and, under the
-// lanes backend, fills each lane pack with pairs of several in-flight
-// queries via AlignLanesMulti — so a batch of small scans reaches the
-// pack width (and the per-pass amortization) that each query alone
-// could not.  Every report is byte-identical to the corresponding
-// sequential MultiSearch call except EnginesBuilt, which counts the
-// whole batch's builds (engines are shared across queries, so a
-// per-query attribution would be scheduling-dependent).  A failure
-// anywhere fails the whole batch with a *QueryError naming the lowest
-// (query, rank-key) pair, exactly as sequential calls would first hit
-// it.  All shards of every query must share one Pools (the racelogic
-// layer guarantees this); Request.Trace is ignored — trace single
-// queries instead.
+// queries and shards: each worker checks out one engine per chunk and,
+// under the lanes backend, fills each lane pack with pairs of several
+// in-flight queries via AlignLanesMulti — so a batch of small scans
+// reaches the pack width (and the per-pass amortization) that each
+// query alone could not.  Each query's fold walks its scanned entries
+// in ascending global-ID order, so every report — including the
+// floating-point energy total and the (Score, ID) ranking — is
+// byte-identical to a batch of that query alone however the database
+// is partitioned, except EnginesBuilt, which counts the whole batch's
+// builds (engines are shared across queries, so a per-query
+// attribution would be scheduling-dependent).  A failure anywhere
+// fails the whole batch with a *QueryError naming the lowest (query,
+// rank-key) pair, exactly as sequential calls would first hit it.  All
+// shards of every query must share one Pools (the racelogic layer
+// guarantees this).  Request.Trace receives the batch's spans; a
+// chunk's checkout and race time go to the shard of its first pair.
 func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([]*Report, error) {
 	if len(shardSets) != len(queries) {
 		return nil, fmt.Errorf("pipeline: %d shard sets for %d queries", len(shardSets), len(queries))
@@ -1159,15 +881,17 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
+	tr := req.Trace
 
-	// Plan every query's scan set up front, exactly as its own
-	// MultiSearch would.
+	// Plan every query's scan set up front.
+	endSpan := tr.StartSpan("plan")
 	plans := make([][]*scanPlan, len(queries))
-	raced := make([]int, len(queries))
 	reports := make([]*Report, len(queries))
-	totalPairs := 0
+	totalPairs, nShards := 0, 0
 	for qi := range queries {
 		plans[qi] = make([]*scanPlan, len(shardSets[qi]))
+		nShards = max(nShards, len(shardSets[qi]))
+		raced := 0
 		lengthSet := make(map[int]bool)
 		for si, sc := range shardSets[qi] {
 			plan, err := resolveScan(sc.Snap, sc.Candidates)
@@ -1175,15 +899,16 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 				return nil, &QueryError{Query: qi, Err: err}
 			}
 			plans[qi][si] = plan
-			raced[qi] += plan.raced
+			raced += plan.raced
 			for _, m := range plan.lengths {
 				lengthSet[m] = true
 			}
 		}
-		reports[qi] = &Report{Scanned: raced[qi], Buckets: len(lengthSet)}
-		totalPairs += raced[qi]
+		reports[qi] = &Report{Scanned: raced, Buckets: len(lengthSet)}
+		totalPairs += raced
 	}
 	if totalPairs == 0 {
+		endSpan()
 		for _, r := range reports {
 			r.Results = []Result{}
 		}
@@ -1192,9 +917,10 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 
 	// Build the per-shape pair streams in deterministic order — query
 	// ascending, then shard, then the shard's bucket order — and cut them
-	// into chunks against the whole batch's target size.  Consecutive
-	// pairs of one stream land in the same packs regardless of which
-	// query they belong to.
+	// into chunks against the whole batch's target size, so a dominant
+	// shape still spreads across the pool.  Consecutive pairs of one
+	// stream land in the same packs regardless of which query or shard
+	// they belong to.
 	streams := make(map[poolKey][]batchPair)
 	var shapeOrder []poolKey
 	for qi, q := range queries {
@@ -1202,12 +928,14 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 		for si, plan := range plans[qi] {
 			for _, m := range plan.lengths {
 				key := poolKey{n: n, m: m}
-				if _, ok := streams[key]; !ok {
+				pairs, ok := streams[key]
+				if !ok {
 					shapeOrder = append(shapeOrder, key)
 				}
 				for _, pos := range plan.buckets[m] {
-					streams[key] = append(streams[key], batchPair{query: qi, shard: si, si: pos})
+					pairs = append(pairs, batchPair{query: qi, shard: si, si: pos})
 				}
+				streams[key] = pairs
 			}
 		}
 	}
@@ -1221,6 +949,7 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 		}
 		chunks = append(chunks, pairChunk{n: key.n, m: key.m, pairs: pairs})
 	}
+	endSpan()
 
 	// Collector state: one slot set per (query, shard).  Every pair is
 	// owned by exactly one chunk, so workers write disjoint slots.
@@ -1231,11 +960,10 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 			slots[qi][si] = newEntrySlots(plan.slotSpan)
 		}
 	}
-	chunkErrs := make([]error, len(chunks))
-	chunkErrQuery := make([]int, len(chunks))
-	chunkErrID := make([]uint64, len(chunks))
+	chunkErrs := make([]*pairError, len(chunks))
 	var builds atomic.Int64
 	pools := shardSets[0][0].DB.pools
+	endSpan = tr.StartSpan("race")
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -1243,13 +971,7 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 		go func() {
 			defer wg.Done()
 			for ci := range jobs {
-				c := chunks[ci]
-				err, errQuery, errID := pools.runPairChunk(shardSets, plans, queries, c, req.Threshold, slots, &builds)
-				if err != nil {
-					chunkErrs[ci] = err
-					chunkErrQuery[ci] = errQuery
-					chunkErrID[ci] = errID
-				}
+				chunkErrs[ci] = pools.runPairChunk(shardSets, plans, queries, chunks[ci], req.Threshold, slots, &builds, tr)
 			}
 		}()
 	}
@@ -1258,27 +980,30 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 	}
 	close(jobs)
 	wg.Wait()
+	endSpan()
 
 	// Errors are reported by lowest (query, rank key) — the first pair a
 	// sequential query-by-query scan would have failed on.
-	var firstErr error
-	var firstQuery int
-	var firstID uint64
-	for ci, err := range chunkErrs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || chunkErrQuery[ci] < firstQuery ||
-			(chunkErrQuery[ci] == firstQuery && chunkErrID[ci] < firstID) {
-			firstErr, firstQuery, firstID = err, chunkErrQuery[ci], chunkErrID[ci]
+	var first *pairError
+	for _, e := range chunkErrs {
+		if e != nil && (first == nil || e.query < first.query || (e.query == first.query && e.id < first.id)) {
+			first = e
 		}
 	}
-	if firstErr != nil {
-		return nil, &QueryError{Query: firstQuery, Err: firstErr}
+	if first != nil {
+		return nil, &QueryError{Query: first.query, Err: first.err}
 	}
 
-	// Fold each query exactly as MultiSearch does, over its own
-	// ascending-global-ID ref walk.
+	// Fold each query over its own ascending-global-ID ref walk; a traced
+	// batch also sums each shard's dimensions in that same fold order.
+	endSpan = tr.StartSpan("merge")
+	var sums []shardSums
+	if tr != nil {
+		sums = make([]shardSums, nShards)
+		for _, c := range chunks {
+			sums[c.pairs[0].shard].chunks++
+		}
+	}
 	enginesBuilt := int(builds.Load())
 	refs := make([]slotRef, 0, totalPairs)
 	for qi, report := range reports {
@@ -1286,15 +1011,18 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 		refs = refs[:0]
 		for si, sc := range shardSets[qi] {
 			plan := plans[qi][si]
+			if sums != nil {
+				sums[si].scanned += plan.raced
+			}
 			if plan.scan != nil {
 				for pos, slot := range plan.scan {
-					refs = append(refs, slotRef{shard: si, si: pos, slot: slot, id: sc.slotID(slot)})
+					refs = append(refs, slotRef{shard: si, si: pos, id: sc.slotID(slot)})
 				}
 				continue
 			}
 			for slot := 0; slot < plan.slotSpan; slot++ {
 				if sc.Snap.Live(slot) {
-					refs = append(refs, slotRef{shard: si, si: slot, slot: slot, id: sc.slotID(slot)})
+					refs = append(refs, slotRef{shard: si, si: slot, id: sc.slotID(slot)})
 				}
 			}
 		}
@@ -1304,6 +1032,10 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 			sl := slots[qi][ref.shard]
 			report.TotalCycles += sl.cycles[ref.si]
 			report.TotalEnergyJ += sl.energyJ[ref.si]
+			if sums != nil {
+				sums[ref.shard].cycles += sl.cycles[ref.si]
+				sums[ref.shard].energyJ += sl.energyJ[ref.si]
+			}
 			if sl.rejected[ref.si] {
 				report.Rejected++
 			}
@@ -1327,15 +1059,34 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 		}
 		report.Results = all
 	}
+	endSpan()
+	for si, sum := range sums {
+		tr.RecordShardScan(si, sum.scanned, sum.chunks, sum.cycles, sum.energyJ)
+	}
 	return reports, nil
 }
 
+// shardSums is one shard's deterministic trace dimensions, summed over
+// a batch's queries.
+type shardSums struct {
+	scanned, chunks, cycles int
+	energyJ                 float64
+}
+
+// pairError is a chunk's failure, attributed to the query index and
+// global rank key of the pair it struck.
+type pairError struct {
+	err   error
+	query int
+	id    uint64
+}
+
 // runPairChunk checks one engine out of the chunk's shape pool and
-// races every (query, entry) pair of the chunk on it.  On failure it
-// returns the error plus the query index and global rank key it is
-// attributed to.
+// races every (query, entry) pair of the chunk on it, charging the
+// checkout and race time to the shard of the chunk's first pair.  It
+// stops at the first failing pair.
 func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queries []string, c pairChunk,
-	threshold int64, slots [][]*entrySlots, builds *atomic.Int64) (error, int, uint64) {
+	threshold int64, slots [][]*entrySlots, builds *atomic.Int64, tr *obs.Trace) *pairError {
 
 	// resolve maps a pair to its snapshot slot (the entry index).
 	resolve := func(pr batchPair) int {
@@ -1345,15 +1096,19 @@ func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queri
 		return pr.si
 	}
 	key := poolKey{n: c.n, m: c.m}
-	eng, area, built, err := p.acquireObserved(key, 0, nil)
+	first := c.pairs[0]
+	eng, area, built, err := p.acquireObserved(key, first.shard, tr)
 	if err != nil {
-		pr := c.pairs[0]
-		return err, pr.query, shardSets[pr.query][pr.shard].slotID(resolve(pr))
+		return &pairError{err, first.query, shardSets[first.query][first.shard].slotID(resolve(first))}
 	}
 	if built {
 		builds.Add(1)
 	}
 	defer p.release(key, eng)
+	if tr != nil {
+		raceBegin := time.Now()
+		defer func() { tr.AddRace(first.shard, time.Since(raceBegin)) }()
+	}
 	if le, ok := eng.(LaneEngine); ok {
 		if width := le.LaneWidth(); width > 1 {
 			return p.runPairChunkLanes(shardSets, queries, c, resolve, threshold, slots, le, width, area)
@@ -1369,11 +1124,11 @@ func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queri
 			res, err = eng.Align(queries[pr.query], sc.Snap.entries[i])
 		}
 		if err != nil {
-			return err, pr.query, sc.slotID(i)
+			return &pairError{err, pr.query, sc.slotID(i)}
 		}
 		p.fillSlot(slots[pr.query][pr.shard], pr.si, i, sc.Snap, res, area)
 	}
-	return nil, 0, 0
+	return nil
 }
 
 // runPairChunkLanes is the batched body of runPairChunk: the chunk's
@@ -1382,7 +1137,7 @@ func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queri
 // pair an error is attributed to are byte-identical to the per-pair
 // loop; only the number of netlist passes changes.
 func (p *Pools) runPairChunkLanes(shardSets [][]ShardScan, queries []string, c pairChunk, resolve func(batchPair) int,
-	threshold int64, slots [][]*entrySlots, eng LaneEngine, width int, area float64) (error, int, uint64) {
+	threshold int64, slots [][]*entrySlots, eng LaneEngine, width int, area float64) *pairError {
 
 	obsFn := p.laneObs.Load()
 	ps := make([]string, 0, width)
@@ -1410,7 +1165,7 @@ func (p *Pools) runPairChunkLanes(shardSets [][]ShardScan, queries []string, c p
 				err = le.Err
 			}
 			pr := pack[lane]
-			return err, pr.query, shardSets[pr.query][pr.shard].slotID(resolve(pr))
+			return &pairError{err, pr.query, shardSets[pr.query][pr.shard].slotID(resolve(pr))}
 		}
 		if obsFn != nil {
 			(*obsFn)(len(pack), width)
@@ -1419,5 +1174,5 @@ func (p *Pools) runPairChunkLanes(shardSets [][]ShardScan, queries []string, c p
 			p.fillSlot(slots[pr.query][pr.shard], pr.si, resolve(pr), shardSets[pr.query][pr.shard].Snap, results[k], area)
 		}
 	}
-	return nil, 0, 0
+	return nil
 }

@@ -624,8 +624,8 @@ func TestMultiSearchMatchesSingle(t *testing.T) {
 }
 
 // lanesFactory builds lane-pack engines: the same DNA arrays as
-// dnaFactory, switched onto the bit-parallel backend so runChunk takes
-// the batched path.
+// dnaFactory, switched onto the bit-parallel backend so runPairChunk
+// races lane packs.
 func lanesFactory(n, m int) (Engine, error) {
 	a, err := race.NewArray(n, m)
 	if err != nil {
@@ -686,8 +686,10 @@ func TestLanesSearchMatchesCycle(t *testing.T) {
 }
 
 // TestLanesPackFill pins the pack carving itself via the lane observer:
-// one worker scans the mixed corpus as one chunk per bucket, so the
-// packs must come out exactly (64, 6, 5, 1) against a 64-lane engine.
+// one worker scans the mixed corpus as one chunk per engine shape, so
+// the packs must come out exactly (64, 6, 5, 1) against a 64-lane
+// engine — and identically when the corpus is partitioned over 2 or 3
+// shards, because a shape's chunk spans every shard holding it.
 func TestLanesPackFill(t *testing.T) {
 	pools, err := NewPools(lanesFactory, nil)
 	if err != nil {
@@ -700,7 +702,8 @@ func TestLanesPackFill(t *testing.T) {
 		fills = append(fills, [2]int{filled, width})
 		mu.Unlock()
 	})
-	d, err := NewDBWith(lanesDB(seqgen.NewDNA(33)), pools)
+	db := lanesDB(seqgen.NewDNA(33))
+	d, err := NewDBWith(db, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,6 +713,16 @@ func TestLanesPackFill(t *testing.T) {
 	want := [][2]int{{64, 64}, {6, 64}, {5, 64}, {1, 64}}
 	if !reflect.DeepEqual(fills, want) {
 		t.Fatalf("lane packs = %v, want %v", fills, want)
+	}
+	for _, parts := range []int{2, 3} {
+		fills = nil
+		scans := batchShards(t, db, parts, pools)
+		if _, err := MultiSearch(scans, "ACGTACG", Request{Threshold: -1, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fills, want) {
+			t.Fatalf("%d shards: lane packs = %v, want %v", parts, fills, want)
+		}
 	}
 	// A scalar-backend pool must never report packs.
 	pools.SetLaneObserver(func(filled, width int) {

@@ -403,3 +403,39 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Errorf("racelogic_slow_queries_total = %v, want 1", v)
 	}
 }
+
+// TestSlowQueryLogBatch asserts the array form of POST /search feeds the
+// slow-query log too: every raced item crossing the energy threshold
+// lands in the ring, stamped with the request's service time.
+func TestSlowQueryLogBatch(t *testing.T) {
+	db, err := racelogic.NewDatabase([]string{"ACGTACGT", "TTTTTTTT"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{DB: db, DefaultTopK: 5, SlowQueryEnergyJ: 1e-30, SlowLogSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	resp, batch := postBatch(t, ts.URL, `[{"query":"ACGTACGT"},{"query":"TTTTACGT"}]`)
+	if resp.StatusCode != http.StatusOK || len(batch) != 2 {
+		t.Fatalf("batch: status %d, %d responses", resp.StatusCode, len(batch))
+	}
+	var lr SlowLogResponse
+	getJSON(t, ts.URL+"/slowlog", &lr)
+	if lr.Count != 2 || lr.Total != 2 {
+		t.Fatalf("slowlog count=%d total=%d, want 2/2", lr.Count, lr.Total)
+	}
+	for i, q := range lr.Queries {
+		if q.Query != batch[i].Query || q.ElapsedUS != batch[i].ElapsedUS || q.TotalEnergyJ != batch[i].TotalEnergyJ {
+			t.Errorf("slow record %d = %+v, want query %q elapsed %d energy %g",
+				i, q, batch[i].Query, batch[i].ElapsedUS, batch[i].TotalEnergyJ)
+		}
+	}
+	body := scrapeMetrics(t, ts.URL)
+	if v := metricValue(t, body, "racelogic_slow_queries_total"); v != 2 {
+		t.Errorf("racelogic_slow_queries_total = %v, want 2", v)
+	}
+}

@@ -240,23 +240,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	if req.Query == "" {
+	topK, opts, err := s.normalize(&req, "")
+	if err != nil {
 		s.failures.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "query is required"})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
-	}
-	if len(req.Query) > s.maxQueryLen {
-		s.failures.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("query length %d exceeds the %d-symbol limit", len(req.Query), s.maxQueryLen)})
-		return
-	}
-	// Normalize case like the database loaders do, so a lowercase query
-	// matches the (uppercased) entries it came from.
-	req.Query = strings.ToUpper(req.Query)
-	topK := req.TopK
-	if topK == 0 {
-		topK = s.defaultTopK
 	}
 
 	// A traced request exists to measure the real pipeline, so it
@@ -282,18 +270,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var opts []racelogic.Option
-	if topK != 0 {
-		// Negative means "every match": WithTopK clamps it to the
-		// no-truncation sentinel, overriding any database default.
-		opts = append(opts, racelogic.WithTopK(topK))
-	}
-	if req.Threshold != nil {
-		opts = append(opts, racelogic.WithThreshold(*req.Threshold))
-	}
-	if req.FullScan {
-		opts = append(opts, racelogic.WithFullScan())
-	}
 	ctx := r.Context()
 	var tr *obs.Trace
 	if traced {
@@ -317,6 +293,43 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	out.ElapsedUS = elapsed.Microseconds()
 	s.noteSlow(req.Query, elapsed, rep, out.Trace)
 	writeJSON(w, http.StatusOK, &out)
+}
+
+// normalize validates one request of either POST /search form and
+// resolves it: the query is required and capped at maxQueryLen, then
+// upper-cased like the database loaders do, so a lowercase query
+// matches the (uppercased) entries it came from; a zero top_k takes the
+// server default.  It returns the resolved top_k and the per-search
+// options the request maps to.  item prefixes the error text: empty for
+// the single form, "query i: " for array item i.
+func (s *Server) normalize(req *SearchRequest, item string) (int, []racelogic.Option, error) {
+	if req.Query == "" {
+		return 0, nil, fmt.Errorf("%squery is required", item)
+	}
+	if len(req.Query) > s.maxQueryLen {
+		if item == "" {
+			item = "query "
+		}
+		return 0, nil, fmt.Errorf("%slength %d exceeds the %d-symbol limit", item, len(req.Query), s.maxQueryLen)
+	}
+	req.Query = strings.ToUpper(req.Query)
+	topK := req.TopK
+	if topK == 0 {
+		topK = s.defaultTopK
+	}
+	var opts []racelogic.Option
+	if topK != 0 {
+		// Negative means "every match": WithTopK clamps it to the
+		// no-truncation sentinel, overriding any database default.
+		opts = append(opts, racelogic.WithTopK(topK))
+	}
+	if req.Threshold != nil {
+		opts = append(opts, racelogic.WithThreshold(*req.Threshold))
+	}
+	if req.FullScan {
+		opts = append(opts, racelogic.WithFullScan())
+	}
+	return topK, opts, nil
 }
 
 // jsonArrayBody reports whether the body's first non-whitespace byte
@@ -348,9 +361,10 @@ func batchKey(topK int, threshold *int64, fullScan bool) string {
 // SearchResponse per request item, in order.  Cache hits are peeled off
 // per item; the misses regroup by options and race as shared batches.
 // Any invalid item fails the whole request with its index named —
-// nothing is raced or cached on a 4xx.  ?trace=1 is ignored here: a
-// trace describes exactly one query's pipeline.  ElapsedUS on every
-// item is the whole request's service time.
+// nothing is raced or cached on a 4xx.  ?trace=1 is ignored here.
+// ElapsedUS on every item is the whole request's service time, which is
+// also the latency every raced item is checked against for the
+// slow-query log.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, started time.Time, body []byte) {
 	var reqs []SearchRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -366,22 +380,13 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, start
 		return
 	}
 	topKs := make([]int, len(reqs))
+	opts := make([][]racelogic.Option, len(reqs))
 	for i := range reqs {
-		if reqs[i].Query == "" {
+		var err error
+		if topKs[i], opts[i], err = s.normalize(&reqs[i], fmt.Sprintf("query %d: ", i)); err != nil {
 			s.failures.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("query %d: query is required", i)})
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
-		}
-		if len(reqs[i].Query) > s.maxQueryLen {
-			s.failures.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: fmt.Sprintf("query %d: length %d exceeds the %d-symbol limit", i, len(reqs[i].Query), s.maxQueryLen)})
-			return
-		}
-		reqs[i].Query = strings.ToUpper(reqs[i].Query)
-		topKs[i] = reqs[i].TopK
-		if topKs[i] == 0 {
-			topKs[i] = s.defaultTopK
 		}
 	}
 	s.batches.Add(1)
@@ -389,6 +394,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, start
 
 	version := s.db.Version()
 	out := make([]*SearchResponse, len(reqs))
+	raced := make([]*racelogic.SearchReport, len(reqs)) // nil for cache hits
 	groups := make(map[string][]int)
 	var order []string
 	for i := range reqs {
@@ -407,22 +413,11 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, start
 	}
 	for _, gk := range order {
 		idxs := groups[gk]
-		first := reqs[idxs[0]]
-		var opts []racelogic.Option
-		if topKs[idxs[0]] != 0 {
-			opts = append(opts, racelogic.WithTopK(topKs[idxs[0]]))
-		}
-		if first.Threshold != nil {
-			opts = append(opts, racelogic.WithThreshold(*first.Threshold))
-		}
-		if first.FullScan {
-			opts = append(opts, racelogic.WithFullScan())
-		}
 		queries := make([]string, len(idxs))
 		for j, i := range idxs {
 			queries[j] = reqs[i].Query
 		}
-		reps, err := s.db.SearchBatchContext(r.Context(), queries, opts...)
+		reps, err := s.db.SearchBatchContext(r.Context(), queries, opts[idxs[0]]...)
 		if err != nil {
 			s.failures.Add(1)
 			var be *racelogic.BatchError
@@ -437,14 +432,17 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, start
 		for j, i := range idxs {
 			resp := toResponse(reps[j])
 			s.cache.add(cacheKey(version, reqs[i].Query, topKs[i], reqs[i].Threshold, reqs[i].FullScan), resp)
-			out[i] = resp
+			out[i], raced[i] = resp, reps[j]
 		}
 	}
-	elapsed := time.Since(started).Microseconds()
+	elapsed := time.Since(started)
 	final := make([]SearchResponse, len(out))
 	for i, resp := range out {
 		final[i] = *resp
-		final[i].ElapsedUS = elapsed
+		final[i].ElapsedUS = elapsed.Microseconds()
+		if raced[i] != nil {
+			s.noteSlow(reqs[i].Query, elapsed, raced[i], nil)
+		}
 	}
 	writeJSON(w, http.StatusOK, final)
 }
