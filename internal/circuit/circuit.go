@@ -31,10 +31,13 @@ const (
 	KindXnor
 	KindMux2 // inputs: [sel, a, b] → sel ? b : a
 	KindDFF  // inputs: [d] or [d, enable]; output is Q
-	numKinds
+
+	// NumKinds is the number of cell kinds; per-kind tallies are arrays
+	// of this length indexed by Kind.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	"input", "const", "buf", "not", "and", "or", "xor", "xnor", "mux2", "dff",
 }
 
@@ -48,23 +51,6 @@ func (k Kind) String() string {
 
 // IsSequential reports whether the kind holds state across clock edges.
 func (k Kind) IsSequential() bool { return k == KindDFF }
-
-// allKinds is precomputed once: Kinds sits on per-race hot paths (the
-// energy model enumerates it for every alignment in a batch search).
-var allKinds = func() []Kind {
-	ks := make([]Kind, numKinds)
-	for k := range ks {
-		ks[k] = Kind(k)
-	}
-	return ks
-}()
-
-// Kinds lists every primitive cell kind in declaration order.  Consumers
-// that fold per-kind maps into floating-point totals iterate this instead
-// of ranging the map, so the summation order — and the last bit of the
-// result — is deterministic.  The returned slice is shared; do not
-// mutate it.
-func Kinds() []Kind { return allKinds }
 
 // gate is one instantiated cell.  Its output net ID equals its index + 2
 // (offset past the two constant nets) — every net is driven by exactly one
@@ -86,15 +72,6 @@ type Netlist struct {
 	names map[string]Net
 	numIn int
 	numFF int
-	// kindCount and fanInCount cache the per-kind tallies behind
-	// CountByKind and FanIn.  The accounting hot paths ask for them once
-	// per candidate (once per lane per pack on the lanes backend), and
-	// re-walking every gate there costs more than the race itself on
-	// small arrays.  A gate's kind and input arity never change after
-	// add — later rewiring only swaps nets inside existing in slots —
-	// so the caches are invalidated only when a gate is appended.
-	kindCount  map[Kind]int
-	fanInCount map[Kind]int
 }
 
 // New returns an empty netlist containing only the constant nets.
@@ -115,47 +92,29 @@ func (n *Netlist) NumInputs() int { return n.numIn }
 // NumDFFs returns the number of flip-flops.
 func (n *Netlist) NumDFFs() int { return n.numFF }
 
-// CountByKind returns the number of gates of each kind; the tech package
-// turns this into area and capacitance totals.  The result is the
-// caller's to mutate: it is a fresh copy of a tally cached on the
-// netlist, so repeated calls cost O(kinds), not O(gates).
-func (n *Netlist) CountByKind() map[Kind]int {
-	if n.kindCount == nil {
-		m := make(map[Kind]int, numKinds)
-		for _, g := range n.gates {
-			m[g.kind]++
-		}
-		n.kindCount = m
+// CountByKind returns the number of gates of each kind, indexed by Kind;
+// the tech package turns this into area totals.  It walks every gate.
+func (n *Netlist) CountByKind() [NumKinds]int {
+	var c [NumKinds]int
+	for _, g := range n.gates {
+		c[g.kind]++
 	}
-	return copyKindMap(n.kindCount)
+	return c
 }
 
 // FanIn returns the fan-in count of each gate kind summed over the whole
-// netlist; used by the capacitance model (each input pin contributes its
-// gate capacitance to the net driving it).  Cached and copied like
-// CountByKind.
-func (n *Netlist) FanIn() map[Kind]int {
-	if n.fanInCount == nil {
-		m := make(map[Kind]int, numKinds)
-		for _, g := range n.gates {
-			m[g.kind] += len(g.in)
-		}
-		n.fanInCount = m
+// netlist, indexed by Kind: each input pin loads the net driving it with
+// that cell's input capacitance.  It walks every gate.
+func (n *Netlist) FanIn() [NumKinds]int {
+	var c [NumKinds]int
+	for _, g := range n.gates {
+		c[g.kind] += len(g.in)
 	}
-	return copyKindMap(n.fanInCount)
-}
-
-func copyKindMap(src map[Kind]int) map[Kind]int {
-	dst := make(map[Kind]int, len(src))
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
+	return c
 }
 
 func (n *Netlist) add(g gate) Net {
 	n.gates = append(n.gates, g)
-	n.kindCount, n.fanInCount = nil, nil
 	return Net(len(n.gates) + 1) // +2 offset, -1 for newly appended index
 }
 

@@ -403,8 +403,8 @@ func TestActivityReport(t *testing.T) {
 	if act.FFClockedCycles != 4 {
 		t.Errorf("FFClockedCycles = %d, want 4 (ungated DFF clocks every cycle)", act.FFClockedCycles)
 	}
-	if act.GateCount[KindAnd] != 1 || act.GateCount[KindDFF] != 1 || act.GateCount[KindInput] != 1 {
-		t.Errorf("GateCount = %v", act.GateCount)
+	if c := n.CountByKind(); c[KindAnd] != 1 || c[KindDFF] != 1 || c[KindInput] != 1 {
+		t.Errorf("CountByKind = %v", c)
 	}
 	if act.TotalNetToggles() == 0 {
 		t.Error("expected some toggles")

@@ -510,22 +510,14 @@ func (s *Sim) Toggles(net circuit.Net) uint64 { return s.toggles[net] }
 func (s *Sim) Activity() circuit.Activity {
 	a := circuit.Activity{
 		Cycles:          s.cycle,
-		GateCount:       s.nl.CountByKind(),
-		FanInCount:      s.nl.FanIn(),
-		NetToggles:      make(map[circuit.Kind]uint64),
-		LoadToggles:     make(map[circuit.Kind]uint64),
 		FFClockedCycles: s.ffClockedCycles,
 		NumDFFs:         s.nl.NumDFFs(),
 	}
 	for i, kind := range s.kinds {
 		for _, in := range s.ins[i] {
-			if t := s.toggles[in]; t != 0 {
-				a.LoadToggles[kind] += t
-			}
+			a.LoadToggles[kind] += s.toggles[in]
 		}
-		if t := s.toggles[i+2]; t != 0 {
-			a.NetToggles[kind] += t
-		}
+		a.NetToggles[kind] += s.toggles[i+2]
 	}
 	return a
 }

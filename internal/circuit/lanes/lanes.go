@@ -19,18 +19,30 @@
 // driver kind and the same reader-pin loads, which the energy model
 // prices identically.  Each class keeps a bit-sliced ("vertical")
 // counter per slab word — counterPlanes uint64 planes whose bit l of
-// plane p is bit p of lane l's toggle count.  When a net's word
+// plane p is bit p of lane l's toggle count — and carries out of the
+// top plane spill into a per-lane overflow table.  When a net's word
 // changes, the XOR against its previous word, masked to the accounted
-// lanes, is the per-lane transition mask; it enters the class counter
-// with one ripple-carry add, and carries out of the top plane spill
-// into a per-lane overflow table.  A word whose lanes see their first 1
-// appends one (cycle, mask) event to a rise log, chained from a
-// per-slab head.  A net change therefore costs a handful of word
-// operations however many lanes moved, and LaneActivity and LaneArrival
-// decode a lane only when it is read: class counts times reader-pin
-// counts sum back into the per-kind NetToggles/LoadToggles maps, and a
-// lane's arrival is the cycle of the one event in its slab's chain that
-// carries its bit.
+// lanes, is the per-lane transition mask, and it splits in two:
+//
+//   - The rise log carries first rises.  Race Logic encodes a value as
+//     one rising edge, so most transitions are a net's first 1 in a
+//     lane.  The lanes doing that append one (cycle, mask) event to a
+//     rise log, chained from a per-slab head, and nothing else.
+//   - The counters carry the rest: every other transition (a fall, or
+//     a rise after a fall) enters the class counter with one
+//     ripple-carry add.
+//
+// The split is exact for any netlist, so a lane's toggle count in a
+// class is its counter and spill plus its first rises.  Those are the
+// bits of seen &^ baseVals over the class's nets, and they are folded
+// into the counters when an activity report is read after new rises
+// were logged: one ripple-carry add per slab word that logged any,
+// however many events it logged.  A net change therefore costs a
+// handful of word operations however many lanes moved, and LaneActivity
+// and LaneArrival decode a lane only when it is read: class counts times
+// reader-pin counts sum into the kind-indexed NetToggles/LoadToggles
+// arrays, and a lane's arrival is the cycle of the one event in its
+// slab's chain that carries its bit.
 //
 // A lane can be frozen independently (its race finished or hit the
 // threshold bound) by masking it out of the per-word accounting masks
@@ -65,9 +77,7 @@ const MaxWords = 8
 const counterPlanes = 16
 
 // numKinds sizes the compile-time reader-pin census.
-//
-//racelint:published set once at init, read-only afterwards
-var numKinds = len(circuit.Kinds())
+const numKinds = int(circuit.NumKinds)
 
 // readerPair is one (cell kind, pin count) load on a net.
 type readerPair struct {
@@ -91,6 +101,15 @@ type riseEvent struct {
 	mask  uint64
 	cycle int32
 	next  int32
+}
+
+// riseSlab is one slab word that has logged a rise since Reset: its
+// slab index (net*W+w), the counter its first rises count into
+// (class*W+w), and the rise lanes already added to that counter.
+type riseSlab struct {
+	slab   int32
+	cw     int32
+	folded uint64
 }
 
 // Sim is the bit-parallel backend.  Like the other backends it is not
@@ -133,6 +152,12 @@ type Sim struct {
 	enabledE  []uint64 // lane → DFFEs whose enable currently carries 1
 	laneCycle []int    // lane → cycle its RaceUntil stopped at
 	cycle     int
+
+	// risen lists the slab words with a rise event since Reset, in
+	// first-rise order; foldedRises is len(rises) as of the last
+	// foldRises, so a read with no new rise skips the fold.
+	risen       []riseSlab
+	foldedRises int
 
 	// account masks, word by word, the lanes whose transitions are
 	// recorded: all lanes under the scalar Backend interface, the active
@@ -405,6 +430,8 @@ func (s *Sim) Reset() {
 		s.spill[i] = 0
 	}
 	s.rises = s.rises[:0]
+	s.risen = s.risen[:0]
+	s.foldedRises = 0
 	for l := 0; l < s.width; l++ {
 		s.ffClocked[l] = 0
 		s.laneCycle[l] = 0
@@ -584,51 +611,84 @@ func (s *Sim) setWords(net circuit.Net, neww []uint64) {
 	}
 }
 
-// accountWord records one word's transition mask: one ripple-carry add
-// into the net's bit-sliced class counter, plus one rise-log event if
-// some of the lanes carry their first 1.  The cost is a few word
-// operations however many lanes toggled.
+// accountWord records one word's transition mask.  The lanes carrying
+// their first 1 append one rise-log event; every other transition enters
+// the net's bit-sliced class counter with one ripple-carry add.  The
+// first rises reach the counters later, in foldRises.  The cost is a few
+// word operations however many lanes toggled.
 func (s *Sim) accountWord(net circuit.Net, w int, nw, acc uint64) {
 	if w == 0 && acc&1 != 0 {
 		s.toggles0[net]++
 	}
-	c := int(s.classOf[net])
-	pb := (c*s.words + w) * counterPlanes
+	cw := int(s.classOf[net])*s.words + w
+	slab := int(net)*s.words + w
+	seen := s.seen[slab]
+	if rise := nw & acc &^ seen; rise != 0 {
+		next := int32(-1)
+		if seen != s.baseVals[slab] {
+			next = s.riseHead[slab]
+		} else {
+			s.risen = append(s.risen, riseSlab{slab: int32(slab), cw: int32(cw)})
+		}
+		s.seen[slab] = seen | rise
+		s.riseHead[slab] = int32(len(s.rises))
+		s.rises = append(s.rises, riseEvent{mask: rise, cycle: int32(s.cycle), next: next})
+		if acc &^= rise; acc == 0 {
+			return
+		}
+	}
+	s.count(cw, acc)
+}
+
+// count adds one toggle to each lane of mask in the bit-sliced counter
+// of (class, word) cw: a ripple-carry add whose carry out of the top
+// plane spills into the overflow table.
+func (s *Sim) count(cw int, mask uint64) {
+	pb := cw * counterPlanes
 	pl := s.planes[pb : pb+counterPlanes : pb+counterPlanes]
-	carry := acc
+	carry := mask
 	for p := range pl {
 		t := pl[p] & carry
 		pl[p] ^= carry
 		carry = t
 		if carry == 0 {
-			break
+			return
 		}
 	}
-	if carry != 0 {
-		s.spillOver(c, w, carry)
-	}
-	slab := int(net)*s.words + w
-	if rise := nw & acc &^ s.seen[slab]; rise != 0 {
-		next := int32(-1)
-		if s.seen[slab] != s.baseVals[slab] {
-			next = s.riseHead[slab]
-		}
-		s.seen[slab] |= rise
-		s.riseHead[slab] = int32(len(s.rises))
-		s.rises = append(s.rises, riseEvent{mask: rise, cycle: int32(s.cycle), next: next})
-	}
+	s.spillOver(cw, carry)
 }
 
 // spillOver credits the lanes whose class counter just wrapped past its
-// top plane with 2^counterPlanes toggles in the overflow table.
-func (s *Sim) spillOver(c, w int, carry uint64) {
+// top plane with 2^counterPlanes toggles in the overflow table.  Lane l
+// of counter cw = class*W+w is entry class*width + w*64 + l%64 = cw*64
+// + l%64.
+func (s *Sim) spillOver(cw int, carry uint64) {
 	if s.spill == nil {
 		s.spill = make([]uint64, len(s.classes)*s.width)
 	}
-	lb := c*s.width + w<<6
+	lb := cw << 6
 	for m := carry; m != 0; m &= m - 1 {
 		s.spill[lb+bits.TrailingZeros64(m)] += 1 << counterPlanes
 	}
+}
+
+// foldRises brings the class counters up to date with the rise log:
+// every first rise not yet counted, seen &^ baseVals less what an
+// earlier fold took, enters its class counter with one ripple-carry add
+// per slab word, however many events the word logged.  Each lane's
+// class count is then its counter plus spill, first rises included.
+func (s *Sim) foldRises() {
+	if s.foldedRises == len(s.rises) {
+		return
+	}
+	for i := range s.risen {
+		r := &s.risen[i]
+		if m := s.seen[r.slab] &^ s.baseVals[r.slab] &^ r.folded; m != 0 {
+			r.folded |= m
+			s.count(int(r.cw), m)
+		}
+	}
+	s.foldedRises = len(s.rises)
 }
 
 // classToggles decodes one lane's toggle count for a class: its bits
@@ -976,12 +1036,9 @@ func (s *Sim) LaneActivity(lane int) circuit.Activity {
 }
 
 func (s *Sim) activity(lane, cycles int) circuit.Activity {
+	s.foldRises()
 	a := circuit.Activity{
 		Cycles:          cycles,
-		GateCount:       s.nl.CountByKind(),
-		FanInCount:      s.nl.FanIn(),
-		NetToggles:      make(map[circuit.Kind]uint64),
-		LoadToggles:     make(map[circuit.Kind]uint64),
 		FFClockedCycles: s.ffClocked[lane],
 		NumDFFs:         s.nl.NumDFFs(),
 	}

@@ -107,8 +107,54 @@ func TestLaneAccountingPastCounterHeight(t *testing.T) {
 	// Reset must clear the overflow table along with the planes.
 	ls.Reset()
 	for _, r := range races {
-		if a := ls.LaneActivity(r.lane); len(a.NetToggles) != 0 || len(a.LoadToggles) != 0 {
+		if a := ls.LaneActivity(r.lane); a.NetToggles != [circuit.NumKinds]uint64{} || a.LoadToggles != [circuit.NumKinds]uint64{} {
 			t.Fatalf("lane %d after Reset: toggles %v / %v, want none", r.lane, a.NetToggles, a.LoadToggles)
 		}
+	}
+}
+
+// TestFirstRiseFoldPastCounterHeight races one lane of a netlist whose
+// input fans out to 2^counterPlanes+5 buffers: one toggle class whose
+// every net rises exactly once.  Those first rises reach the class
+// counter only through the rise-log fold, so the lane's count is right
+// only if the fold carries past the top plane into the overflow table.
+func TestFirstRiseFoldPastCounterHeight(t *testing.T) {
+	const fanout = 1<<counterPlanes + 5
+	const lane = 37
+	nl := circuit.New()
+	in := nl.Input("in")
+	var last circuit.Net
+	for i := 0; i < fanout; i++ {
+		last = nl.Buf(in)
+	}
+
+	ls, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := []uint64{1 << lane}
+	ls.SetActiveLanes(mask)
+	ls.SetInputWords(in, mask)
+	ls.RaceUntil(last, 4)
+
+	ref, err := nl.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.SetInput(in, true)
+	ref.RunUntil(last, 4)
+
+	want := ref.Activity()
+	if want.NetToggles[circuit.KindBuf] != fanout {
+		t.Fatalf("reference counts %d buffer toggles, want %d", want.NetToggles[circuit.KindBuf], fanout)
+	}
+	if got := ls.LaneCycle(lane); got != ref.Cycle() {
+		t.Fatalf("lane stopped at cycle %d, reference at %d", got, ref.Cycle())
+	}
+	if got := ls.LaneActivity(lane); !reflect.DeepEqual(got, want) {
+		t.Fatalf("activity\n got %+v\nwant %+v", got, want)
+	}
+	if ls.spill == nil {
+		t.Fatalf("no count spilled past 2^%d", counterPlanes)
 	}
 }

@@ -2,26 +2,24 @@ package circuit
 
 // Activity is the post-simulation report the energy model consumes.  It is
 // the software analogue of the Modelsim toggle file the paper feeds to
-// Primetime: enough per-kind structure to apply per-cell capacitances, and
-// the clocked-cycle total that drives the α=1 clock-network term of Eq. 3.
+// Primetime: per-kind toggle tallies to apply per-cell capacitances to,
+// and the clocked-cycle total that drives the α=1 clock-network term of
+// Eq. 3.  The tallies are arrays indexed by Kind, so an Activity is a
+// plain value: building, copying and comparing one allocates nothing.
+// Structure (gate and pin counts per kind) is not part of it; read it
+// from the netlist with CountByKind and FanIn.
 type Activity struct {
 	// Cycles is the number of clock cycles simulated.
 	Cycles int
-	// GateCount is the number of cells of each kind in the netlist
-	// (structure, not activity).
-	GateCount map[Kind]int
-	// FanInCount is the total number of input pins per cell kind; each
-	// pin loads the net driving it with that cell's input capacitance.
-	FanInCount map[Kind]int
 	// NetToggles is the total number of 0↔1 transitions summed over all
 	// nets, split by the kind of the cell driving the net (the toggling
 	// net charges/discharges its own output plus its fan-out loads).
-	NetToggles map[Kind]uint64
+	NetToggles [NumKinds]uint64
 	// LoadToggles is the toggle count weighted by fan-out: for each
 	// toggling net, the number of input pins it drives, split by the
 	// kind of each *driven* pin.  Σ over kinds of
 	// LoadToggles[k]·Cin(k) is the switched load capacitance.
-	LoadToggles map[Kind]uint64
+	LoadToggles [NumKinds]uint64
 	// FFClockedCycles is Σ over cycles of the number of flip-flops whose
 	// clock was active that cycle.  Without gating this is
 	// NumDFFs·Cycles; clock gating reduces it (Section 4.3).
@@ -34,10 +32,6 @@ type Activity struct {
 func (s *Simulator) Activity() Activity {
 	a := Activity{
 		Cycles:          s.cycle,
-		GateCount:       s.n.CountByKind(),
-		FanInCount:      s.n.FanIn(),
-		NetToggles:      make(map[Kind]uint64, numKinds),
-		LoadToggles:     make(map[Kind]uint64, numKinds),
 		FFClockedCycles: s.ffClockedCycles,
 		NumDFFs:         s.n.NumDFFs(),
 	}
@@ -46,15 +40,11 @@ func (s *Simulator) Activity() Activity {
 	// count.
 	for _, g := range s.n.gates {
 		for _, in := range g.in {
-			if t := s.toggles[in]; t != 0 {
-				a.LoadToggles[g.kind] += t
-			}
+			a.LoadToggles[g.kind] += s.toggles[in]
 		}
 	}
 	for i, g := range s.n.gates {
-		if t := s.toggles[i+2]; t != 0 {
-			a.NetToggles[g.kind] += t
-		}
+		a.NetToggles[g.kind] += s.toggles[i+2]
 	}
 	return a
 }

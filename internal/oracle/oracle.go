@@ -202,13 +202,13 @@ func compareState(nl *circuit.Netlist, ref, cand circuit.Backend, name string, o
 	return compareActivity(ref.Activity(), cand.Activity(), name, op)
 }
 
-// compareActivity asserts the dynamic halves of two Activity reports
-// agree (the static gate/fan-in censuses come from the shared netlist).
+// compareActivity asserts the clock and per-kind toggle tallies of two
+// Activity reports agree (NumDFFs comes from the shared netlist).
 func compareActivity(ra, ca circuit.Activity, name string, op int) error {
 	if ra.FFClockedCycles != ca.FFClockedCycles {
 		return &Diverged{Backend: name, Op: op, What: fmt.Sprintf("ffClockedCycles %d vs %d", ra.FFClockedCycles, ca.FFClockedCycles)}
 	}
-	for _, k := range circuit.Kinds() {
+	for k := circuit.Kind(0); k < circuit.NumKinds; k++ {
 		if ra.NetToggles[k] != ca.NetToggles[k] {
 			return &Diverged{Backend: name, Op: op, What: fmt.Sprintf("NetToggles[%v] %d vs %d", k, ra.NetToggles[k], ca.NetToggles[k])}
 		}

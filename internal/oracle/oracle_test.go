@@ -194,10 +194,12 @@ func TestGeneralArrayEquivalence(t *testing.T) {
 }
 
 // TestAlignLanesEquivalence drives the production pack path: AlignLanes
-// races up to 64 candidates through one lanes array, and every lane's
-// score, cycles and activity must be byte-identical to a solo
-// cycle-accurate Align of that candidate.  Pack results carry no
-// arrival matrix; per-lane arrivals stay pinned net by net by
+// races up to 64 candidates through one lanes array, and AlignLanesMulti
+// races packs of distinct queries up to 256 lanes wide, with fills that
+// end inside a later slab word.  Every lane's score, cycles and activity
+// must be byte-identical to a solo cycle-accurate Align (or
+// AlignThreshold) of its own pair.  Pack results carry no arrival
+// matrix; per-lane arrivals stay pinned net by net by
 // CheckLaneEquivalence.
 func TestAlignLanesEquivalence(t *testing.T) {
 	gen := seqgen.NewDNA(16)
@@ -252,6 +254,66 @@ func TestAlignLanesEquivalence(t *testing.T) {
 				t.Fatalf("shape %dx%d pack %d lane %d (%q vs %q, thr %d): results differ\ncycle: %+v\nlanes: %+v",
 					tc.n, tc.m, tc.pack, i, p, q, tc.threshold, want, got[i])
 			}
+		}
+	}
+
+	for _, tc := range []struct {
+		n, m, width, pack int
+		threshold         int64
+	}{
+		{5, 4, 64, 64, -1},   // one full word of distinct queries
+		{4, 6, 128, 65, -1},  // one lane into the second word
+		{6, 5, 256, 200, -1}, // ends inside the fourth word
+		{4, 4, 256, 256, -1}, // full four-word pack
+		{5, 6, 128, 100, 8},  // thresholded: some lanes reject
+	} {
+		lanesArr, err := race.NewArray(tc.n, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanesArr.SetBackend(race.BackendLanes)
+		if err := lanesArr.SetLaneWidth(tc.width); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := race.NewArray(tc.n, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := make([]string, tc.pack)
+		qs := make([]string, tc.pack)
+		for i := range qs {
+			ps[i] = gen.Random(tc.n)
+			qs[i] = gen.Random(tc.m)
+		}
+		got, err := lanesArr.AlignLanesMulti(ps, qs, temporal.Time(tc.threshold))
+		if err != nil {
+			t.Fatalf("AlignLanesMulti(%dx%d, width %d, pack %d): %v", tc.n, tc.m, tc.width, tc.pack, err)
+		}
+		if len(got) != tc.pack {
+			t.Fatalf("AlignLanesMulti returned %d results, want %d", len(got), tc.pack)
+		}
+		rejected := 0
+		for i := range qs {
+			if got[i].Score == temporal.Never {
+				rejected++
+			}
+			var want *race.AlignResult
+			if tc.threshold < 0 {
+				want, err = ref.Align(ps[i], qs[i])
+			} else {
+				want, err = ref.AlignThreshold(ps[i], qs[i], temporal.Time(tc.threshold))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Arrivals = nil
+			if !reflect.DeepEqual(want, got[i]) {
+				t.Fatalf("multi shape %dx%d width %d pack %d lane %d (%q vs %q, thr %d): results differ\ncycle: %+v\nlanes: %+v",
+					tc.n, tc.m, tc.width, tc.pack, i, ps[i], qs[i], tc.threshold, want, got[i])
+			}
+		}
+		if tc.threshold >= 0 && (rejected == 0 || rejected == tc.pack) {
+			t.Fatalf("multi shape %dx%d thr %d: %d of %d lanes rejected, want a mix", tc.n, tc.m, tc.threshold, rejected, tc.pack)
 		}
 	}
 }

@@ -45,9 +45,21 @@ type Array struct {
 	sim       circuit.Backend // compiled once, Reset between races
 }
 
+// dnaCodes maps every byte to its 2-bit DNA encoding, its index in
+// score.DNAAlphabet, or -1 for a byte that is not a base.
+var dnaCodes = func() (t [256]int8) {
+	for i := range t {
+		t[i] = -1
+	}
+	for i := 0; i < len(score.DNAAlphabet); i++ {
+		t[score.DNAAlphabet[i]] = int8(i)
+	}
+	return t
+}()
+
 // dnaCode returns the 2-bit encoding of a DNA symbol.
 func dnaCode(c byte) (uint8, error) {
-	i := strings.IndexByte(score.DNAAlphabet, c)
+	i := dnaCodes[c]
 	if i < 0 {
 		return 0, fmt.Errorf("race: symbol %q is not a DNA base (%s)", c, score.DNAAlphabet)
 	}

@@ -172,15 +172,18 @@ func (a *Array) alignLanes(sharedP string, ps []string, qs []string, threshold t
 	out := a.out[a.n][a.m]
 	ls.RaceUntil(out, bound)
 
+	// One allocation holds every lane's result, however wide the pack.
+	backing := make([]AlignResult, len(qs))
 	results := make([]*AlignResult, len(qs))
 	for k := range qs {
-		res := &AlignResult{
+		res := &backing[k]
+		*res = AlignResult{
 			Score:    ls.LaneArrival(out, k),
 			Cycles:   ls.LaneCycle(k),
 			Activity: ls.LaneActivity(k),
 		}
 		if threshold >= 0 {
-			res = applyThreshold(res, threshold)
+			applyThreshold(res, threshold)
 		}
 		results[k] = res
 	}

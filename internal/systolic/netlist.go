@@ -126,17 +126,14 @@ func SynthesizeActivity(r *Result, n *circuit.Netlist) circuit.Activity {
 	ffs := counts[circuit.KindDFF]
 	a := circuit.Activity{
 		Cycles:          r.Cycles,
-		GateCount:       counts,
-		FanInCount:      fanin,
-		NetToggles:      make(map[circuit.Kind]uint64),
-		LoadToggles:     make(map[circuit.Kind]uint64),
 		FFClockedCycles: uint64(ffs) * uint64(r.Cycles),
 		NumDFFs:         ffs,
 	}
 	a.NetToggles[circuit.KindDFF] = r.RegBitToggles
 	perCycle := combActivityFactor * float64(r.Cycles)
 	for kind, c := range counts {
-		if kind == circuit.KindDFF || kind == circuit.KindInput || kind == circuit.KindConst {
+		switch circuit.Kind(kind) {
+		case circuit.KindDFF, circuit.KindInput, circuit.KindConst:
 			continue
 		}
 		a.NetToggles[kind] = uint64(perCycle * float64(c))

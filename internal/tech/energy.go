@@ -39,15 +39,15 @@ func (l *Library) Energy(a circuit.Activity) EnergyBreakdown {
 
 	// Data term: each net toggle switches the driver's output node plus
 	// each driven pin (gate capacitance) plus per-fanout wire load.
-	// Summed in fixed kind order so the floating-point total is
-	// bit-identical run to run (map order is randomized).
-	for _, kind := range circuit.Kinds() {
-		if t := a.NetToggles[kind]; t != 0 {
+	// Summed in kind order, so the floating-point total is bit-identical
+	// run to run.
+	for kind, t := range a.NetToggles {
+		if t != 0 {
 			e.DataJ += float64(t) * l.Cells[kind].CoutPF * pfToF * halfV2
 		}
 	}
-	for _, kind := range circuit.Kinds() {
-		if t := a.LoadToggles[kind]; t != 0 {
+	for kind, t := range a.LoadToggles {
+		if t != 0 {
 			e.DataJ += float64(t) * (l.Cells[kind].CinPF + l.WireCapPerFanoutPF) * pfToF * halfV2
 		}
 	}

@@ -2,7 +2,6 @@ package tech
 
 import (
 	"fmt"
-	"sort"
 
 	"racelogic/internal/circuit"
 )
@@ -26,8 +25,8 @@ type Library struct {
 	Vdd float64
 	// ClockPeriodNS is the synthesized clock period in nanoseconds.
 	ClockPeriodNS float64
-	// Cells maps each primitive kind to its parameters.
-	Cells map[circuit.Kind]CellParams
+	// Cells holds each primitive kind's parameters, indexed by Kind.
+	Cells [circuit.NumKinds]CellParams
 	// CClkPinPF is the clock-pin capacitance of one flip-flop in pF —
 	// the per-FF contribution to C_clk in Eq. 3, charged on every active
 	// clock cycle regardless of data.
@@ -50,7 +49,7 @@ func AMIS() *Library {
 		Name:          "AMIS",
 		Vdd:           5.0,
 		ClockPeriodNS: 3.0,
-		Cells: map[circuit.Kind]CellParams{
+		Cells: [circuit.NumKinds]CellParams{
 			circuit.KindInput: {Area: 0, CinPF: 0, CoutPF: 0.010},
 			circuit.KindConst: {Area: 0, CinPF: 0, CoutPF: 0},
 			circuit.KindBuf:   {Area: 190, CinPF: 0.012, CoutPF: 0.015},
@@ -77,7 +76,7 @@ func OSU() *Library {
 		Name:          "OSU",
 		Vdd:           5.0,
 		ClockPeriodNS: 2.5,
-		Cells: map[circuit.Kind]CellParams{
+		Cells: [circuit.NumKinds]CellParams{
 			circuit.KindInput: {Area: 0, CinPF: 0, CoutPF: 0.008},
 			circuit.KindConst: {Area: 0, CinPF: 0, CoutPF: 0},
 			circuit.KindBuf:   {Area: 140, CinPF: 0.009, CoutPF: 0.011},
@@ -110,15 +109,11 @@ func ByName(name string) (*Library, error) {
 
 // AreaUM2 returns the total placed cell area of a netlist in µm².
 func (l *Library) AreaUM2(n *circuit.Netlist) float64 {
-	counts := n.CountByKind()
-	kinds := make([]circuit.Kind, 0, len(counts))
-	for kind := range counts {
-		kinds = append(kinds, kind)
-	}
-	sort.Slice(kinds, func(a, b int) bool { return kinds[a] < kinds[b] })
 	var a float64
-	for _, kind := range kinds {
-		a += l.Cells[kind].Area * float64(counts[kind])
+	for kind, c := range n.CountByKind() {
+		if c != 0 {
+			a += l.Cells[kind].Area * float64(c)
+		}
 	}
 	return a
 }

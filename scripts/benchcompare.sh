@@ -14,10 +14,18 @@
 # differential suite proves the backends agree bit for bit; this script
 # guards the reason the fast backends exist at all.
 #
+# Every ratio is computed from per-sub-benchmark medians of five
+# samples.  The test binary is built once and run five times, each run
+# timing all five sub-benchmarks in turn, so the samples interleave and
+# a slow moment of the host lands in one sample of every backend rather
+# than in all samples of one.  (go test -count would run each
+# sub-benchmark's samples back to back.)
+#
 # Usage: scripts/benchcompare.sh [benchtime]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+SAMPLES=5
 BENCHTIME="${1:-3x}"
 MIN_SPEEDUP_EVENT="${MIN_SPEEDUP_EVENT:-${MIN_SPEEDUP:-1.5}}"
 MIN_SPEEDUP_LANES="${MIN_SPEEDUP_LANES:-8}"
@@ -25,16 +33,31 @@ MIN_SPEEDUP_W128="${MIN_SPEEDUP_W128:-0.95}"
 MIN_SPEEDUP_W256="${MIN_SPEEDUP_W256:-0.95}"
 JSON_OUT="${JSON_OUT:-BENCH_backends.json}"
 
-out="$(go test -run=NONE -bench 'BenchmarkBackendFullScan' -benchtime="$BENCHTIME" .)"
-echo "$out"
+bindir="$(mktemp -d)"
+trap 'rm -rf "$bindir"' EXIT
+go test -c -o "$bindir/bench.test" .
+out=""
+for ((i = 1; i <= SAMPLES; i++)); do
+    round="$("$bindir/bench.test" -test.run=NONE -test.bench='BenchmarkBackendFullScan' -test.benchtime="$BENCHTIME")"
+    echo "$round"
+    out+="$round"$'\n'
+done
 
-# Anchored names with an optional "-<GOMAXPROCS>" suffix (Go appends it
-# only when GOMAXPROCS > 1), so "lanes" never also matches lanes128/256.
-cycle_ns="$(echo "$out" | awk '$1 ~ /^BenchmarkBackendFullScan\/cycle(-[0-9]+)?$/ {print $3}')"
-event_ns="$(echo "$out" | awk '$1 ~ /^BenchmarkBackendFullScan\/event(-[0-9]+)?$/ {print $3}')"
-lanes_ns="$(echo "$out" | awk '$1 ~ /^BenchmarkBackendFullScan\/lanes(-[0-9]+)?$/ {print $3}')"
-lanes128_ns="$(echo "$out" | awk '$1 ~ /^BenchmarkBackendFullScan\/lanes128(-[0-9]+)?$/ {print $3}')"
-lanes256_ns="$(echo "$out" | awk '$1 ~ /^BenchmarkBackendFullScan\/lanes256(-[0-9]+)?$/ {print $3}')"
+# median NAME prints the median ns/op of sub-benchmark NAME over all
+# samples, or nothing unless exactly SAMPLES were parsed.  The name is
+# anchored, with an optional "-<GOMAXPROCS>" suffix (Go appends it only
+# when GOMAXPROCS > 1), so "lanes" never also matches lanes128/256.
+median() {
+    echo "$out" |
+        awk -v re="^BenchmarkBackendFullScan/$1(-[0-9]+)?\$" '$1 ~ re {print $3}' |
+        sort -g |
+        awk -v n="$SAMPLES" '{v[NR] = $1} END {if (NR == n) print v[int((n + 1) / 2)]}'
+}
+cycle_ns="$(median cycle)"
+event_ns="$(median event)"
+lanes_ns="$(median lanes)"
+lanes128_ns="$(median lanes128)"
+lanes256_ns="$(median lanes256)"
 
 if [[ -z "$cycle_ns" || -z "$event_ns" || -z "$lanes_ns" ||
       -z "$lanes128_ns" || -z "$lanes256_ns" ]]; then
@@ -56,6 +79,8 @@ cat > "$JSON_OUT" <<EOF
 {
   "benchmark": "BenchmarkBackendFullScan",
   "benchtime": "$BENCHTIME",
+  "samples": $SAMPLES,
+  "statistic": "median ns/op per sub-benchmark",
   "backends": {
     "cycle": {"ns_per_op": $cycle_ns, "speedup": 1.00},
     "event": {"ns_per_op": $event_ns, "speedup": $event_speedup},
@@ -71,6 +96,7 @@ cat > "$JSON_OUT" <<EOF
 }
 EOF
 echo "benchcompare: wrote $JSON_OUT"
+echo "benchcompare: medians of $SAMPLES interleaved samples"
 echo "benchcompare: event ${event_speedup}x, lanes ${lanes_speedup}x over cycle (${cycle_ns} ns/op)"
 echo "benchcompare: lane width 128 ${w128_vs_64}x, 256 ${w256_vs_64}x vs width 64"
 
