@@ -44,6 +44,29 @@
 // arrays, and a lane's arrival is the cycle of the one event in its
 // slab's chain that carries its bit.
 //
+// Symbol loads are tabulated.  An array's symbol pins reach only each
+// cell's matching condition, so the toggles a pin-by-pin load records
+// in that cone — glitches included — are a fixed function of the
+// cell's symbol pair.  PlanSymbolLoad derives them from the netlist
+// once: from the Reset baseline it drives the pins one at a time on
+// every (row value, column value) pair at once, one pair per lane, with
+// the engine's own gate semantics, and keeps each gate that can move
+// with its toggle table.  LoadSymbols then drives the pins with the
+// usual accounting but settles the cone once, unaccounted, and adds
+// each lane's cone toggles per toggle class as Σ_{a,b} hp[a]·hq[b]·T(a,b),
+// where hp and hq count the lane's row and column symbol values.  That
+// is exact under three rules the plan checks, failing with an error
+// naming the gate otherwise:
+//
+//   - every gate that can move reads exactly one row group and one
+//     column group, so its toggles depend on that pair alone;
+//   - the gates sharing a (toggle class, table) cover every (row,
+//     column) pair equally often, so summing them over the grid is
+//     summing the table over the lane's value histograms;
+//   - every gate that can move is high at baseline, so the load logs no
+//     first rise and every arrival stays where the per-pin path leaves
+//     it.
+//
 // A lane can be frozen independently (its race finished or hit the
 // threshold bound) by masking it out of the per-word accounting masks
 // while the shared word simulation keeps stepping for the others —
@@ -152,6 +175,9 @@ type Sim struct {
 	enabledE  []uint64 // lane → DFFEs whose enable currently carries 1
 	laneCycle []int    // lane → cycle its RaceUntil stopped at
 	cycle     int
+	// driven is set by the first drive or step after Reset: LoadSymbols
+	// is legal only before it.
+	driven bool
 
 	// risen lists the slab words with a rise event since Reset, in
 	// first-rise order; foldedRises is len(rises) as of the last
@@ -188,6 +214,9 @@ type Sim struct {
 	inBuf     []uint64  // SetInputWords masking
 	bcastBuf  []uint64  // SetInput broadcast
 	racingBuf []uint64  // RaceUntil lane mask
+	loadAcc   []uint64  // LoadSymbols' saved accounting mask
+	loadHist  []uint32  // LoadSymbols' per-lane symbol histograms
+	loadVal0  []uint8   // LoadSymbols' lane-0 symbol group values
 	oneBuf    [1]uint64 // SetInputWord word-0 convenience
 
 	// Power-on settled baseline, so Reset is a copy instead of a
@@ -241,6 +270,7 @@ func CompileWords(nl *circuit.Netlist, words int) (*Sim, error) {
 		inBuf:     make([]uint64, words),
 		bcastBuf:  make([]uint64, words),
 		racingBuf: make([]uint64, words),
+		loadAcc:   make([]uint64, words),
 	}
 	for w := range s.account {
 		s.account[w] = ^uint64(0)
@@ -443,6 +473,7 @@ func (s *Sim) Reset() {
 		}
 	}
 	s.cycle = 0
+	s.driven = false
 	for w := range s.account {
 		s.account[w] = ^uint64(0)
 	}
@@ -763,6 +794,7 @@ func (s *Sim) SetInputWords(net circuit.Net, ws []uint64) {
 	if gi < 0 || gi >= len(s.kinds) || s.kinds[gi] != circuit.KindInput {
 		panic(fmt.Sprintf("lanes: SetInput on non-input net %d", net))
 	}
+	s.driven = true
 	W := s.words
 	buf := s.inBuf
 	for w := 0; w < W; w++ {
@@ -822,6 +854,7 @@ func (s *Sim) SetInputName(name string, v bool) error {
 // accounting covers every enabled flip-flop of every accounted lane,
 // armed or not, exactly like the reference.
 func (s *Sim) step() {
+	s.driven = true
 	W := s.words
 	for w := 0; w < W; w++ {
 		wl := w << 6
@@ -884,6 +917,7 @@ func (s *Sim) Run(k int) {
 // forward advances k quiescent cycles: clock accounting only, for every
 // accounted lane.
 func (s *Sim) forward(k int) {
+	s.driven = true
 	for w := 0; w < s.words; w++ {
 		wl := w << 6
 		for m := s.account[w]; m != 0; m &= m - 1 {
@@ -923,6 +957,7 @@ func (s *Sim) laneArrived(net circuit.Net, lane int) bool {
 // LaneCycle, LaneArrival, and LaneActivity read the per-lane outcomes
 // afterwards.
 func (s *Sim) RaceUntil(net circuit.Net, maxCycles int) {
+	s.driven = true
 	W := s.words
 	racing := s.racingBuf
 	copy(racing, s.account)

@@ -11,15 +11,22 @@
 //   - property tests drive the decoder from a seeded math/rand source,
 //     sweeping thousands of random netlists and stimulus scripts per
 //     test run;
-//   - FuzzEventBackendEquivalence and FuzzLanesBackendEquivalence drive
-//     the same decoders from raw fuzzer bytes, so coverage-guided
-//     mutation explores netlist and schedule shapes no seed thought of.
+//   - FuzzEventBackendEquivalence, FuzzLanesBackendEquivalence and
+//     FuzzSymbolLoadEquivalence drive the same decoders from raw fuzzer
+//     bytes, so coverage-guided mutation explores netlist and schedule
+//     shapes no seed thought of.
 //
 // The lanes engine gets a second, word-parallel check on top of the
 // lockstep one: CheckLaneEquivalence decodes a per-lane stimulus
 // schedule, runs it through one lanes simulation carrying several
 // divergent candidates at once, and compares every lane against its own
 // dedicated cycle-accurate simulation.
+//
+// The lanes engine's tabulated symbol load has a check of its own:
+// CheckSymbolLoadEquivalence builds a random grid of uniform cells,
+// loads its symbols into one lanes engine through LoadSymbols and into
+// a twin pin by pin, and compares every lane's observables after the
+// load and after a race.
 //
 // Higher layers get their own differential coverage in oracle_test.go:
 // the three race arrays (plain, clock-gated, generalized) and whole

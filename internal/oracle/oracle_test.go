@@ -44,6 +44,22 @@ func TestLaneNetlistEquivalence(t *testing.T) {
 	}
 }
 
+// TestSymbolLoadEquivalence is the symbol-load property suite: random
+// grids of uniform cells loaded by the tabulated LoadSymbols and, on a
+// twin engine, pin by pin, compared in every lane after the load and
+// after a race.
+func TestSymbolLoadEquivalence(t *testing.T) {
+	trials := 300
+	if testing.Short() {
+		trials = 50
+	}
+	for seed := int64(0); seed < int64(trials); seed++ {
+		if err := oracle.CheckSymbolLoadSeed(seed); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 // alignCase is one (p, q, threshold) stimulus; threshold < 0 races to
 // completion.
 type alignCase struct {
@@ -545,6 +561,29 @@ func FuzzLanesBackendEquivalence(f *testing.F) {
 			data = data[:512]
 		}
 		if err := oracle.CheckLanesBytes(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzSymbolLoadEquivalence feeds raw bytes through the symbol-load
+// decoder: every fuzz case plans a random uniform grid and requires the
+// tabulated load to match the per-pin one in every lane.
+func FuzzSymbolLoadEquivalence(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 1, 4, 4, 2, 1, 0, 7, 0, 0, 1, 1, 3, 2, 2, 9, 1, 0, 2, 0, 255, 3})
+	f.Add([]byte("tabulate the symbol load of a uniform grid"))
+	for seed := int64(200); seed < 208; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := make([]byte, 128)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		if err := oracle.CheckSymbolLoadBytes(data); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -43,6 +43,9 @@ type Array struct {
 	backend   Backend
 	laneWords int             // uint64 words per net slab under BackendLanes
 	sim       circuit.Backend // compiled once, Reset between races
+	// symbols is the lanes engine's tabulated symbol load, planned once
+	// per compiled engine by the first lane pack and dropped with it.
+	symbols *lanes.SymbolPlan
 }
 
 // dnaCodes maps every byte to its 2-bit DNA encoding, its index in
@@ -216,6 +219,7 @@ func (a *Array) SetBackend(b Backend) {
 	}
 	a.backend = b
 	a.sim = nil
+	a.symbols = nil
 }
 
 // SetLaneWidth sizes the lane pack raced per netlist pass under
@@ -237,6 +241,7 @@ func (a *Array) SetLaneWidth(width int) error {
 	}
 	a.laneWords = words
 	a.sim = nil
+	a.symbols = nil
 	return nil
 }
 

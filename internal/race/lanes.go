@@ -3,6 +3,7 @@ package race
 import (
 	"fmt"
 
+	"racelogic/internal/circuit"
 	"racelogic/internal/circuit/lanes"
 	"racelogic/internal/temporal"
 )
@@ -79,11 +80,12 @@ func (a *Array) alignLanes(sharedP string, ps []string, qs []string, threshold t
 	}
 
 	// Decode every symbol before touching the engine, building the
-	// per-position input words (slab layout: lane k is bit k%64 of word
-	// k/64) and attributing the first failure to its lane — the same
-	// entry a scalar scan would have stopped at.
-	pw := make([]uint64, 2*a.n*W)
-	qw := make([]uint64, 2*a.m*W)
+	// per-pin input slabs in the symbol plan's drive order, P's pins then
+	// Q's (slab layout: lane k is bit k%64 of word k/64), and attributing
+	// the first failure to its lane — the same entry a scalar scan would
+	// have stopped at.
+	slabs := make([]uint64, 2*(a.n+a.m)*W)
+	pw, qw := slabs[:2*a.n*W], slabs[2*a.n*W:]
 	if ps == nil {
 		if len(sharedP) != a.n {
 			return nil, fmt.Errorf("race: array is %d×%d but strings are %d×%d", a.n, a.m, len(sharedP), len(qs[0]))
@@ -148,19 +150,25 @@ func (a *Array) alignLanes(sharedP string, ps []string, qs []string, threshold t
 	if !ok {
 		return nil, fmt.Errorf("race: lanes backend compiled unexpected engine %T", sim)
 	}
+	if a.symbols == nil {
+		rows := make([][]circuit.Net, a.n)
+		for i := range rows {
+			rows[i] = a.pBits[i][:]
+		}
+		cols := make([][]circuit.Net, a.m)
+		for j := range cols {
+			cols[j] = a.qBits[j][:]
+		}
+		if a.symbols, err = ls.PlanSymbolLoad(rows, cols); err != nil {
+			return nil, err
+		}
+	}
 	ls.SetActiveLanes(used)
 
-	// Drive the pins in the exact order the scalar loadSymbols does, so
-	// every lane's settle/account sequence — and therefore its toggle
-	// counts — matches its solo race bit for bit.
-	for i := 0; i < a.n; i++ {
-		ls.SetInputWords(a.pBits[i][0], pw[(2*i)*W:(2*i+1)*W])
-		ls.SetInputWords(a.pBits[i][1], pw[(2*i+1)*W:(2*i+2)*W])
-	}
-	for j := 0; j < a.m; j++ {
-		ls.SetInputWords(a.qBits[j][0], qw[(2*j)*W:(2*j+1)*W])
-		ls.SetInputWords(a.qBits[j][1], qw[(2*j+1)*W:(2*j+2)*W])
-	}
+	// The tabulated load drives the pins in the order the scalar
+	// loadSymbols does and leaves every lane's toggle counts as that
+	// pin-by-pin settle would, bit for bit.
+	ls.LoadSymbols(a.symbols, slabs)
 	ls.SetInputWords(a.root, used)
 
 	bound := a.n + a.m + 2

@@ -47,3 +47,48 @@ func TestAlignLanesMultiAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAlignLanesMulti races 24×24 DNA lane packs of the three shapes
+// the loadbench workloads send: a partial 64-lane pack of one query's
+// 36 seed candidates (mixed-durable), a full 64-lane pack of four
+// queries, and a full 256-lane pack of 16 queries times 16 entries
+// (batch-lanes).  Every lane races to the end, as a full scan does.
+func BenchmarkAlignLanesMulti(b *testing.B) {
+	for _, tc := range []struct{ width, fill, queries int }{
+		{64, 36, 1},
+		{64, 64, 4},
+		{256, 256, 16},
+	} {
+		b.Run(fmt.Sprintf("24x24/%dof%d", tc.fill, tc.width), func(b *testing.B) {
+			a, err := NewArray(24, 24)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a.SetBackend(BackendLanes)
+			if err := a.SetLaneWidth(tc.width); err != nil {
+				b.Fatal(err)
+			}
+			gen := seqgen.NewDNA(7)
+			queries := make([]string, tc.queries)
+			for i := range queries {
+				queries[i] = gen.Random(24)
+			}
+			ps := make([]string, tc.fill)
+			qs := make([]string, tc.fill)
+			for k := range qs {
+				ps[k] = queries[k*tc.queries/tc.fill]
+				qs[k] = gen.Random(24)
+			}
+			// The first pack compiles the engine; time only warm packs.
+			if _, err := a.AlignLanesMulti(ps, qs, -1); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.AlignLanesMulti(ps, qs, -1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

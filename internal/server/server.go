@@ -58,6 +58,12 @@ const DefaultMaxQueryLen = 4096
 // anything beyond a few times DefaultMaxQueryLen meaningless.
 const maxBodyBytes = 1 << 20
 
+// MaxBatchQueries bounds the array form of POST /search.  The body cap
+// alone admits tens of thousands of short items, and a batch plans
+// every (query, entry) pair before it races, so an unbounded array is a
+// memory lever on a public endpoint.
+const MaxBatchQueries = 256
+
 // Server is the HTTP search service.  It is an http.Handler and is safe
 // for concurrent requests.
 type Server struct {
@@ -360,8 +366,10 @@ func batchKey(topK int, threshold *int64, fullScan bool) string {
 // handleSearchBatch answers the array form of POST /search: one
 // SearchResponse per request item, in order.  Cache hits are peeled off
 // per item; the misses regroup by options and race as shared batches.
-// Any invalid item fails the whole request with its index named —
-// nothing is raced or cached on a 4xx.  ?trace=1 is ignored here.
+// Any invalid item fails the whole request with its index named, and
+// an array of more than MaxBatchQueries items fails before any item is
+// checked — nothing is raced or cached on a 4xx.  ?trace=1 is ignored
+// here.
 // ElapsedUS on every item is the whole request's service time, which is
 // also the latency every raced item is checked against for the
 // slow-query log.
@@ -377,6 +385,11 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, start
 	if len(reqs) == 0 {
 		s.failures.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "batch contains no queries"})
+		return
+	}
+	if len(reqs) > MaxBatchQueries {
+		s.failures.Add(1)
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("batch of %d queries exceeds the %d-query limit", len(reqs), MaxBatchQueries)})
 		return
 	}
 	topKs := make([]int, len(reqs))

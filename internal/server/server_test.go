@@ -816,6 +816,55 @@ func TestSearchBatchCache(t *testing.T) {
 	}
 }
 
+// TestSearchBatchLimit pins the array-form length bound: MaxBatchQueries
+// items race, one more is refused with a 400 naming the count and the
+// limit before any item is checked, raced or looked up in the cache, and
+// counts as one failure.
+func TestSearchBatchLimit(t *testing.T) {
+	ts, db, _ := newTestServer(t)
+	batch := func(n int, query string) string {
+		items := make([]string, n)
+		for i := range items {
+			items[i] = fmt.Sprintf(`{"query":%q,"top_k":3}`, query)
+		}
+		return "[" + strings.Join(items, ",") + "]"
+	}
+	resp, out := postBatch(t, ts.URL, batch(MaxBatchQueries, "ACGTACGT"))
+	if resp.StatusCode != http.StatusOK || len(out) != MaxBatchQueries {
+		t.Fatalf("%d-item batch: status %d, %d responses", MaxBatchQueries, resp.StatusCode, len(out))
+	}
+
+	var before, after StatsResponse
+	getJSON(t, ts.URL+"/stats", &before)
+	searches := db.Searches()
+	resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewBufferString(batch(MaxBatchQueries+1, "TTTTACGT")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d-item batch: status %d, want 400", MaxBatchQueries+1, resp.StatusCode)
+	}
+	if want := fmt.Sprintf("batch of %d queries exceeds the %d-query limit", MaxBatchQueries+1, MaxBatchQueries); e.Error != want {
+		t.Errorf("error %q, want %q", e.Error, want)
+	}
+	getJSON(t, ts.URL+"/stats", &after)
+	if got := db.Searches(); got != searches {
+		t.Errorf("refused batch raced %d queries", got-searches)
+	}
+	if after.Failures != before.Failures+1 {
+		t.Errorf("failures %d → %d, want one more", before.Failures, after.Failures)
+	}
+	if after.Batches != before.Batches || after.BatchQueries != before.BatchQueries || after.CacheHits != before.CacheHits {
+		t.Errorf("refused batch moved batches %d → %d, batch_queries %d → %d, cache_hits %d → %d",
+			before.Batches, after.Batches, before.BatchQueries, after.BatchQueries, before.CacheHits, after.CacheHits)
+	}
+}
+
 // TestSearchBatchErrors pins the array-form failure modes: empty
 // batches, invalid items, and engine-level failures must all name the
 // zero-based index of the query at fault.
