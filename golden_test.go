@@ -55,21 +55,36 @@ func goldenEntries() []string {
 	return entries
 }
 
+// goldenProteinEntries is the fixed protein corpus of the protein
+// golden search: several lengths, so the search races several shapes.
+func goldenProteinEntries() []string {
+	gen := seqgen.NewProtein(401)
+	entries := make([]string, 0, 8)
+	for _, n := range []int{3, 4, 4, 5, 5, 5, 6, 4} {
+		entries = append(entries, gen.Random(n))
+	}
+	return entries
+}
+
 // TestGoldenSearchReports pins the full SearchReport — ranking, scores,
 // stable IDs, scan counters, cycle totals, energy — for a deterministic
-// database under each engine configuration, and checks both backends
+// database under each engine configuration, and checks every backend
 // against the same files.
 func TestGoldenSearchReports(t *testing.T) {
-	entries := goldenEntries()
-	queries := []string{"ACGTACGT", "TTTTTT", "GATTACA"}
+	dna := goldenEntries()
+	dnaQueries := []string{"ACGTACGT", "TTTTTT", "GATTACA"}
+	protein := goldenProteinEntries()
 	variants := []struct {
-		name string
-		opts []racelogic.Option
+		name             string
+		entries, queries []string
+		opts             []racelogic.Option
 	}{
-		{"plain", nil},
-		{"gated", []racelogic.Option{racelogic.WithClockGating(2)}},
-		{"threshold_topk", []racelogic.Option{racelogic.WithThreshold(7), racelogic.WithTopK(3)}},
-		{"seeded", []racelogic.Option{racelogic.WithSeedIndex(3)}},
+		{"plain", dna, dnaQueries, nil},
+		{"gated", dna, dnaQueries, []racelogic.Option{racelogic.WithClockGating(2)}},
+		{"threshold_topk", dna, dnaQueries, []racelogic.Option{racelogic.WithThreshold(7), racelogic.WithTopK(3)}},
+		{"seeded", dna, dnaQueries, []racelogic.Option{racelogic.WithSeedIndex(3)}},
+		// Threshold 64 accepts 2, 5 and 3 of the 8 entries.
+		{"protein", protein, []string{protein[3], "WARD", "MKVLA"}, []racelogic.Option{racelogic.WithMatrix("BLOSUM62"), racelogic.WithThreshold(64)}},
 	}
 	for _, v := range variants {
 		for _, backend := range []racelogic.Backend{racelogic.BackendCycle, racelogic.BackendEvent, racelogic.BackendLanes} {
@@ -80,12 +95,12 @@ func TestGoldenSearchReports(t *testing.T) {
 				racelogic.WithBackend(backend),
 				racelogic.WithWorkers(1),
 			}, v.opts...)
-			d, err := racelogic.NewDatabase(entries, opts...)
+			d, err := racelogic.NewDatabase(v.entries, opts...)
 			if err != nil {
 				t.Fatalf("%s: %v", v.name, err)
 			}
-			reports := make([]*racelogic.SearchReport, 0, len(queries))
-			for _, q := range queries {
+			reports := make([]*racelogic.SearchReport, 0, len(v.queries))
+			for _, q := range v.queries {
 				rep, err := d.Search(q)
 				if err != nil {
 					t.Fatalf("%s (%v) %q: %v", v.name, backend, q, err)
