@@ -20,11 +20,10 @@ import (
 // Align calls, so it is not safe for concurrent use: build one engine
 // per goroutine (Search does this internally).
 type DNAEngine struct {
-	cfg   *config
-	plain *race.Array
-	gated *race.GatedArray
-	area  float64
-	n, m  int
+	cfg  *config
+	arr  *race.Array // the Fig. 4 fabric, clock-gated under WithClockGating
+	area float64
+	n, m int
 }
 
 // NewDNAEngine builds an engine for strings of exactly lengths n and m
@@ -39,23 +38,49 @@ func NewDNAEngine(n, m int, opts ...Option) (*DNAEngine, error) {
 	if name := cfg.firstApplied(searchOnlyOptions...); name != "" {
 		return nil, fmt.Errorf("racelogic: %s is a search option; it has no effect on a single-pair DNA engine (use Search or Database.Search)", name)
 	}
-	e := &DNAEngine{cfg: cfg, n: n, m: m}
-	if cfg.gateRegion > 0 {
-		e.gated, err = race.NewGatedArray(n, m, cfg.gateRegion)
-		if err != nil {
-			return nil, err
-		}
-		e.gated.SetBackend(cfg.backend)
-		e.area = cfg.library.AreaUM2(e.gated.Netlist())
-	} else {
-		e.plain, err = race.NewArray(n, m)
-		if err != nil {
-			return nil, err
-		}
-		e.plain.SetBackend(cfg.backend)
-		e.area = cfg.library.AreaUM2(e.plain.Netlist())
+	arr, err := cfg.dnaArray(n, m)
+	if err != nil {
+		return nil, err
 	}
-	return e, nil
+	return &DNAEngine{cfg: cfg, arr: arr, area: cfg.library.AreaUM2(arr.Netlist()), n: n, m: m}, nil
+}
+
+// dnaArray builds the configured DNA fabric for strings of lengths n
+// and m: the Fig. 4 array, clock-gated in regions under WithClockGating.
+func (c *config) dnaArray(n, m int) (*race.Array, error) {
+	if c.gateRegion > 0 {
+		g, err := race.NewGatedArray(n, m, c.gateRegion)
+		if err != nil {
+			return nil, err
+		}
+		return c.configure(g.Array)
+	}
+	a, err := race.NewArray(n, m)
+	if err != nil {
+		return nil, err
+	}
+	return c.configure(a)
+}
+
+// proteinArray builds the Section 5 generalized array for strings of
+// lengths n and m under a prepared matrix.
+func (c *config) proteinArray(n, m int, mtx *score.Matrix, enc race.Encoding) (*race.Array, error) {
+	g, err := race.NewGeneralArray(n, m, mtx, enc)
+	if err != nil {
+		return nil, err
+	}
+	return c.configure(g.Array)
+}
+
+// configure puts a new array on the configured backend and lane width.
+func (c *config) configure(a *race.Array) (*race.Array, error) {
+	a.SetBackend(c.backend)
+	if c.laneWidth > 0 {
+		if err := a.SetLaneWidth(c.laneWidth); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
 }
 
 // Dims returns the string lengths the engine was built for.
@@ -68,25 +93,22 @@ func (e *DNAEngine) AreaUM2() float64 { return e.area }
 // metrics.  With WithThreshold set, dissimilar pairs return Found=false
 // after only threshold+1 cycles.
 func (e *DNAEngine) Align(p, q string) (*Alignment, error) {
-	var res *race.AlignResult
-	var err error
-	switch {
-	case e.gated != nil && e.cfg.threshold >= 0:
-		// Gating never changes arrival times (a region's clock is cut
-		// only once every flip-flop inside already holds "1"), so the
-		// Section 6 early exit composes with Section 4.3 gating freely.
-		res, err = e.gated.AlignThreshold(p, q, temporal.Time(e.cfg.threshold))
-	case e.gated != nil:
-		res, err = e.gated.Align(p, q)
-	case e.cfg.threshold >= 0:
-		res, err = e.plain.AlignThreshold(p, q, temporal.Time(e.cfg.threshold))
-	default:
-		res, err = e.plain.Align(p, q)
-	}
+	res, err := e.cfg.alignPair(e.arr, p, q)
 	if err != nil {
 		return nil, err
 	}
 	return toAlignment(e.cfg.library, e.area, res, p, q, score.DNAShortestInf())
+}
+
+// alignPair races one pair on a, under the Section 6 early exit when a
+// threshold is set.  Gating never changes arrival times (a region's
+// clock is cut only once every flip-flop inside already holds "1"), so
+// the early exit composes with Section 4.3 gating freely.
+func (c *config) alignPair(a *race.Array, p, q string) (*race.AlignResult, error) {
+	if c.threshold >= 0 {
+		return a.AlignThreshold(p, q, temporal.Time(c.threshold))
+	}
+	return a.Align(p, q)
 }
 
 // ProteinEngine is the Section 5 generalized Race Logic array: it
@@ -99,7 +121,7 @@ func (e *DNAEngine) Align(p, q string) (*Alignment, error) {
 // Align calls and is not safe for concurrent use.
 type ProteinEngine struct {
 	cfg    *config
-	arr    *race.GeneralArray
+	arr    *race.Array
 	matrix *score.Matrix
 	area   float64
 	n, m   int
@@ -148,11 +170,10 @@ func NewProteinEngine(n, m int, matrixName string, opts ...Option) (*ProteinEngi
 	if err != nil {
 		return nil, err
 	}
-	arr, err := race.NewGeneralArray(n, m, prepared, enc)
+	arr, err := cfg.proteinArray(n, m, prepared, enc)
 	if err != nil {
 		return nil, err
 	}
-	arr.SetBackend(cfg.backend)
 	return &ProteinEngine{
 		cfg:    cfg,
 		arr:    arr,
@@ -174,13 +195,7 @@ func (e *ProteinEngine) MatrixName() string { return e.matrix.Name }
 
 // Align races p against q.  Lower scores mean higher similarity.
 func (e *ProteinEngine) Align(p, q string) (*Alignment, error) {
-	var res *race.AlignResult
-	var err error
-	if e.cfg.threshold >= 0 {
-		res, err = e.arr.AlignThreshold(p, q, temporal.Time(e.cfg.threshold))
-	} else {
-		res, err = e.arr.Align(p, q)
-	}
+	res, err := e.cfg.alignPair(e.arr, p, q)
 	if err != nil {
 		return nil, err
 	}

@@ -60,38 +60,35 @@ func LaneWidth() int {
 	return 64
 }
 
-// newArray builds a Fig. 4 DNA array on the selected backend.
-func newArray(n, m int) (*race.Array, error) {
-	a, err := race.NewArray(n, m)
+// onBackend puts a newly built array of any fabric on the selected
+// backend and lane width.
+func onBackend[A interface {
+	SetBackend(race.Backend)
+	SetLaneWidth(int) error
+}](a A, err error) (A, error) {
+	var none A
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	a.SetBackend(simBackend)
 	if simLaneWidth > 0 {
 		if err := a.SetLaneWidth(simLaneWidth); err != nil {
-			return nil, err
+			return none, err
 		}
 	}
 	return a, nil
 }
 
+// newArray builds a Fig. 4 DNA array on the selected backend.
+func newArray(n, m int) (*race.Array, error) { return onBackend(race.NewArray(n, m)) }
+
 // newGatedArray builds a clock-gated array on the selected backend.
 func newGatedArray(n, m, regionSize int) (*race.GatedArray, error) {
-	a, err := race.NewGatedArray(n, m, regionSize)
-	if err != nil {
-		return nil, err
-	}
-	a.SetBackend(simBackend)
-	return a, nil
+	return onBackend(race.NewGatedArray(n, m, regionSize))
 }
 
 // newGeneralArray builds a Section 5 generalized array on the selected
 // backend.
 func newGeneralArray(n, m int, mtx *score.Matrix, enc race.Encoding) (*race.GeneralArray, error) {
-	a, err := race.NewGeneralArray(n, m, mtx, enc)
-	if err != nil {
-		return nil, err
-	}
-	a.SetBackend(simBackend)
-	return a, nil
+	return onBackend(race.NewGeneralArray(n, m, mtx, enc))
 }

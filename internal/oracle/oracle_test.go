@@ -2,6 +2,7 @@ package oracle_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -273,17 +274,60 @@ func TestAlignLanesEquivalence(t *testing.T) {
 		}
 	}
 
+	// Every fabric races its packs through the same core: the plain and
+	// clock-gated arrays load symbols through the tabulated plan, the
+	// generalized array pin by pin.
+	prepared, err := score.BLOSUM62().PrepareForRace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pgen := seqgen.NewProtein(17)
+	type fabric struct {
+		name  string
+		build func(n, m int) (*race.Array, error)
+		gen   *seqgen.Generator
+	}
+	plain := fabric{"plain", race.NewArray, gen}
+	gated := func(region int) fabric {
+		return fabric{fmt.Sprintf("gated/%d", region), func(n, m int) (*race.Array, error) {
+			g, err := race.NewGatedArray(n, m, region)
+			if err != nil {
+				return nil, err
+			}
+			return g.Array, nil
+		}, gen}
+	}
+	general := func(enc race.Encoding) fabric {
+		return fabric{"general/" + enc.String(), func(n, m int) (*race.Array, error) {
+			g, err := race.NewGeneralArray(n, m, prepared, enc)
+			if err != nil {
+				return nil, err
+			}
+			return g.Array, nil
+		}, pgen}
+	}
 	for _, tc := range []struct {
+		fab               fabric
 		n, m, width, pack int
 		threshold         int64
 	}{
-		{5, 4, 64, 64, -1},   // one full word of distinct queries
-		{4, 6, 128, 65, -1},  // one lane into the second word
-		{6, 5, 256, 200, -1}, // ends inside the fourth word
-		{4, 4, 256, 256, -1}, // full four-word pack
-		{5, 6, 128, 100, 8},  // thresholded: some lanes reject
+		{plain, 5, 4, 64, 64, -1},   // one full word of distinct queries
+		{plain, 4, 6, 128, 65, -1},  // one lane into the second word
+		{plain, 6, 5, 256, 200, -1}, // ends inside the fourth word
+		{plain, 4, 4, 256, 256, -1}, // full four-word pack
+		{plain, 5, 6, 128, 100, 8},  // thresholded: some lanes reject
+		{gated(1), 6, 9, 64, 64, -1},
+		{gated(2), 6, 9, 256, 130, -1}, // ends inside the third word
+		{gated(4), 6, 9, 256, 256, -1},
+		{gated(4), 9, 6, 64, 40, 10}, // thresholded: some lanes reject
+		{general(race.BinaryCounter), 2, 3, 64, 64, -1},
+		{general(race.BinaryCounter), 3, 2, 256, 130, -1},
+		{general(race.BinaryCounter), 2, 3, 256, 70, 30}, // thresholded
+		{general(race.OneHot), 2, 3, 64, 33, -1},
+		{general(race.OneHot), 3, 2, 256, 66, 30}, // thresholded
 	} {
-		lanesArr, err := race.NewArray(tc.n, tc.m)
+		name := fmt.Sprintf("%s %dx%d width %d pack %d", tc.fab.name, tc.n, tc.m, tc.width, tc.pack)
+		lanesArr, err := tc.fab.build(tc.n, tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,22 +335,22 @@ func TestAlignLanesEquivalence(t *testing.T) {
 		if err := lanesArr.SetLaneWidth(tc.width); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := race.NewArray(tc.n, tc.m)
+		ref, err := tc.fab.build(tc.n, tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ps := make([]string, tc.pack)
 		qs := make([]string, tc.pack)
 		for i := range qs {
-			ps[i] = gen.Random(tc.n)
-			qs[i] = gen.Random(tc.m)
+			ps[i] = tc.fab.gen.Random(tc.n)
+			qs[i] = tc.fab.gen.Random(tc.m)
 		}
 		got, err := lanesArr.AlignLanesMulti(ps, qs, temporal.Time(tc.threshold))
 		if err != nil {
-			t.Fatalf("AlignLanesMulti(%dx%d, width %d, pack %d): %v", tc.n, tc.m, tc.width, tc.pack, err)
+			t.Fatalf("%s: AlignLanesMulti: %v", name, err)
 		}
 		if len(got) != tc.pack {
-			t.Fatalf("AlignLanesMulti returned %d results, want %d", len(got), tc.pack)
+			t.Fatalf("%s: AlignLanesMulti returned %d results, want %d", name, len(got), tc.pack)
 		}
 		rejected := 0
 		for i := range qs {
@@ -324,12 +368,12 @@ func TestAlignLanesEquivalence(t *testing.T) {
 			}
 			want.Arrivals = nil
 			if !reflect.DeepEqual(want, got[i]) {
-				t.Fatalf("multi shape %dx%d width %d pack %d lane %d (%q vs %q, thr %d): results differ\ncycle: %+v\nlanes: %+v",
-					tc.n, tc.m, tc.width, tc.pack, i, ps[i], qs[i], tc.threshold, want, got[i])
+				t.Fatalf("%s lane %d (%q vs %q, thr %d): results differ\ncycle: %+v\nlanes: %+v",
+					name, i, ps[i], qs[i], tc.threshold, want, got[i])
 			}
 		}
 		if tc.threshold >= 0 && (rejected == 0 || rejected == tc.pack) {
-			t.Fatalf("multi shape %dx%d thr %d: %d of %d lanes rejected, want a mix", tc.n, tc.m, tc.threshold, rejected, tc.pack)
+			t.Fatalf("%s thr %d: %d of %d lanes rejected, want a mix", name, tc.threshold, rejected, tc.pack)
 		}
 	}
 }
@@ -337,7 +381,7 @@ func TestAlignLanesEquivalence(t *testing.T) {
 // TestAlignLanesErrors pins the pack path's error contract: a bad
 // symbol in lane k surfaces as a LaneError carrying k and the same
 // underlying error a scalar Align would return, before any engine state
-// is touched.
+// is touched.  It also pins the scalar backends' packs of one.
 func TestAlignLanesErrors(t *testing.T) {
 	arr, err := race.NewArray(3, 4)
 	if err != nil {
@@ -360,12 +404,58 @@ func TestAlignLanesErrors(t *testing.T) {
 	if _, err := arr.AlignLanes("ACG", make([]string, 65), -1); err == nil {
 		t.Fatal("oversized pack: want error")
 	}
-	scalar, err := race.NewArray(3, 4)
+
+	// On the scalar backends LaneWidth is 1: a pack of one races as
+	// Align or AlignThreshold does, without the timing matrix, and a
+	// pack of two is refused.
+	prepared, err := score.BLOSUM62().PrepareForRace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scalar.AlignLanes("ACG", []string{"ACGT"}, -1); err == nil {
-		t.Fatal("AlignLanes on non-lanes backend: want error")
+	for _, b := range []race.Backend{race.BackendCycle, race.BackendEvent} {
+		general, err := race.NewGeneralArray(3, 4, prepared, race.BinaryCounter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := race.NewArray(3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			arr       *race.Array
+			p, q      string
+			threshold temporal.Time
+		}{
+			{plain, "ACG", "ACGT", -1},
+			{plain, "ACG", "TTTT", 5},
+			{general.Array, "WAR", "WYRD", -1},
+			{general.Array, "WAR", "MKVL", 30},
+		} {
+			c.arr.SetBackend(b)
+			if w := c.arr.LaneWidth(); w != 1 {
+				t.Fatalf("%v: LaneWidth = %d, want 1", b, w)
+			}
+			var want *race.AlignResult
+			if c.threshold < 0 {
+				want, err = c.arr.Align(c.p, c.q)
+			} else {
+				want, err = c.arr.AlignThreshold(c.p, c.q, c.threshold)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Arrivals = nil
+			got, err := c.arr.AlignLanes(c.p, []string{c.q}, c.threshold)
+			if err != nil {
+				t.Fatalf("%v: pack of one: %v", b, err)
+			}
+			if !reflect.DeepEqual(want, got[0]) {
+				t.Fatalf("%v %q vs %q thr %d: pack of one differs from Align\nalign: %+v\npack:  %+v", b, c.p, c.q, c.threshold, want, got[0])
+			}
+			if _, err := c.arr.AlignLanesMulti([]string{c.p, c.p}, []string{c.q, c.q}, c.threshold); err == nil {
+				t.Fatalf("%v: pack of two on a scalar backend: want error", b)
+			}
+		}
 	}
 }
 

@@ -17,7 +17,9 @@
 // shape.  The pools live in a Pools value that any number of DBs may
 // share — the partitioned database keeps one DB per shard but one Pools
 // for all of them, so a shape warmed by any shard serves every shard.
-// Engines are not concurrency-safe, so the pools hand one simulator to
+// An engine is a *race.Array, whichever fabric built it (plain,
+// clock-gated, or generalized), so every engine races the same way.
+// Engines are not concurrency-safe, so the pools hand one engine to
 // each in-flight chunk and take it back afterwards — DB.Search is safe
 // for concurrent callers.  One-shot callers (the public racelogic.Search)
 // simply build a DB, run one query, and drop it.
@@ -35,14 +37,16 @@
 // MultiSearchBatch is the one scatter-race-fold: the (query, entry)
 // pairs of every query and every partition shard are grouped by engine
 // shape, split into chunks, and fanned out over a channel-fed worker
-// pool so independent arrays race concurrently — under the lanes
-// backend a chunk's lane packs span shard and query boundaries.  The
-// Section 6 similarity threshold rejects dissimilar entries after only
-// threshold+1 cycles, and each query's outcomes fold under a global-ID
-// ordering into a deterministic top-K report with per-result hardware
-// metrics, so a partitioned database returns reports byte-identical
-// (modulo EnginesBuilt) to an unpartitioned one.  A single query is a
-// batch of one: MultiSearch and DB.Search are thin adapters over it.
+// pool so independent arrays race concurrently.  A chunk races in lane
+// packs of its engine's LaneWidth, which span shard and query
+// boundaries: up to 512 pairs per pack under the lanes backend, and
+// packs of one on the scalar backends.  The Section 6 similarity
+// threshold rejects dissimilar entries after only threshold+1 cycles,
+// and each query's outcomes fold under a global-ID ordering into a
+// deterministic top-K report with per-result hardware metrics, so a
+// partitioned database returns reports byte-identical (modulo
+// EnginesBuilt) to an unpartitioned one.  A single query is a batch of
+// one: MultiSearch and DB.Search are thin adapters over it.
 package pipeline
 
 import (
@@ -54,39 +58,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"racelogic/internal/circuit"
 	"racelogic/internal/obs"
 	"racelogic/internal/race"
 	"racelogic/internal/tech"
 	"racelogic/internal/temporal"
 )
 
-// Engine is a fixed-shape race array that scores pairs repeatedly.  Both
-// race.Array and race.GeneralArray (and race.GatedArray) satisfy it.
-// Engines may be stateful — each in-flight chunk gets exclusive use of one.
-type Engine interface {
-	Align(p, q string) (*race.AlignResult, error)
-	AlignThreshold(p, q string, threshold temporal.Time) (*race.AlignResult, error)
-	Netlist() *circuit.Netlist
-}
-
-// LaneEngine is an Engine that can race a pack of same-shape candidates
-// through one pass of its netlist — race.Array under the bit-parallel
-// lanes backend.  LaneWidth reports the pack capacity (1 means scalar:
-// the pipeline falls back to the per-pair loop); AlignLanesMulti races
-// up to LaneWidth pairs at once, lane k pairing query ps[k] with
-// candidate qs[k], byte-identical to scoring lane by lane, with a
-// negative threshold disabling the Section 6 cut-off.
-type LaneEngine interface {
-	Engine
-	LaneWidth() int
-	AlignLanesMulti(ps, qs []string, threshold temporal.Time) ([]*race.AlignResult, error)
-}
-
-// Factory builds a fresh engine for a query of length n against entries
-// of length m.  It is called only when a pool has no idle engine of that
-// shape, never once per pair.
-type Factory func(n, m int) (Engine, error)
+// Factory builds a fresh engine — a race array, whichever its fabric —
+// for a query of length n against entries of length m.  It is called
+// only when a pool has no idle engine of that shape, never once per
+// pair.  Engines are stateful, so each in-flight chunk gets exclusive
+// use of one.
+type Factory func(n, m int) (*race.Array, error)
 
 // Request parameterizes one query against a persistent DB.
 type Request struct {
@@ -175,7 +158,7 @@ type poolKey struct{ n, m int }
 // the engines themselves are not.
 type enginePool struct {
 	mu   sync.Mutex
-	free []Engine
+	free []*race.Array
 	// area is the shape's placed cell area, priced once per pool: every
 	// engine of a shape compiles the same netlist.
 	area    float64
@@ -298,7 +281,7 @@ func (p *Pools) pool(key poolKey) *enginePool {
 // acquire checks an engine of the given shape out of its pool, building
 // one only when the pool is empty.  It reports the shape's placed area
 // and whether a build happened.
-func (p *Pools) acquire(key poolKey) (eng Engine, area float64, built bool, err error) {
+func (p *Pools) acquire(key poolKey) (eng *race.Array, area float64, built bool, err error) {
 	ep := p.pool(key)
 	ep.mu.Lock()
 	if n := len(ep.free); n > 0 {
@@ -330,7 +313,7 @@ func (p *Pools) acquire(key poolKey) (eng Engine, area float64, built bool, err 
 // acquireObserved wraps acquire with the wall-clock the worker spent
 // waiting for (or compiling) an engine, feeding the pool observer and
 // the query trace when either is present.
-func (p *Pools) acquireObserved(key poolKey, shard int, tr *obs.Trace) (Engine, float64, bool, error) {
+func (p *Pools) acquireObserved(key poolKey, shard int, tr *obs.Trace) (*race.Array, float64, bool, error) {
 	fn := p.checkoutObs.Load()
 	if fn == nil && tr == nil {
 		return p.acquire(key)
@@ -350,7 +333,7 @@ func (p *Pools) acquireObserved(key poolKey, shard int, tr *obs.Trace) (Engine, 
 // release parks an engine back into its shape pool for the next chunk,
 // or drops it when the pool-wide idle cap is reached (the slight
 // overshoot a concurrent release can cause is harmless).
-func (p *Pools) release(key poolKey, eng Engine) {
+func (p *Pools) release(key poolKey, eng *race.Array) {
 	if p.idle.Load() >= p.maxIdle.Load() {
 		return
 	}
@@ -787,8 +770,7 @@ func MultiSearch(shards []ShardScan, query string, req Request) (*Report, error)
 	return reps[0], nil
 }
 
-// fillSlot writes one finished race into its collector slot — the
-// shared tail of the scalar and lane-pack chunk bodies.
+// fillSlot writes one finished race into its collector slot.
 func (p *Pools) fillSlot(slots *entrySlots, si, i int, s *Snapshot, res *race.AlignResult, area float64) {
 	energy := p.lib.Energy(res.Activity).TotalJ()
 	slots.cycles[si] = res.Cycles
@@ -835,10 +817,10 @@ type batchPair struct {
 
 // pairChunk is one unit of batch work: a run of same-shape (query,
 // entry) pairs — every query of length n, every entry of length m —
-// scored on a single checked-out engine.  Under a lane engine the run
-// is cut into packs that may span query and shard boundaries, which is
-// how a batch, or a query over a partitioned database, fills wider
-// packs than any one query's shard could.
+// scored on a single checked-out engine.  The run is cut into lane packs
+// that may span query and shard boundaries, which is how a batch, or a
+// query over a partitioned database, fills wider packs than any one
+// query's shard could.
 type pairChunk struct {
 	n, m  int
 	pairs []batchPair
@@ -1082,9 +1064,9 @@ type pairError struct {
 }
 
 // runPairChunk checks one engine out of the chunk's shape pool and
-// races every (query, entry) pair of the chunk on it, charging the
-// checkout and race time to the shard of the chunk's first pair.  It
-// stops at the first failing pair.
+// races every (query, entry) pair of the chunk on it in lane packs,
+// charging the checkout and race time to the shard of the chunk's first
+// pair.  It stops at the first failing pack.
 func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queries []string, c pairChunk,
 	threshold int64, slots [][]*entrySlots, builds *atomic.Int64, tr *obs.Trace) *pairError {
 
@@ -1109,45 +1091,18 @@ func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queri
 		raceBegin := time.Now()
 		defer func() { tr.AddRace(first.shard, time.Since(raceBegin)) }()
 	}
-	if le, ok := eng.(LaneEngine); ok {
-		if width := le.LaneWidth(); width > 1 {
-			return p.runPairChunkLanes(shardSets, queries, c, resolve, threshold, slots, le, width, area)
-		}
-	}
-	for _, pr := range c.pairs {
-		i := resolve(pr)
-		sc := &shardSets[pr.query][pr.shard]
-		var res *race.AlignResult
-		if threshold >= 0 {
-			res, err = eng.AlignThreshold(queries[pr.query], sc.Snap.entries[i], temporal.Time(threshold))
-		} else {
-			res, err = eng.Align(queries[pr.query], sc.Snap.entries[i])
-		}
-		if err != nil {
-			return &pairError{err, pr.query, sc.slotID(i)}
-		}
-		p.fillSlot(slots[pr.query][pr.shard], pr.si, i, sc.Snap, res, area)
-	}
-	return nil
-}
 
-// runPairChunkLanes is the batched body of runPairChunk: the chunk's
-// pairs race through the checked-out engine in mixed-query lane packs
-// of at most width lanes.  Outcomes, errors, and the (query, entry)
-// pair an error is attributed to are byte-identical to the per-pair
-// loop; only the number of netlist passes changes.
-func (p *Pools) runPairChunkLanes(shardSets [][]ShardScan, queries []string, c pairChunk, resolve func(batchPair) int,
-	threshold int64, slots [][]*entrySlots, eng LaneEngine, width int, area float64) *pairError {
-
+	// The chunk races in mixed-query lane packs of up to LaneWidth pairs:
+	// packs of one on the scalar backends.  Outcomes, errors, and the
+	// (query, entry) pair an error is attributed to are byte-identical
+	// however wide the packs are; only the number of netlist passes
+	// changes.
+	width := eng.LaneWidth()
 	obsFn := p.laneObs.Load()
 	ps := make([]string, 0, width)
 	qs := make([]string, 0, width)
 	for start := 0; start < len(c.pairs); start += width {
-		end := start + width
-		if end > len(c.pairs) {
-			end = len(c.pairs)
-		}
-		pack := c.pairs[start:end]
+		pack := c.pairs[start:min(start+width, len(c.pairs))]
 		ps, qs = ps[:0], qs[:0]
 		for _, pr := range pack {
 			ps = append(ps, queries[pr.query])
@@ -1167,7 +1122,7 @@ func (p *Pools) runPairChunkLanes(shardSets [][]ShardScan, queries []string, c p
 			pr := pack[lane]
 			return &pairError{err, pr.query, shardSets[pr.query][pr.shard].slotID(resolve(pr))}
 		}
-		if obsFn != nil {
+		if obsFn != nil && width > 1 {
 			(*obsFn)(len(pack), width)
 		}
 		for k, pr := range pack {

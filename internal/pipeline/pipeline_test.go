@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"racelogic/internal/race"
+	"racelogic/internal/score"
 	"racelogic/internal/seqgen"
 	"racelogic/internal/temporal"
 )
 
-func dnaFactory(n, m int) (Engine, error) { return race.NewArray(n, m) }
+func dnaFactory(n, m int) (*race.Array, error) { return race.NewArray(n, m) }
 
 // oneShot builds a throwaway DB and runs a single query — the shape of
 // the public racelogic.Search wrapper.
@@ -625,8 +626,8 @@ func TestMultiSearchMatchesSingle(t *testing.T) {
 
 // lanesFactory builds lane-pack engines: the same DNA arrays as
 // dnaFactory, switched onto the bit-parallel backend so runPairChunk
-// races lane packs.
-func lanesFactory(n, m int) (Engine, error) {
+// races packs of up to 64 lanes.
+func lanesFactory(n, m int) (*race.Array, error) {
 	a, err := race.NewArray(n, m)
 	if err != nil {
 		return nil, err
@@ -689,7 +690,9 @@ func TestLanesSearchMatchesCycle(t *testing.T) {
 // one worker scans the mixed corpus as one chunk per engine shape, so
 // the packs must come out exactly (64, 6, 5, 1) against a 64-lane
 // engine — and identically when the corpus is partitioned over 2 or 3
-// shards, because a shape's chunk spans every shard holding it.
+// shards, because a shape's chunk spans every shard holding it.  A
+// scalar-backend pool reports no packs, and clock-gated and generalized
+// pools under the lanes backend report packs wider than one lane.
 func TestLanesPackFill(t *testing.T) {
 	pools, err := NewPools(lanesFactory, nil)
 	if err != nil {
@@ -724,16 +727,68 @@ func TestLanesPackFill(t *testing.T) {
 			t.Fatalf("%d shards: lane packs = %v, want %v", parts, fills, want)
 		}
 	}
-	// A scalar-backend pool must never report packs.
-	pools.SetLaneObserver(func(filled, width int) {
-		t.Errorf("observer fired on scalar pools: (%d, %d)", filled, width)
-	})
+	// A scalar-backend pool races packs of one and must never report
+	// them.
 	scalar, err := NewDB([]string{"ACGT", "TTTT"}, dnaFactory, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scalar.Pools().SetLaneObserver(func(filled, width int) {
+		t.Errorf("observer fired on scalar pools: (%d, %d)", filled, width)
+	})
 	if _, err := scalar.Search("ACGT", Request{Threshold: -1, Workers: 1}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Clock-gated and generalized pools under the lanes backend race
+	// lane packs too, not one lane at a time.
+	prepared, err := score.BLOSUM62().PrepareForRace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		factory Factory
+		db      []string
+		query   string
+	}{
+		{"gated", func(n, m int) (*race.Array, error) {
+			g, err := race.NewGatedArray(n, m, 2)
+			if err != nil {
+				return nil, err
+			}
+			g.SetBackend(race.BackendLanes)
+			return g.Array, nil
+		}, lanesDB(seqgen.NewDNA(33)), "ACGTACG"},
+		{"protein", func(n, m int) (*race.Array, error) {
+			g, err := race.NewGeneralArray(n, m, prepared, race.BinaryCounter)
+			if err != nil {
+				return nil, err
+			}
+			g.SetBackend(race.BackendLanes)
+			return g.Array, nil
+		}, seqgen.NewProtein(37).Database(12, 4), "WARD"},
+	} {
+		pools, err := NewPools(c.factory, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widest := 0
+		pools.SetLaneObserver(func(filled, width int) {
+			mu.Lock()
+			widest = max(widest, filled)
+			mu.Unlock()
+		})
+		d, err := NewDBWith(c.db, pools)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Search(c.query, Request{Threshold: -1, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if widest < 2 {
+			t.Errorf("%s pool: widest lane pack holds %d lanes, want more than one", c.name, widest)
+		}
 	}
 }
 
@@ -764,7 +819,7 @@ func TestLanesErrorAttribution(t *testing.T) {
 
 // widthFactory builds lane-pack engines at a fixed multi-word width.
 func widthFactory(width int) Factory {
-	return func(n, m int) (Engine, error) {
+	return func(n, m int) (*race.Array, error) {
 		a, err := race.NewArray(n, m)
 		if err != nil {
 			return nil, err

@@ -1,7 +1,9 @@
 package race
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"racelogic/internal/align"
@@ -195,6 +197,30 @@ func TestArrayThresholdValidation(t *testing.T) {
 	}
 }
 
+// TestThresholdBeyondBound pins that a threshold past the race bound,
+// up to the largest Time, accepts every score, in a single race and in
+// a pack, instead of overflowing the threshold+1 cycle bound.
+func TestThresholdBeyondBound(t *testing.T) {
+	a, err := NewArray(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Align("ACT", "AGT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, thr := range []temporal.Time{100, math.MaxInt64 - 1, math.MaxInt64} {
+		got, err := a.AlignThreshold("ACT", "AGT", thr)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("threshold %d: got %+v, %v, want %+v", thr, got, err, want)
+		}
+		pack, err := a.AlignLanes("ACT", []string{"AGT"}, thr)
+		if err != nil || pack[0].Score != want.Score || pack[0].Cycles != want.Cycles {
+			t.Errorf("threshold %d: pack of one scored %+v, %v, want score %v in %d cycles", thr, pack, err, want.Score, want.Cycles)
+		}
+	}
+}
+
 func TestArrayEnergyBestBelowWorst(t *testing.T) {
 	// The worst case runs 2× the cycles of the best case, so its clock
 	// energy (FF-clocked-cycles) must be about 2× as well.
@@ -260,13 +286,12 @@ func TestTimingMatrixString(t *testing.T) {
 
 func TestDnaCode(t *testing.T) {
 	for i := 0; i < 4; i++ {
-		c, err := dnaCode(score.DNAAlphabet[i])
-		if err != nil || c != uint8(i) {
-			t.Errorf("dnaCode(%c) = %d, %v", score.DNAAlphabet[i], c, err)
+		if c := dnaCodes[score.DNAAlphabet[i]]; c != int16(i) {
+			t.Errorf("dnaCodes[%c] = %d, want %d", score.DNAAlphabet[i], c, i)
 		}
 	}
-	if _, err := dnaCode('X'); err == nil {
-		t.Error("expected error")
+	if dnaCodes['X'] >= 0 {
+		t.Error("X must have no DNA code")
 	}
 }
 

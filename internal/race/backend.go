@@ -28,9 +28,9 @@ const (
 	// net's state is a slab of 1–8 uint64 words (SetLaneWidth, default
 	// one word) whose bit l of word w is the value in lane w·64+l, so
 	// one settle wave races up to 64–512 same-shape candidates at once.
-	// Plain arrays batch candidates through AlignLanes/AlignLanesMulti;
-	// the other array types (and the scalar circuit.Backend contract)
-	// run it one lane at a time.
+	// Every array type batches candidates through
+	// AlignLanes/AlignLanesMulti; Align and AlignThreshold (the scalar
+	// circuit.Backend contract) race one candidate in lockstep lanes.
 	BackendLanes
 )
 
@@ -80,20 +80,4 @@ func compileBackend(nl *circuit.Netlist, b Backend, words int) (circuit.Backend,
 		return lanes.CompileWords(nl, words)
 	}
 	return nl.Compile()
-}
-
-// reuseBackend is the shared compile-once protocol of all three array
-// types: compile nl into *sim under the selected backend on first use,
-// reset it to power-on state on every later one.
-func reuseBackend(nl *circuit.Netlist, sim *circuit.Backend, b Backend, words int) (circuit.Backend, error) {
-	if *sim == nil {
-		s, err := compileBackend(nl, b, words)
-		if err != nil {
-			return nil, err
-		}
-		*sim = s
-		return s, nil
-	}
-	(*sim).Reset()
-	return *sim, nil
 }

@@ -18,4 +18,16 @@
 //   - GeneralArray — the Section 5 generalized cell (binary saturating
 //     counter, per-symbol-pair weight select, set-on-arrival) for
 //     arbitrary positive score matrices such as BLOSUM62.
+//
+// The three edit-graph arrays share one compiled-array core: Array is
+// parameterised by its netlist, its symbol pins, a 256-entry symbol-code
+// table and its cycle bound, and GatedArray and GeneralArray embed it.
+// Align, AlignThreshold, SetBackend, SetLaneWidth, LaneWidth, AlignLanes
+// and AlignLanesMulti are therefore defined once, and every fabric races
+// lane packs under BackendLanes.  A pack loads its symbols through the
+// lanes engine's tabulated plan when PlanSymbolLoad accepts the netlist
+// (the plain and clock-gated arrays) and pin by pin otherwise (the
+// generalized array, whose per-symbol decoders move with one symbol side
+// and whose protein symbols are wider than the plan's tables).  On the
+// scalar backends LaneWidth is 1 and a pack is one race.
 package race

@@ -2,10 +2,8 @@ package race
 
 import (
 	"fmt"
-	"strings"
 
 	"racelogic/internal/circuit"
-	"racelogic/internal/temporal"
 )
 
 // GatedArray is the Section 4.3 energy-optimized variant of Array: the
@@ -24,103 +22,44 @@ import (
 // builds that logic structurally so its area and toggles are priced like
 // everything else, and the per-region flip-flop clock activity is
 // measured exactly by the simulator's enabled-cycle counter.
-// Like Array, a GatedArray compiles its netlist once and resets the same
-// simulator between races, so it is not safe for concurrent use.
+// The fabric races through the embedded Array core, so the arrival
+// times are identical to the ungated Array's and only the clock
+// activity differs.  Like Array, a GatedArray is not safe for
+// concurrent use.
 type GatedArray struct {
-	n, m       int
+	*Array
 	regionSize int
-	netlist    *circuit.Netlist
-	root       circuit.Net
-	pBits      [][2]circuit.Net
-	qBits      [][2]circuit.Net
-	out        [][]circuit.Net
 	regions    int
-	backend    Backend
-	sim        circuit.Backend
 }
 
 // NewGatedArray builds an n×m edit-graph array gated in
 // regionSize×regionSize multi-cell regions (the paper's m parameter; use
 // tech.OptimalGranularity for the Eq. 7 optimum).
 func NewGatedArray(n, m, regionSize int) (*GatedArray, error) {
-	if n < 1 || m < 1 {
-		return nil, fmt.Errorf("race: array dimensions %d×%d must be ≥ 1", n, m)
+	if err := checkDims(n, m); err != nil {
+		return nil, err
 	}
 	if regionSize < 1 {
 		return nil, fmt.Errorf("race: region size %d must be ≥ 1", regionSize)
 	}
-	nl := circuit.New()
-	a := &GatedArray{n: n, m: m, regionSize: regionSize, netlist: nl}
-	a.root = nl.Input("root")
-	a.pBits = make([][2]circuit.Net, n)
-	for i := range a.pBits {
-		a.pBits[i] = [2]circuit.Net{
-			nl.Input(fmt.Sprintf("p%d_b0", i)),
-			nl.Input(fmt.Sprintf("p%d_b1", i)),
-		}
-	}
-	a.qBits = make([][2]circuit.Net, m)
-	for j := range a.qBits {
-		a.qBits[j] = [2]circuit.Net{
-			nl.Input(fmt.Sprintf("q%d_b0", j)),
-			nl.Input(fmt.Sprintf("q%d_b1", j)),
-		}
-	}
 
-	// The cell fabric is identical to Array except every DFF is a DFFE
-	// whose enable comes from its region's gate.  Regions cannot be
-	// wired before their cells exist, and cells need their delayed
-	// inputs — so build DFFEs with placeholder enables and patch them.
-	a.out = make([][]circuit.Net, n+1)
-	d := make([][]circuit.Net, n+1)
-	for i := range a.out {
-		a.out[i] = make([]circuit.Net, m+1)
-		d[i] = make([]circuit.Net, m+1)
-	}
+	// The cell fabric is Array's except every DFF is a DFFE whose enable
+	// comes from its region's gate.  Regions cannot be wired before
+	// their cells exist, and cells need their delayed inputs — so build
+	// DFFEs with placeholder enables and patch them.
 	type regionKey struct{ ri, rj int }
 	regionFFs := make(map[regionKey][]circuit.Net) // Q nets per region
-	regionOf := func(i, j int) regionKey {
-		return regionKey{i / regionSize, j / regionSize}
-	}
-	var patches []struct {
-		q   circuit.Net
-		key regionKey
-	}
-	newFF := func(dIn circuit.Net, key regionKey) circuit.Net {
+	var regions []regionKey                        // in first-cell order, so builds are identical
+	core, d := newDNAArray(n, m, func(nl *circuit.Netlist, i, j int, dIn circuit.Net) circuit.Net {
+		key := regionKey{i / regionSize, j / regionSize}
 		q := nl.DFFE(dIn, circuit.One) // enable patched below
-		regionFFs[key] = append(regionFFs[key], q)
-		patches = append(patches, struct {
-			q   circuit.Net
-			key regionKey
-		}{q, key})
-		return q
-	}
-	for i := 0; i <= n; i++ {
-		for j := 0; j <= m; j++ {
-			key := regionOf(i, j)
-			if i == 0 && j == 0 {
-				a.out[0][0] = a.root
-				d[0][0] = newFF(a.root, key)
-				continue
-			}
-			var terms []circuit.Net
-			if i > 0 {
-				terms = append(terms, d[i-1][j])
-			}
-			if j > 0 {
-				terms = append(terms, d[i][j-1])
-			}
-			if i > 0 && j > 0 {
-				match := nl.And(
-					nl.Xnor(a.pBits[i-1][0], a.qBits[j-1][0]),
-					nl.Xnor(a.pBits[i-1][1], a.qBits[j-1][1]),
-				)
-				terms = append(terms, nl.And(match, d[i-1][j-1]))
-			}
-			a.out[i][j] = nl.Or(terms...)
-			d[i][j] = newFF(a.out[i][j], key)
+		if _, ok := regionFFs[key]; !ok {
+			regions = append(regions, key)
 		}
-	}
+		regionFFs[key] = append(regionFFs[key], q)
+		return q
+	})
+	nl := core.netlist
 
 	// Per-region gate: enable = activity AND NOT done, where activity is
 	// the OR of the region's own Q nets and every Q net crossing into it
@@ -128,8 +67,8 @@ func NewGatedArray(n, m, regionSize int) (*GatedArray, error) {
 	// region's Q nets.  Disabling only once all flip-flops already hold
 	// "1" guarantees the gated array is cycle-for-cycle identical to the
 	// ungated one.
-	enables := make(map[regionKey]circuit.Net, len(regionFFs))
-	for key, qs := range regionFFs {
+	for _, key := range regions {
+		qs := regionFFs[key]
 		var activity []circuit.Net
 		activity = append(activity, qs...)
 		// Crossing signals: Q nets of cells just left of / above the
@@ -153,28 +92,17 @@ func NewGatedArray(n, m, regionSize int) (*GatedArray, error) {
 			}
 		}
 		if i0 == 0 && j0 == 0 {
-			activity = append(activity, a.root)
+			activity = append(activity, core.root)
 		}
-		enables[key] = nl.And(nl.Or(activity...), nl.Not(nl.And(qs...)))
-	}
-	for _, p := range patches {
-		if err := nl.PatchEnable(p.q, enables[p.key]); err != nil {
-			return nil, err
+		enable := nl.And(nl.Or(activity...), nl.Not(nl.And(qs...)))
+		for _, q := range qs {
+			if err := nl.PatchEnable(q, enable); err != nil {
+				return nil, err
+			}
 		}
 	}
-	a.regions = len(regionFFs)
-	return a, nil
+	return &GatedArray{Array: core, regionSize: regionSize, regions: len(regions)}, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Netlist exposes the compiled structure.
-func (a *GatedArray) Netlist() *circuit.Netlist { return a.netlist }
 
 // Regions returns the number of gated multi-cell regions, the (N/m)² of
 // Eq. 6.
@@ -183,85 +111,8 @@ func (a *GatedArray) Regions() int { return a.regions }
 // RegionSize returns the gating granularity m.
 func (a *GatedArray) RegionSize() int { return a.regionSize }
 
-// SetBackend selects the simulation engine for this array's races
-// (default BackendCycle).  Switching after a race drops the compiled
-// engine, so the next Align pays one recompile.
-func (a *GatedArray) SetBackend(b Backend) {
-	if a.backend == b {
-		return
-	}
-	a.backend = b
-	a.sim = nil
-}
-
-// Align races p and q through the gated array.  The arrival times are
-// identical to the ungated Array's; only the clock activity differs.
-func (a *GatedArray) Align(p, q string) (*AlignResult, error) {
-	return a.align(p, q, a.n+a.m+2)
-}
-
-// AlignThreshold races with the Section 6 early-termination rule on top of
-// clock gating: the race is abandoned after threshold+1 cycles if the
-// output has not fired.  Gating never alters arrival times (regions are
-// disabled only once every flip-flop inside already holds "1"), so the
-// cut-off decision is identical to the ungated AlignThreshold's.
-func (a *GatedArray) AlignThreshold(p, q string, threshold temporal.Time) (*AlignResult, error) {
-	if threshold < 0 {
-		return nil, fmt.Errorf("race: negative threshold %v", threshold)
-	}
-	bound := int(threshold) + 1
-	if max := a.n + a.m + 2; bound > max {
-		bound = max
-	}
-	res, err := a.align(p, q, bound)
-	return applyThreshold(res, threshold), err
-}
-
-func (a *GatedArray) align(p, q string, maxCycles int) (*AlignResult, error) {
-	if len(p) != a.n || len(q) != a.m {
-		return nil, fmt.Errorf("race: array is %d×%d but strings are %d×%d", a.n, a.m, len(p), len(q))
-	}
-	sim, err := reuseBackend(a.netlist, &a.sim, a.backend, 1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < len(p); i++ {
-		c, err := dnaCode(p[i])
-		if err != nil {
-			return nil, err
-		}
-		sim.SetInput(a.pBits[i][0], c&1 == 1)
-		sim.SetInput(a.pBits[i][1], c&2 == 2)
-	}
-	for j := 0; j < len(q); j++ {
-		c, err := dnaCode(q[j])
-		if err != nil {
-			return nil, err
-		}
-		sim.SetInput(a.qBits[j][0], c&1 == 1)
-		sim.SetInput(a.qBits[j][1], c&2 == 2)
-	}
-	sim.SetInput(a.root, true)
-	sim.RunUntil(a.out[a.n][a.m], maxCycles)
-	res := &AlignResult{
-		Score:    sim.Arrival(a.out[a.n][a.m]),
-		Cycles:   sim.Cycle(),
-		Arrivals: make([][]temporal.Time, a.n+1),
-		Activity: sim.Activity(),
-	}
-	for i := range res.Arrivals {
-		res.Arrivals[i] = make([]temporal.Time, a.m+1)
-		for j := range res.Arrivals[i] {
-			res.Arrivals[i][j] = sim.Arrival(a.out[i][j])
-		}
-	}
-	return res, nil
-}
-
 // String describes the gating configuration.
 func (a *GatedArray) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "gated race array %d×%d, %d×%d regions (%d regions)",
+	return fmt.Sprintf("gated race array %d×%d, %d×%d regions (%d regions)",
 		a.n, a.m, a.regionSize, a.regionSize, a.regions)
-	return b.String()
 }

@@ -1,6 +1,7 @@
 package race
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,6 +140,25 @@ func TestGatedArrayValidation(t *testing.T) {
 	}
 	if _, err := ga.Align("AXTG", "ACTG"); err == nil {
 		t.Error("bad symbol must error")
+	}
+}
+
+// TestGatedArrayBuildsIdentically pins that two builds of one shape
+// make the same netlist, gate for gate, so every pooled engine of a
+// shape numbers its nets alike.
+func TestGatedArrayBuildsIdentically(t *testing.T) {
+	a, err := NewGatedArray(7, 9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewGatedArray(7, 9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < a.Netlist().NumGates(); k++ {
+		if ga, gb := a.Netlist().Gate(k), b.Netlist().Gate(k); !reflect.DeepEqual(ga, gb) {
+			t.Fatalf("gate %d differs between builds: %+v vs %+v", k, ga, gb)
+		}
 	}
 }
 

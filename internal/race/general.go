@@ -34,20 +34,12 @@ import (
 // Encoding selects how the diagonal weight is realized, enabling the
 // Section 5 area ablation between one-hot DFF chains and binary counters.
 //
-// Like Array, a GeneralArray compiles its netlist once and resets the
-// same simulator between races, so it is not safe for concurrent use.
+// The fabric races through the embedded Array core; like Array, a
+// GeneralArray is not safe for concurrent use.
 type GeneralArray struct {
-	n, m     int
+	*Array
 	matrix   *score.Matrix
 	encoding Encoding
-	netlist  *circuit.Netlist
-	root     circuit.Net
-	pBits    [][]circuit.Net
-	qBits    [][]circuit.Net
-	out      [][]circuit.Net
-	bound    int
-	backend  Backend
-	sim      circuit.Backend
 }
 
 // Encoding selects the delay realization inside the generalized cell.
@@ -76,8 +68,8 @@ func (e Encoding) String() string {
 // m under the given matrix, which must pass score.ValidateRaceReady (run
 // PrepareForRace first for longest-path matrices).
 func NewGeneralArray(n, m int, mtx *score.Matrix, enc Encoding) (*GeneralArray, error) {
-	if n < 1 || m < 1 {
-		return nil, fmt.Errorf("race: array dimensions %d×%d must be ≥ 1", n, m)
+	if err := checkDims(n, m); err != nil {
+		return nil, err
 	}
 	if err := mtx.ValidateRaceReady(); err != nil {
 		return nil, err
@@ -85,42 +77,30 @@ func NewGeneralArray(n, m int, mtx *score.Matrix, enc Encoding) (*GeneralArray, 
 	if mtx.Gap == temporal.Never {
 		return nil, fmt.Errorf("race: %s has an infinite gap weight; the edit graph needs indel edges", mtx.Name)
 	}
-	nl := circuit.New()
-	a := &GeneralArray{n: n, m: m, matrix: mtx, encoding: enc, netlist: nl}
-	a.root = nl.Input("root")
-
-	// Symbol inputs: ⌈log₂ N_SS⌉ bits per symbol position.
-	symBits := circuit.BitsFor(uint64(mtx.NSS() - 1))
-	inBus := func(prefix string, idx int) []circuit.Net {
-		bus := make([]circuit.Net, symBits)
-		for b := range bus {
-			bus[b] = nl.Input(fmt.Sprintf("%s%d_b%d", prefix, idx, b))
+	// Symbol inputs: ⌈log₂ N_SS⌉ bits per symbol position, carrying the
+	// symbol's index in the matrix alphabet.
+	codes := new([256]int16)
+	for c := range codes {
+		codes[c] = -1
+		if idx, err := mtx.Index(byte(c)); err == nil {
+			codes[c] = int16(idx)
 		}
-		return bus
 	}
-	a.pBits = make([][]circuit.Net, n)
-	for i := range a.pBits {
-		a.pBits[i] = inBus("p", i)
-	}
-	a.qBits = make([][]circuit.Net, m)
-	for j := range a.qBits {
-		a.qBits[j] = inBus("q", j)
-	}
+	core := newCore(n, m, circuit.BitsFor(uint64(mtx.NSS()-1)), codes, func(c byte) error {
+		_, err := mtx.Index(c)
+		return err
+	})
+	a := &GeneralArray{Array: core, matrix: mtx, encoding: enc}
+	nl := core.netlist
 
 	// Per-position symbol decoders, shared along rows and columns: the
 	// "encoded forms of the alphabet" feeding every cell's weight select.
-	pDec := make([][]circuit.Net, n)
-	for i := range pDec {
-		pDec[i] = make([]circuit.Net, mtx.NSS())
-		for s := range pDec[i] {
-			pDec[i][s] = nl.EqualsConst(a.pBits[i], uint64(s))
-		}
-	}
-	qDec := make([][]circuit.Net, m)
-	for j := range qDec {
-		qDec[j] = make([]circuit.Net, mtx.NSS())
-		for s := range qDec[j] {
-			qDec[j][s] = nl.EqualsConst(a.qBits[j], uint64(s))
+	// dec[k] decodes symbol k of the drive order: P's, then Q's.
+	dec := make([][]circuit.Net, n+m)
+	for k := range dec {
+		dec[k] = make([]circuit.Net, mtx.NSS())
+		for s := range dec[k] {
+			dec[k][s] = nl.EqualsConst(core.symbolPins(k), uint64(s))
 		}
 	}
 
@@ -145,10 +125,8 @@ func NewGeneralArray(n, m int, mtx *score.Matrix, enc Encoding) (*GeneralArray, 
 	ctrBits := circuit.BitsFor(uint64(ndr))
 	gap := int(mtx.Gap)
 
-	a.out = make([][]circuit.Net, n+1)
 	dgap := make([][]circuit.Net, n+1) // output delayed by the gap weight
-	for i := range a.out {
-		a.out[i] = make([]circuit.Net, m+1)
+	for i := range dgap {
 		dgap[i] = make([]circuit.Net, m+1)
 	}
 	for i := 0; i <= n; i++ {
@@ -166,7 +144,7 @@ func NewGeneralArray(n, m int, mtx *score.Matrix, enc Encoding) (*GeneralArray, 
 				terms = append(terms, dgap[i][j-1])
 			}
 			if i > 0 && j > 0 {
-				if diag := a.buildDiagonal(nl, dgapSource(a.out, i, j), pDec[i-1], qDec[j-1], weights, ctrBits); diag != circuit.Zero {
+				if diag := a.buildDiagonal(nl, dgapSource(a.out, i, j), dec[i-1], dec[n+j-1], weights, ctrBits); diag != circuit.Zero {
 					terms = append(terms, diag)
 				}
 			}
@@ -272,84 +250,8 @@ func (a *GeneralArray) buildDiagonal(nl *circuit.Netlist, enable circuit.Net,
 	return immediate
 }
 
-// Netlist exposes the compiled structure.
-func (a *GeneralArray) Netlist() *circuit.Netlist { return a.netlist }
-
 // Matrix returns the score matrix the array was compiled for.
 func (a *GeneralArray) Matrix() *score.Matrix { return a.matrix }
 
 // Encoding returns the delay encoding the array was compiled with.
 func (a *GeneralArray) EncodingUsed() Encoding { return a.encoding }
-
-// SetBackend selects the simulation engine for this array's races
-// (default BackendCycle).  Switching after a race drops the compiled
-// engine, so the next Align pays one recompile.
-func (a *GeneralArray) SetBackend(b Backend) {
-	if a.backend == b {
-		return
-	}
-	a.backend = b
-	a.sim = nil
-}
-
-// Align races p and q through the generalized array.
-func (a *GeneralArray) Align(p, q string) (*AlignResult, error) {
-	return a.align(p, q, a.bound)
-}
-
-// AlignThreshold races with Section 6 early termination at the given
-// score threshold.
-func (a *GeneralArray) AlignThreshold(p, q string, threshold temporal.Time) (*AlignResult, error) {
-	if threshold < 0 {
-		return nil, fmt.Errorf("race: negative threshold %v", threshold)
-	}
-	bound := int(threshold) + 1
-	if bound > a.bound {
-		bound = a.bound
-	}
-	res, err := a.align(p, q, bound)
-	return applyThreshold(res, threshold), err
-}
-
-func (a *GeneralArray) align(p, q string, maxCycles int) (*AlignResult, error) {
-	if len(p) != a.n || len(q) != a.m {
-		return nil, fmt.Errorf("race: array is %d×%d but strings are %d×%d", a.n, a.m, len(p), len(q))
-	}
-	sim, err := reuseBackend(a.netlist, &a.sim, a.backend, 1)
-	if err != nil {
-		return nil, err
-	}
-	load := func(s string, bits [][]circuit.Net) error {
-		for k := 0; k < len(s); k++ {
-			idx, err := a.matrix.Index(s[k])
-			if err != nil {
-				return err
-			}
-			for b, net := range bits[k] {
-				sim.SetInput(net, idx>>uint(b)&1 == 1)
-			}
-		}
-		return nil
-	}
-	if err := load(p, a.pBits); err != nil {
-		return nil, err
-	}
-	if err := load(q, a.qBits); err != nil {
-		return nil, err
-	}
-	sim.SetInput(a.root, true)
-	sim.RunUntil(a.out[a.n][a.m], maxCycles)
-	res := &AlignResult{
-		Score:    sim.Arrival(a.out[a.n][a.m]),
-		Cycles:   sim.Cycle(),
-		Arrivals: make([][]temporal.Time, a.n+1),
-		Activity: sim.Activity(),
-	}
-	for i := range res.Arrivals {
-		res.Arrivals[i] = make([]temporal.Time, a.m+1)
-		for j := range res.Arrivals[i] {
-			res.Arrivals[i][j] = sim.Arrival(a.out[i][j])
-		}
-	}
-	return res, nil
-}

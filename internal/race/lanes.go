@@ -25,8 +25,7 @@ func (e *LaneError) Unwrap() error { return e.Err }
 
 // LaneWidth reports how many candidates one race can score at once:
 // the configured SetLaneWidth (64–512) under BackendLanes, 1 otherwise.
-// The pipeline uses it to decide whether to batch a chunk into lane
-// packs and how wide to cut them.
+// The pipeline cuts its lane packs this wide.
 func (a *Array) LaneWidth() int {
 	if a.backend == BackendLanes {
 		return a.laneWords * lanes.WordBits
@@ -44,7 +43,8 @@ func (a *Array) LaneWidth() int {
 // have produced candidate by candidate; Arrivals is left nil, since a
 // pack scores candidates and no caller traces back through one.  Use
 // Align for the Fig. 4c timing matrix.  Candidate-specific failures are
-// reported as *LaneError.
+// reported as *LaneError.  On the scalar backends LaneWidth is 1, and a
+// pack of one races as Align does, without the timing matrix.
 func (a *Array) AlignLanes(p string, qs []string, threshold temporal.Time) ([]*AlignResult, error) {
 	return a.alignLanes(p, nil, qs, threshold)
 }
@@ -66,40 +66,31 @@ func (a *Array) AlignLanesMulti(ps, qs []string, threshold temporal.Time) ([]*Al
 // every lane (the single-query fast path), otherwise lane k carries its
 // own ps[k].
 func (a *Array) alignLanes(sharedP string, ps []string, qs []string, threshold temporal.Time) ([]*AlignResult, error) {
-	if a.backend != BackendLanes {
-		return nil, fmt.Errorf("race: AlignLanes requires BackendLanes, array uses %v", a.backend)
-	}
-	W := a.laneWords
-	width := W * lanes.WordBits
+	width := a.LaneWidth()
 	if len(qs) == 0 || len(qs) > width {
 		return nil, fmt.Errorf("race: lane pack holds 1..%d candidates, got %d", width, len(qs))
 	}
+	W := (width + lanes.WordBits - 1) / lanes.WordBits
 	used := make([]uint64, W)
 	for k := range qs {
 		used[k>>6] |= uint64(1) << uint(k&63)
 	}
 
-	// Decode every symbol before touching the engine, building the
-	// per-pin input slabs in the symbol plan's drive order, P's pins then
-	// Q's (slab layout: lane k is bit k%64 of word k/64), and attributing
-	// the first failure to its lane — the same entry a scalar scan would
-	// have stopped at.
-	slabs := make([]uint64, 2*(a.n+a.m)*W)
-	pw, qw := slabs[:2*a.n*W], slabs[2*a.n*W:]
+	// Decode every symbol before touching the engine into per-pin input
+	// slabs in drive order, P's pins then Q's (slab layout: lane k is bit
+	// k%64 of word k/64), attributing the first failure to its lane — the
+	// same entry a scalar scan would have stopped at.
+	slabs := make([]uint64, len(a.pins)*W)
 	if ps == nil {
 		if len(sharedP) != a.n {
-			return nil, fmt.Errorf("race: array is %d×%d but strings are %d×%d", a.n, a.m, len(sharedP), len(qs[0]))
+			return nil, a.shapeError(len(sharedP), len(qs[0]))
 		}
-		for i := 0; i < a.n; i++ {
-			c, err := dnaCode(sharedP[i])
-			if err != nil {
-				return nil, &LaneError{Lane: 0, Err: err}
-			}
-			if c&1 == 1 {
-				copy(pw[(2*i)*W:(2*i+1)*W], used)
-			}
-			if c&2 == 2 {
-				copy(pw[(2*i+1)*W:(2*i+2)*W], used)
+		if err := a.encode(slabs, W, 0, 1, sharedP, 0); err != nil {
+			return nil, &LaneError{Lane: 0, Err: err}
+		}
+		for k := 0; k < a.n*a.symBits; k++ {
+			if slabs[k*W]&1 != 0 {
+				copy(slabs[k*W:(k+1)*W], used)
 			}
 		}
 	}
@@ -110,38 +101,68 @@ func (a *Array) alignLanes(sharedP string, ps []string, qs []string, threshold t
 			p := ps[k]
 			plen = len(p)
 			if len(p) != a.n {
-				return nil, &LaneError{Lane: k, Err: fmt.Errorf("race: array is %d×%d but strings are %d×%d", a.n, a.m, len(p), len(q))}
+				return nil, &LaneError{Lane: k, Err: a.shapeError(len(p), len(q))}
 			}
-			for i := 0; i < a.n; i++ {
-				c, err := dnaCode(p[i])
-				if err != nil {
-					return nil, &LaneError{Lane: k, Err: err}
-				}
-				if c&1 == 1 {
-					pw[(2*i)*W+w] |= bit
-				}
-				if c&2 == 2 {
-					pw[(2*i+1)*W+w] |= bit
-				}
+			if err := a.encode(slabs, W, w, bit, p, 0); err != nil {
+				return nil, &LaneError{Lane: k, Err: err}
 			}
 		}
 		if len(q) != a.m {
-			return nil, &LaneError{Lane: k, Err: fmt.Errorf("race: array is %d×%d but strings are %d×%d", a.n, a.m, plen, len(q))}
+			return nil, &LaneError{Lane: k, Err: a.shapeError(plen, len(q))}
 		}
-		for j := 0; j < a.m; j++ {
-			c, err := dnaCode(q[j])
-			if err != nil {
-				return nil, &LaneError{Lane: k, Err: err}
-			}
-			if c&1 == 1 {
-				qw[(2*j)*W+w] |= bit
-			}
-			if c&2 == 2 {
-				qw[(2*j+1)*W+w] |= bit
-			}
+		if err := a.encode(slabs, W, w, bit, q, a.n); err != nil {
+			return nil, &LaneError{Lane: k, Err: err}
 		}
 	}
 
+	bound := a.boundFor(threshold)
+	out := a.out[a.n][a.m]
+	// One allocation holds every lane's result, however wide the pack.
+	backing := make([]AlignResult, len(qs))
+	if width == 1 {
+		sim, err := a.raceOne(slabs, bound)
+		if err != nil {
+			return nil, err
+		}
+		backing[0] = AlignResult{Score: sim.Arrival(out), Cycles: sim.Cycle(), Activity: sim.Activity()}
+	} else {
+		ls, err := a.lanesSim()
+		if err != nil {
+			return nil, err
+		}
+		ls.SetActiveLanes(used)
+		if a.symbols != nil {
+			// The tabulated load drives the pins in the order the
+			// pin-by-pin load does and leaves every lane's toggle counts
+			// as that load would, bit for bit.
+			ls.LoadSymbols(a.symbols, slabs)
+		} else {
+			for k, pin := range a.pins {
+				ls.SetInputWords(pin, slabs[k*W:(k+1)*W])
+			}
+		}
+		ls.SetInputWords(a.root, used)
+		ls.RaceUntil(out, bound)
+		for k := range backing {
+			backing[k] = AlignResult{Score: ls.LaneArrival(out, k), Cycles: ls.LaneCycle(k), Activity: ls.LaneActivity(k)}
+		}
+	}
+	results := make([]*AlignResult, len(qs))
+	for k := range backing {
+		if threshold >= 0 {
+			applyThreshold(&backing[k], threshold)
+		}
+		results[k] = &backing[k]
+	}
+	return results, nil
+}
+
+// lanesSim returns the reset lanes engine, planning its tabulated
+// symbol load on first use.  PlanSymbolLoad accepts the DNA fabrics and
+// refuses the generalized one (its per-symbol decoders move with one
+// symbol side, and protein symbols exceed the plan's table width), whose
+// packs then load pin by pin.
+func (a *Array) lanesSim() (*lanes.Sim, error) {
 	sim, err := a.simulator()
 	if err != nil {
 		return nil, err
@@ -150,50 +171,17 @@ func (a *Array) alignLanes(sharedP string, ps []string, qs []string, threshold t
 	if !ok {
 		return nil, fmt.Errorf("race: lanes backend compiled unexpected engine %T", sim)
 	}
-	if a.symbols == nil {
+	if !a.planned {
 		rows := make([][]circuit.Net, a.n)
 		for i := range rows {
-			rows[i] = a.pBits[i][:]
+			rows[i] = a.symbolPins(i)
 		}
 		cols := make([][]circuit.Net, a.m)
 		for j := range cols {
-			cols[j] = a.qBits[j][:]
+			cols[j] = a.symbolPins(a.n + j)
 		}
-		if a.symbols, err = ls.PlanSymbolLoad(rows, cols); err != nil {
-			return nil, err
-		}
+		a.symbols, _ = ls.PlanSymbolLoad(rows, cols) // nil when refused
+		a.planned = true
 	}
-	ls.SetActiveLanes(used)
-
-	// The tabulated load drives the pins in the order the scalar
-	// loadSymbols does and leaves every lane's toggle counts as that
-	// pin-by-pin settle would, bit for bit.
-	ls.LoadSymbols(a.symbols, slabs)
-	ls.SetInputWords(a.root, used)
-
-	bound := a.n + a.m + 2
-	if threshold >= 0 {
-		if b := int(threshold) + 1; b < bound {
-			bound = b
-		}
-	}
-	out := a.out[a.n][a.m]
-	ls.RaceUntil(out, bound)
-
-	// One allocation holds every lane's result, however wide the pack.
-	backing := make([]AlignResult, len(qs))
-	results := make([]*AlignResult, len(qs))
-	for k := range qs {
-		res := &backing[k]
-		*res = AlignResult{
-			Score:    ls.LaneArrival(out, k),
-			Cycles:   ls.LaneCycle(k),
-			Activity: ls.LaneActivity(k),
-		}
-		if threshold >= 0 {
-			applyThreshold(res, threshold)
-		}
-		results[k] = res
-	}
-	return results, nil
+	return ls, nil
 }

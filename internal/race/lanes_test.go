@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"racelogic/internal/score"
 	"racelogic/internal/seqgen"
 )
 
@@ -48,19 +49,89 @@ func TestAlignLanesMultiAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkAlignLanesMulti races 24×24 DNA lane packs of the three shapes
-// the loadbench workloads send: a partial 64-lane pack of one query's
-// 36 seed candidates (mixed-durable), a full 64-lane pack of four
-// queries, and a full 256-lane pack of 16 queries times 16 entries
-// (batch-lanes).  Every lane races to the end, as a full scan does.
-func BenchmarkAlignLanesMulti(b *testing.B) {
-	for _, tc := range []struct{ width, fill, queries int }{
-		{64, 36, 1},
-		{64, 64, 4},
-		{256, 256, 16},
+// TestLanePackSymbolLoad pins how each fabric's packs load their
+// symbols: the plain and clock-gated arrays through the tabulated plan,
+// the generalized array pin by pin.  Both loads are exact, so a fabric
+// falling back to the pin-by-pin load would pass every equivalence test
+// and only run slower.
+func TestLanePackSymbolLoad(t *testing.T) {
+	prepared, err := score.BLOSUM62().PrepareForRace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewArray(4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated, err := NewGatedArray(4, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	general, err := NewGeneralArray(4, 5, prepared, BinaryCounter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		a       *Array
+		p, q    string
+		tabular bool
+	}{
+		{"plain", plain, "ACGT", "ACGTA", true},
+		{"gated", gated.Array, "ACGT", "ACGTA", true},
+		{"general", general.Array, "WARD", "WARDS", false},
 	} {
-		b.Run(fmt.Sprintf("24x24/%dof%d", tc.fill, tc.width), func(b *testing.B) {
-			a, err := NewArray(24, 24)
+		c.a.SetBackend(BackendLanes)
+		if _, err := c.a.AlignLanes(c.p, []string{c.q, c.q}, -1); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := c.a.symbols != nil; !c.a.planned || got != c.tabular {
+			t.Errorf("%s: planned %v, tabulated load %v, want tabulated %v", c.name, c.a.planned, got, c.tabular)
+		}
+	}
+}
+
+// BenchmarkAlignLanesMulti races lane packs through every fabric: 24×24
+// DNA packs of the three shapes the loadbench workloads send — a partial
+// 64-lane pack of one query's 36 seed candidates (mixed-durable), a full
+// 64-lane pack of four queries, and a full 256-lane pack of 16 queries
+// times 16 entries (batch-lanes) — plus a full 64-lane pack of four
+// queries on a 24×24 array clock-gated in 4×4 regions and on a 12×12
+// generalized BLOSUM62 array, whose packs load symbols pin by pin.
+// Every lane races to the end, as a full scan does.
+func BenchmarkAlignLanesMulti(b *testing.B) {
+	prepared, err := score.BLOSUM62().PrepareForRace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	gated := func(n, m int) (*Array, error) {
+		g, err := NewGatedArray(n, m, 4)
+		if err != nil {
+			return nil, err
+		}
+		return g.Array, nil
+	}
+	blosum := func(n, m int) (*Array, error) {
+		g, err := NewGeneralArray(n, m, prepared, BinaryCounter)
+		if err != nil {
+			return nil, err
+		}
+		return g.Array, nil
+	}
+	for _, tc := range []struct {
+		name                string
+		build               func(n, m int) (*Array, error)
+		gen                 *seqgen.Generator
+		n, width, fill, nqs int
+	}{
+		{"24x24", NewArray, seqgen.NewDNA(7), 24, 64, 36, 1},
+		{"24x24", NewArray, seqgen.NewDNA(7), 24, 64, 64, 4},
+		{"24x24", NewArray, seqgen.NewDNA(7), 24, 256, 256, 16},
+		{"24x24-gated4", gated, seqgen.NewDNA(7), 24, 64, 64, 4},
+		{"12x12-blosum62", blosum, seqgen.NewProtein(7), 12, 64, 64, 4},
+	} {
+		b.Run(fmt.Sprintf("%s/%dof%d", tc.name, tc.fill, tc.width), func(b *testing.B) {
+			a, err := tc.build(tc.n, tc.n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -68,16 +139,15 @@ func BenchmarkAlignLanesMulti(b *testing.B) {
 			if err := a.SetLaneWidth(tc.width); err != nil {
 				b.Fatal(err)
 			}
-			gen := seqgen.NewDNA(7)
-			queries := make([]string, tc.queries)
+			queries := make([]string, tc.nqs)
 			for i := range queries {
-				queries[i] = gen.Random(24)
+				queries[i] = tc.gen.Random(tc.n)
 			}
 			ps := make([]string, tc.fill)
 			qs := make([]string, tc.fill)
 			for k := range qs {
-				ps[k] = queries[k*tc.queries/tc.fill]
-				qs[k] = gen.Random(24)
+				ps[k] = queries[k*tc.nqs/tc.fill]
+				qs[k] = tc.gen.Random(tc.n)
 			}
 			// The first pack compiles the engine; time only warm packs.
 			if _, err := a.AlignLanesMulti(ps, qs, -1); err != nil {

@@ -2,9 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,25 +10,12 @@ import (
 	"racelogic"
 )
 
-// strictDecode decodes exactly one JSON value from data into v,
-// refusing unknown fields and anything after the value.
-func strictDecode(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("data after the JSON value")
-	}
-	return nil
-}
-
 // FuzzSearchRequest posts arbitrary bodies to the POST /search handler
 // over a tiny in-memory lanes database.  Every body must be answered
 // 200 or 400 without a panic; a 400 carries an error message, and a 200
-// strictly decodes into one SearchResponse for an object body or into
-// an array holding one response per request item for an array body.
+// answers a body that itself strictly decodes as one request object or
+// one request array, with one SearchResponse for an object body or an
+// array holding one response per request item for an array body.
 func FuzzSearchRequest(f *testing.F) {
 	db, err := racelogic.NewDatabase([]string{"ACGTACGT", "ACGTACCT", "TTTTTTTT", "ACGTAC", "GATTACA"},
 		racelogic.WithBackend(racelogic.BackendLanes))
@@ -66,17 +50,19 @@ func FuzzSearchRequest(f *testing.F) {
 			}
 		case http.StatusOK:
 			if !jsonArrayBody(body) {
+				var req SearchRequest
+				if err := strictDecode(body, &req); err != nil {
+					t.Fatalf("request %q answered 200 but is not one request object: %v", body, err)
+				}
 				var resp SearchResponse
 				if err := strictDecode(out, &resp); err != nil {
 					t.Fatalf("200 body %q is not one SearchResponse: %v", out, err)
 				}
 				return
 			}
-			// The handler decodes the request's first JSON value; count
-			// its items the same way.
-			var items []json.RawMessage
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&items); err != nil {
-				t.Fatalf("request %q answered 200 but does not decode as an array: %v", body, err)
+			var items []SearchRequest
+			if err := strictDecode(body, &items); err != nil {
+				t.Fatalf("request %q answered 200 but is not one request array: %v", body, err)
 			}
 			var resps []SearchResponse
 			if err := strictDecode(out, &resps); err != nil {

@@ -239,9 +239,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SearchRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := strictDecode(body, &req); err != nil {
 		s.failures.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
@@ -338,6 +336,21 @@ func (s *Server) normalize(req *SearchRequest, item string) (int, []racelogic.Op
 	return topK, opts, nil
 }
 
+// strictDecode decodes exactly one JSON value from data into v,
+// refusing unknown fields and anything after the value.  A request body
+// must hold one value: a second one would otherwise be silently ignored.
+func strictDecode(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
+}
+
 // jsonArrayBody reports whether the body's first non-whitespace byte
 // opens a JSON array — the batch form of POST /search.
 func jsonArrayBody(body []byte) bool {
@@ -375,9 +388,7 @@ func batchKey(topK int, threshold *int64, fullScan bool) string {
 // slow-query log.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, started time.Time, body []byte) {
 	var reqs []SearchRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&reqs); err != nil {
+	if err := strictDecode(body, &reqs); err != nil {
 		s.failures.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
@@ -527,9 +538,11 @@ type MutationResponse struct {
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req InsertRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = strictDecode(body, &req)
+	}
+	if err != nil {
 		s.failures.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return

@@ -257,6 +257,44 @@ func TestSearchErrors(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected pins the one-value rule of every JSON
+// request body: anything after the value, including a second request or
+// a stray closing bracket, is a 400 that counts as a failure, and a
+// rejected insert leaves the database unchanged.
+func TestTrailingDataRejected(t *testing.T) {
+	ts, db, _ := newTestServer(t)
+	entries, version := db.Len(), db.Version()
+	cases := []struct{ path, body string }{
+		{"/search", `{"query":"ACGT"} trailing garbage`},
+		{"/search", `[{"query":"ACGT"}] {"x":1}`},
+		{"/search", `{"query":"ACGT"}{"query":"TTTT"}`},
+		{"/search", `[{"query":"ACGT"}] ]`},
+		{"/search", `{"query":"ACGT"} }`},
+		{"/entries", `{"entries":["ACGT"]}{"entries":["TTTT"]}`},
+	}
+	for i, tc := range cases {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewBufferString(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.HasPrefix(e.Error, "bad request body: ") {
+			t.Errorf("POST %s %s: status %d, error %q (%v), want 400 bad request body", tc.path, tc.body, resp.StatusCode, e.Error, derr)
+		}
+		var stats StatsResponse
+		getJSON(t, ts.URL+"/stats", &stats)
+		if stats.Failures != int64(i+1) {
+			t.Errorf("POST %s %s: failures = %d, want %d", tc.path, tc.body, stats.Failures, i+1)
+		}
+	}
+	if db.Len() != entries || db.Version() != version {
+		t.Errorf("rejected insert changed the database: %d entries at version %d, want %d at %d",
+			db.Len(), db.Version(), entries, version)
+	}
+}
+
 // TestConcurrentRequests hammers /search from many goroutines — the
 // engine pools underneath must hand every in-flight race its own
 // simulator, and every reply must match the serial golden report.

@@ -135,44 +135,15 @@ func SearchBatch(queries []string, db []string, opts ...Option) ([]*SearchReport
 
 // searchFactory maps the engine options onto a per-bucket array builder.
 func searchFactory(cfg *config) (pipeline.Factory, error) {
-	if cfg.matrix != "" {
-		if cfg.gateRegion > 0 {
-			return nil, fmt.Errorf("racelogic: clock gating applies to the DNA array only; it cannot be combined with WithMatrix(%q)", cfg.matrix)
-		}
-		prepared, enc, err := preparedMatrix(cfg.matrix, cfg.oneHot)
-		if err != nil {
-			return nil, err
-		}
-		return func(n, m int) (pipeline.Engine, error) {
-			a, err := race.NewGeneralArray(n, m, prepared, enc)
-			if err != nil {
-				return nil, err
-			}
-			a.SetBackend(cfg.backend)
-			return a, nil
-		}, nil
+	if cfg.matrix == "" {
+		return cfg.dnaArray, nil
 	}
 	if cfg.gateRegion > 0 {
-		return func(n, m int) (pipeline.Engine, error) {
-			a, err := race.NewGatedArray(n, m, cfg.gateRegion)
-			if err != nil {
-				return nil, err
-			}
-			a.SetBackend(cfg.backend)
-			return a, nil
-		}, nil
+		return nil, fmt.Errorf("racelogic: clock gating applies to the DNA array only; it cannot be combined with WithMatrix(%q)", cfg.matrix)
 	}
-	return func(n, m int) (pipeline.Engine, error) {
-		a, err := race.NewArray(n, m)
-		if err != nil {
-			return nil, err
-		}
-		a.SetBackend(cfg.backend)
-		if cfg.laneWidth > 0 {
-			if err := a.SetLaneWidth(cfg.laneWidth); err != nil {
-				return nil, err
-			}
-		}
-		return a, nil
-	}, nil
+	prepared, enc, err := preparedMatrix(cfg.matrix, cfg.oneHot)
+	if err != nil {
+		return nil, err
+	}
+	return func(n, m int) (*race.Array, error) { return cfg.proteinArray(n, m, prepared, enc) }, nil
 }
