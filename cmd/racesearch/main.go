@@ -7,15 +7,17 @@
 // parsed identically: real FASTA (multi-line records are concatenated
 // into one sequence each) or the plain one-sequence-per-line format,
 // auto-detected, with blank lines and '#'/';' comments skipped and
-// sequences uppercased.  With -snapshot FILE the database instead comes
-// from (or goes to) a binary snapshot: if FILE exists it is opened
-// directly — skipping parsing, validation, and seed-index construction,
-// and carrying its own engine options — otherwise the freshly built
-// database is saved there so the next run starts warm.
+// sequences uppercased.  With -snapshot DIR the database instead comes
+// from (or goes to) a durable database directory, the one
+// racelogic.Persist writes and racelogic.Open reads: if DIR holds a
+// database it is opened directly — skipping parsing, validation, and
+// seed-index construction, and carrying its own engine options —
+// otherwise the freshly built database is persisted there so the next
+// run starts warm.
 //
 // Usage:
 //
-//	racesearch [-db FILE | -snapshot FILE] [-lib AMIS|OSU] [-threshold T]
+//	racesearch [-db FILE | -snapshot DIR] [-lib AMIS|OSU] [-threshold T]
 //	           [-top K] [-workers N] [-matrix BLOSUM62|PAM250] [-gate m]
 //	           [-seedk K] [-shards N] [-backend cycle|event|lanes]
 //	           [-lanewidth 64|128|256|512] QUERY [FILE]
@@ -23,12 +25,13 @@
 // Examples:
 //
 //	racesearch -db genomes.fasta -threshold 30 -top 5 ACGTACGTACGT
-//	racesearch -db genomes.fasta -seedk 8 -snapshot genomes.snap ACGT
-//	racesearch -snapshot genomes.snap -top 5 ACGTACGTACGT
+//	racesearch -db genomes.fasta -seedk 8 -snapshot genomes.db ACGT
+//	racesearch -snapshot genomes.db -top 5 ACGTACGTACGT
 //	racesearch -matrix BLOSUM62 HEAGAWGHEE proteins.txt
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +44,7 @@ import (
 
 func main() {
 	dbFile := flag.String("db", "", "database file, FASTA or one sequence per line (auto-detected)")
-	snapshot := flag.String("snapshot", "", "binary snapshot: open it if present, else save the built database to it")
+	snapshot := flag.String("snapshot", "", "database directory: open it if it holds a database, else persist the built one there")
 	lib := flag.String("lib", "AMIS", "standard-cell library: AMIS or OSU")
 	threshold := flag.Int64("threshold", -1, "Section 6 similarity threshold (-1 = off)")
 	top := flag.Int("top", 10, "number of ranked matches to print")
@@ -71,23 +74,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racesearch:", err)
 		os.Exit(1)
 	}
-	if err := search(os.Stdout, db, query, *threshold, *top, *workers); err != nil {
+	err = search(os.Stdout, db, query, *threshold, *top, *workers)
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "racesearch:", err)
 		os.Exit(1)
 	}
 }
 
-// resolveDatabase produces the Database to race: an existing snapshot
-// wins (it carries its own engine options — shaping flags the user set
-// explicitly alongside it are rejected as contradictory, except
-// -backend and -lanewidth, the runtime choices a snapshot does not
-// fix); otherwise the entries are loaded, a database built, and, when
-// -snapshot names a fresh path, saved there for the next run.
+// resolveDatabase produces the Database to race, which the caller
+// closes.  A -snapshot directory that holds a database wins (it carries
+// its own engine options — shaping flags the user set explicitly
+// alongside it are rejected as contradictory, except -backend and
+// -lanewidth, the runtime choices a directory does not fix); otherwise
+// the entries are loaded, a database built, and, when -snapshot names a
+// directory without a database, persisted there for the next run.
 func resolveDatabase(snapshot, dbFile string, args []string,
 	lib, matrix string, gate, seedK, shards int, backend racelogic.Backend, laneWidth int) (*racelogic.Database, error) {
 
 	if snapshot != "" {
-		if _, err := os.Stat(snapshot); err == nil {
+		opts := []racelogic.Option{racelogic.WithBackend(backend)}
+		if laneWidth > 0 {
+			opts = append(opts, racelogic.WithLaneWidth(laneWidth))
+		}
+		db, err := racelogic.Open(snapshot, opts...)
+		if err == nil {
 			var conflict []string
 			flag.Visit(func(f *flag.Flag) {
 				switch f.Name {
@@ -99,15 +112,13 @@ func resolveDatabase(snapshot, dbFile string, args []string,
 				conflict = append(conflict, "the positional database FILE")
 			}
 			if len(conflict) > 0 {
-				return nil, fmt.Errorf("snapshot %s already fixes the database and engine options; drop %s",
+				_ = db.Close() // the conflict is the error worth reporting
+				return nil, fmt.Errorf("%s already fixes the database and engine options; drop %s",
 					snapshot, strings.Join(conflict, ", "))
 			}
-			opts := []racelogic.Option{racelogic.WithBackend(backend)}
-			if laneWidth > 0 {
-				opts = append(opts, racelogic.WithLaneWidth(laneWidth))
-			}
-			return racelogic.OpenSnapshot(snapshot, opts...)
-		} else if !os.IsNotExist(err) {
+			return db, nil
+		}
+		if !errors.Is(err, racelogic.ErrNoDatabase) {
 			return nil, err
 		}
 	}
@@ -120,8 +131,8 @@ func resolveDatabase(snapshot, dbFile string, args []string,
 		return nil, err
 	}
 	if snapshot != "" {
-		if err := db.SaveSnapshot(snapshot); err != nil {
-			return nil, fmt.Errorf("saving snapshot: %w", err)
+		if err := db.Persist(snapshot); err != nil {
+			return nil, fmt.Errorf("persisting the database: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "racesearch: saved %d entries to %s\n", db.Len(), snapshot)
 	}
@@ -160,7 +171,7 @@ func buildDatabase(entries []string, lib, matrix string, gate, seedK, shards int
 }
 
 // run is the whole build-and-search path as one call — the shape main
-// takes without a snapshot, kept together for tests.
+// takes without -snapshot, kept together for tests.
 func run(w io.Writer, query string, entries []string, lib string, threshold int64,
 	top, workers int, matrix string, gate, seedK int) error {
 

@@ -143,34 +143,40 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestResolveDatabaseSnapshot pins the -snapshot flow: a fresh path
-// builds from -db and saves; a later run opens the snapshot alone and
-// searches identically.
+// TestResolveDatabaseSnapshot pins the -snapshot flow: a directory
+// without a database builds from -db and persists there; a later run
+// opens the directory alone, on another backend, and searches
+// identically.
 func TestResolveDatabaseSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	fasta := filepath.Join(dir, "db.fasta")
 	if err := os.WriteFile(fasta, []byte(">a\nACGTACGT\n>b\nACGTACCT\n>c\nTTTTTTTT\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snap := filepath.Join(dir, "db.snap")
+	snap := filepath.Join(dir, "db")
 
 	built, err := resolveDatabase(snap, fasta, nil, "AMIS", "", 0, 4, 0, racelogic.BackendCycle, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("snapshot was not saved: %v", err)
+	if _, err := os.Stat(filepath.Join(snap, racelogic.ManifestName)); err != nil {
+		t.Fatalf("database was not persisted: %v", err)
+	}
+	want, err := built.Search("ACGTACGT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
 	}
 	opened, err := resolveDatabase(snap, "", nil, "AMIS", "", 0, 0, 0, racelogic.BackendEvent, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.Len() != built.Len() || opened.SeedK() != 4 {
-		t.Fatalf("reopened len=%d seedk=%d, want %d and 4", opened.Len(), opened.SeedK(), built.Len())
-	}
-	want, err := built.Search("ACGTACGT")
-	if err != nil {
-		t.Fatal(err)
+	defer opened.Close()
+	if opened.Len() != built.Len() || opened.SeedK() != 4 || opened.Backend() != racelogic.BackendEvent {
+		t.Fatalf("reopened len=%d seedk=%d backend %v, want %d, 4 and event",
+			opened.Len(), opened.SeedK(), opened.Backend(), built.Len())
 	}
 	got, err := opened.Search("ACGTACGT")
 	if err != nil {
@@ -178,27 +184,30 @@ func TestResolveDatabaseSnapshot(t *testing.T) {
 	}
 	if len(got.Results) != len(want.Results) || got.Results[0].ID != want.Results[0].ID ||
 		got.Results[0].Score != want.Results[0].Score || got.Skipped != want.Skipped {
-		t.Errorf("snapshot search differs: got %+v, want %+v", got, want)
+		t.Errorf("reopened search differs: got %+v, want %+v", got, want)
 	}
 	if err := search(io.Discard, opened, "ACGTACGT", -1, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestResolveDatabaseSnapshotRejectsPositionalFile pins that an
-// existing snapshot cannot be silently combined with a positional
-// database FILE: the contradiction is reported, not ignored.
+// TestResolveDatabaseSnapshotRejectsPositionalFile pins that a
+// -snapshot directory holding a database cannot be silently combined
+// with a positional database FILE: the contradiction is reported, not
+// ignored.
 func TestResolveDatabaseSnapshotRejectsPositionalFile(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "db.snap")
+	snap := filepath.Join(t.TempDir(), "db")
 	db, err := racelogic.NewDatabase([]string{"ACGT"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveSnapshot(snap); err != nil {
+	if err := db.Persist(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := resolveDatabase(snap, "", []string{"QUERY", "other.txt"}, "AMIS", "", 0, 0, 0, racelogic.BackendCycle, 0); err == nil {
-		t.Error("snapshot + positional FILE must error, not silently ignore the file")
+		t.Error("-snapshot + positional FILE must error, not silently ignore the file")
 	}
 }

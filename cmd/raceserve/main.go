@@ -1,16 +1,17 @@
 // Command raceserve is the long-running database-search service: it
 // loads a sequence database once — from a FASTA or line-per-sequence
-// file, a durable state directory, a binary snapshot, or generated for
-// demos — builds a persistent racelogic.Database with pooled engines
-// and an optional k-mer seed index, and serves concurrent similarity
-// queries and live mutations over an HTTP JSON API.
+// file, a durable state directory, or generated for demos — builds a
+// persistent racelogic.Database with pooled engines and an optional
+// k-mer seed index, and serves concurrent similarity queries and live
+// mutations over an HTTP JSON API.
 //
 // With -wal DIR the database is crash-safe: every mutation is journaled
 // to a write-ahead log before it is acknowledged, a background
 // snapshotter periodically folds the journal into a snapshot, and on
 // start the service recovers automatically — newest snapshot plus
-// journal tail — so even a kill -9 loses nothing.  The legacy -snapshot
-// FILE mode saves only on clean shutdown.
+// journal tail — so even a kill -9 loses nothing.  Without -wal the
+// database lives in memory only, and its mutations end with the
+// process.
 //
 // Usage:
 //
@@ -37,8 +38,8 @@
 //	                     reference), event (the event-driven fast path),
 //	                     or lanes (bit-parallel candidate packing);
 //	                     identical reports, fewer wall-clock seconds.
-//	                     A runtime choice — valid with -wal and -snapshot
-//	                     state from any backend
+//	                     A runtime choice — valid with -wal state from
+//	                     any backend
 //	-lanewidth W         lanes backend pack width: 64, 128, 256, or 512
 //	                     candidates per race (0 = default 64).  A runtime
 //	                     choice like -backend
@@ -55,9 +56,6 @@
 //	-wal-segment-bytes N seal a shard's journal segment past N bytes and
 //	                     fold it into the next snapshot eagerly, so the
 //	                     replay tail stays bounded (0 = never rotate)
-//	-snapshot FILE       legacy durable state: load FILE if it exists and
-//	                     save back on SIGTERM/SIGINT only — a crash in
-//	                     between loses mutations; prefer -wal
 //	-debug-addr ADDR     serve net/http/pprof and /metrics on a second
 //	                     listener (empty = off); keep it off public
 //	                     interfaces
@@ -134,7 +132,6 @@ type options struct {
 	top          int
 	backend      racelogic.Backend
 	laneWidth    int
-	snapshot     string
 	walDir       string
 	snapInterval time.Duration
 	snapEvery    int
@@ -161,7 +158,6 @@ func main() {
 	flag.IntVar(&o.top, "top", 10, "default top-K when a request omits top_k")
 	backendName := flag.String("backend", "cycle", "simulation engine: cycle (reference), event (fast), or lanes (batched)")
 	flag.IntVar(&o.laneWidth, "lanewidth", 0, "lanes backend pack width: 64, 128, 256, or 512 (0 = default 64)")
-	flag.StringVar(&o.snapshot, "snapshot", "", "legacy snapshot file: load it if present, save on SIGTERM/SIGINT only")
 	flag.StringVar(&o.walDir, "wal", "", "durable state directory: write-ahead log + background snapshots, crash-safe")
 	flag.DurationVar(&o.snapInterval, "snapshot-interval", racelogic.DefaultSnapshotInterval,
 		"background snapshot period for -wal (0 = off)")
@@ -205,10 +201,9 @@ func main() {
 	}
 
 	// A mutable corpus makes shutdown a data event, not just a network
-	// one: drain in-flight requests, then persist the live database so
-	// the next start resumes exactly here.  (With -wal every mutation is
-	// already journaled — the final checkpoint just makes the next start
-	// replay-free.)
+	// one: drain in-flight requests, then close the database.  With -wal
+	// every mutation is already journaled; the final checkpoint just
+	// makes the next start replay-free.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
@@ -227,23 +222,16 @@ func main() {
 			log.Printf("raceserve: shutdown: %v", err)
 		}
 		// Shutdown gave up with handlers still running.  Hard-close them
-		// before snapshotting: a mutation acknowledged with 200 after the
-		// save would be silently lost on the next warm start.
+		// before the final checkpoint, so no mutation is acknowledged
+		// after the journals close.
 		hs.Close()
 	}
-	switch {
-	case o.walDir != "":
+	if o.walDir != "" {
 		if err := db.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "raceserve: closing database:", err)
 			os.Exit(1)
 		}
 		log.Printf("raceserve: checkpointed %d entries (version %d) to %s", db.Len(), db.Version(), o.walDir)
-	case o.snapshot != "":
-		if err := db.SaveSnapshot(o.snapshot); err != nil {
-			fmt.Fprintln(os.Stderr, "raceserve: saving snapshot:", err)
-			os.Exit(1)
-		}
-		log.Printf("raceserve: saved %d entries (version %d) to %s", db.Len(), db.Version(), o.snapshot)
 	}
 }
 
@@ -308,12 +296,9 @@ func durabilityOptions(o options) []racelogic.Option {
 // loadDatabase resolves the database in precedence order: recover the
 // durable -wal directory if it already holds a database (the crash-safe
 // warm start — cold-load flags are ignored, the state carries its own),
-// then the legacy -snapshot file, then a cold load from -db/-gen —
-// which, under -wal, also bootstraps the directory.
+// else a cold load from -db/-gen — which, under -wal, also bootstraps
+// the directory.
 func loadDatabase(o options) (*racelogic.Database, error) {
-	if o.walDir != "" && o.snapshot != "" {
-		return nil, fmt.Errorf("-wal and -snapshot are mutually exclusive; -wal supersedes the snapshot-on-shutdown mode")
-	}
 	if o.walDir != "" {
 		// Recover if the directory already holds a database; bootstrap
 		// below only on ErrNoDatabase.  Corruption must fail loudly,
@@ -332,18 +317,6 @@ func loadDatabase(o options) (*racelogic.Database, error) {
 			return nil, err
 		}
 	}
-	if o.snapshot != "" {
-		if _, err := os.Stat(o.snapshot); err == nil {
-			db, err := racelogic.OpenSnapshot(o.snapshot, engineOptions(o)...)
-			if err != nil {
-				return nil, err
-			}
-			log.Printf("raceserve: warm start from %s (%d entries, version %d)", o.snapshot, db.Len(), db.Version())
-			return db, nil
-		} else if !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
 
 	entries, err := seqgen.Corpus{
 		Path:    o.dbPath,
@@ -353,7 +326,7 @@ func loadDatabase(o options) (*racelogic.Database, error) {
 		Protein: o.matrix != "",
 	}.Load()
 	if err != nil {
-		return nil, fmt.Errorf("%w (a database is required: -db FILE, -gen N, or a -wal/-snapshot state that exists)", err)
+		return nil, fmt.Errorf("%w (a database is required: -db FILE, -gen N, or a -wal directory that holds one)", err)
 	}
 
 	opts := append([]racelogic.Option{racelogic.WithLibrary(o.lib)}, engineOptions(o)...)

@@ -79,61 +79,6 @@ func TestBuildServerGenerated(t *testing.T) {
 	}
 }
 
-// TestSnapshotLifecycle is the durability loop main implements around
-// SIGTERM: cold start from -gen, mutate over HTTP, save, then warm
-// start from the snapshot alone — same entries, version, and seed
-// index, no -db/-gen needed.
-func TestSnapshotLifecycle(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "state.snap")
-	o := options{gen: 12, genLen: 8, seed: 9, lib: "AMIS", seedK: 4, cache: 8, top: 5, snapshot: snap}
-
-	// Cold start: the snapshot file does not exist yet.
-	srv, db, err := buildServer(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	resp, err := http.Post(ts.URL+"/entries", "application/json",
-		bytes.NewBufferString(`{"entries":["ACGTACGTACGT"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mut server.MutationResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mut); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	ts.Close()
-	if err := db.SaveSnapshot(snap); err != nil { // what main does on SIGTERM
-		t.Fatal(err)
-	}
-
-	// Warm start: -gen is still set but the snapshot wins.
-	srv2, db2, err := buildServer(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.Len() != 13 || db2.Version() != db.Version() || db2.SeedK() != 4 {
-		t.Fatalf("warm start: len=%d version=%d seedk=%d, want 13/%d/4",
-			db2.Len(), db2.Version(), db2.SeedK(), db.Version())
-	}
-	ts2 := httptest.NewServer(srv2)
-	defer ts2.Close()
-	resp, err = http.Post(ts2.URL+"/search", "application/json",
-		bytes.NewBufferString(`{"query":"ACGTACGTACGT"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sr server.SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Results) == 0 || sr.Results[0].ID != mut.IDs[0] {
-		t.Errorf("the entry inserted before the restart must survive with its ID %d: %+v", mut.IDs[0], sr.Results)
-	}
-}
-
 func TestBuildServerErrors(t *testing.T) {
 	if _, _, err := buildServer(options{lib: "AMIS"}); err == nil {
 		t.Error("no -db and no -gen must error")
@@ -149,14 +94,6 @@ func TestBuildServerErrors(t *testing.T) {
 	}
 	if _, _, err := buildServer(options{dbPath: filepath.Join(t.TempDir(), "missing.fasta"), lib: "AMIS"}); err == nil {
 		t.Error("missing database file must error")
-	}
-	// A -snapshot pointing at garbage must refuse to warm-start.
-	bad := filepath.Join(t.TempDir(), "bad.snap")
-	if err := os.WriteFile(bad, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := buildServer(options{gen: 5, genLen: 8, lib: "AMIS", snapshot: bad}); err == nil {
-		t.Error("corrupt snapshot must error, not fall back silently")
 	}
 }
 
@@ -223,20 +160,14 @@ func TestWALLifecycle(t *testing.T) {
 	}
 }
 
-// TestWALFlagConflicts pins the flag contract around -wal.
+// TestWALFlagConflicts pins the flag contract around -wal: a corrupt
+// durable directory must refuse to start, never cold-load over it.
 func TestWALFlagConflicts(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := buildServer(options{gen: 5, genLen: 8, lib: "AMIS",
-		walDir: dir, snapshot: filepath.Join(dir, "x.snap")}); err == nil {
-		t.Error("-wal with -snapshot must error")
-	}
-	// A corrupt durable directory must refuse to start, never cold-load
-	// over it.
 	bad := filepath.Join(t.TempDir(), "state")
 	if err := os.MkdirAll(bad, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(bad, "db.snap"), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(bad, racelogic.ManifestName), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := buildServer(options{gen: 5, genLen: 8, lib: "AMIS", walDir: bad}); err == nil {
@@ -300,29 +231,10 @@ func TestBackendFlag(t *testing.T) {
 	}
 }
 
-// TestBackendWithWarmStarts pins that -backend composes with both warm
-// paths: a legacy snapshot file and a durable -wal directory, each
-// written by the cycle backend and reopened on the event one.
+// TestBackendWithWarmStarts pins that -backend composes with the warm
+// path: a durable -wal directory written by the cycle backend and
+// reopened on the event one.
 func TestBackendWithWarmStarts(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "db.snap")
-	cold := options{gen: 10, genLen: 8, seed: 13, lib: "AMIS", top: 5, snapshot: snap}
-	_, db, err := buildServer(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	warm := cold
-	warm.backend = racelogic.BackendEvent
-	_, wdb, err := buildServer(warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wdb.Backend() != racelogic.BackendEvent || wdb.Len() != db.Len() {
-		t.Fatalf("snapshot warm start: backend %v len %d, want event and %d", wdb.Backend(), wdb.Len(), db.Len())
-	}
-
 	walDir := filepath.Join(t.TempDir(), "state")
 	durable := options{gen: 10, genLen: 8, seed: 13, lib: "AMIS", top: 5, walDir: walDir}
 	_, ddb, err := buildServer(durable)

@@ -237,17 +237,14 @@ func NewDatabase(entries []string, opts ...Option) (*Database, error) {
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	return assembleDatabase(cfg, entries, ids, uint64(len(entries)), 0, nil)
+	return assembleDatabase(cfg, entries, ids, uint64(len(entries)), 0)
 }
 
 // assembleDatabase wires a Database from a flat (entries, ids) list —
-// the shared tail of NewDatabase, OpenSnapshot, and the migration path.
-// Entries are partitioned by shardOf.  A non-nil gix — the global seed
-// index a portable snapshot carries — is partitioned alongside them so
-// a reload skips re-tokenizing the collection; otherwise each shard's
-// index is built fresh when cfg asks for one.
-func assembleDatabase(cfg *config, entries []string, ids []uint64, nextID uint64, version int64,
-	gix *index.Index) (*Database, error) {
+// the shared tail of NewDatabase and reshard.  Entries are partitioned
+// by shardOf, and each shard's seed index is built fresh when cfg asks
+// for one.
+func assembleDatabase(cfg *config, entries []string, ids []uint64, nextID uint64, version int64) (*Database, error) {
 	if len(ids) != len(entries) {
 		return nil, fmt.Errorf("racelogic: %d IDs for %d entries", len(ids), len(entries))
 	}
@@ -270,12 +267,6 @@ func assembleDatabase(cfg *config, entries []string, ids []uint64, nextID uint64
 		s := shardOf(ids[i], n)
 		parts[s].entries = append(parts[s].entries, entry)
 		parts[s].ids = append(parts[s].ids, ids[i])
-	}
-	if gix != nil && cfg.seedK > 0 && gix.K() == cfg.seedK {
-		shardIdx := gix.Partition(n, func(slot int) int { return shardOf(ids[slot], n) })
-		for s := range parts {
-			parts[s].idx = shardIdx[s]
-		}
 	}
 	return assembleShards(cfg, parts, nextID, version)
 }
@@ -488,8 +479,8 @@ func (sh *shard) applyCompact(cur *shardstate) (*shardstate, error) {
 		if idx, err = index.New(snap.Entries(), idx.K()); err != nil {
 			return nil, err
 		}
-		// A from-scratch rebuild loses the counter sink Grow/Partition
-		// would have propagated; re-attach it before the state publishes.
+		// A from-scratch rebuild loses the counter sink Grow would have
+		// propagated; re-attach it before the state publishes.
 		idx.SetStats(sh.idxStats)
 	}
 	sorted := append([]uint64(nil), ids...)
@@ -966,7 +957,7 @@ func (d *Database) Buckets() int {
 
 // Version returns the mutation counter: 0 for a fresh database,
 // incremented by every Insert, Remove, and compaction, and preserved
-// across SaveSnapshot/OpenSnapshot and Persist/Open.
+// across Persist/Open.
 func (d *Database) Version() int64 { return d.view.Load().version }
 
 // Tombstones returns the number of removed entries whose slots have not

@@ -35,20 +35,12 @@ var ErrNoDatabase = errors.New("no database in directory")
 //	shard-0000.g0.wal          each shard's active journal segment
 //	shard-0000.g0.wal.000042   sealed segments awaiting a checkpoint
 //
-// Every file name carries the layout generation.  A layout rewrite —
-// migration from the pre-shard format, or a reshard — writes the next
-// generation's files first and commits them by rewriting the manifest,
-// so a crash at any point leaves exactly one complete, authoritative
-// layout; files of other generations are ignored and cleaned up by the
-// next successful open.
-//
-// SnapshotName and WALName are the pre-shard (v1) single-file layout;
-// Open migrates such a directory in place on first contact.
-const (
-	SnapshotName = "db.snap"
-	WALName      = "db.wal"
-	ManifestName = "db.manifest"
-)
+// Every file name carries the layout generation.  A layout rewrite — a
+// reshard — writes the next generation's files first and commits them
+// by rewriting the manifest, so a crash at any point leaves exactly one
+// complete, authoritative layout; files of other generations are
+// ignored and cleaned up by the next successful open.
+const ManifestName = "db.manifest"
 
 // shardSnapName and shardJournalBase name one shard's files within one
 // layout generation.
@@ -152,17 +144,14 @@ func durabilityConfig(base *config, opts []Option, reopen bool) (*config, error)
 	return &cfg, nil
 }
 
-// layoutPresent reports whether dir already holds a database in either
-// layout.
+// layoutPresent reports whether dir already holds a database: a
+// committed manifest.
 func layoutPresent(dir string) (bool, error) {
-	for _, name := range []string{ManifestName, SnapshotName} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true, nil
-		} else if !os.IsNotExist(err) {
-			return false, err
-		}
+	_, err := os.Stat(filepath.Join(dir, ManifestName))
+	if os.IsNotExist(err) {
+		return false, nil
 	}
-	return false, nil
+	return err == nil, err
 }
 
 // Persist attaches crash-safe durability to a database built in memory:
@@ -227,7 +216,7 @@ func (d *Database) Persist(dir string, opts ...Option) error {
 		if d.durable {
 			return fmt.Errorf("racelogic: database is already durable (%s)", d.dir)
 		}
-		d.attachDurability(dir, cfg, v, time.Now())
+		d.attachDurability(dir, cfg, v.version, time.Now())
 	}
 	return nil
 }
@@ -286,17 +275,20 @@ func (d *Database) openShardJournals(dir string, cfg *config, fresh bool) ([][]s
 }
 
 // attachDurability wires the snapshotter state and starts the loop.
-// savedAt is when the on-disk snapshots were actually written — now for
-// Persist, the files' mtime for Open — so SnapshotAge never hides a
-// stale snapshot behind a restart.  Caller holds d.lmu.
-func (d *Database) attachDurability(dir string, cfg *config, v *dbview, savedAt time.Time) {
+// snapVersion is the global version the on-disk snapshot set covers —
+// the view just written for Persist and a layout rewrite, the oldest
+// shard snapshot for Open, whose replayed journal tails are in memory
+// but in no snapshot yet.  savedAt is when those snapshots were
+// actually written — now, or the files' mtime for Open — so SnapshotAge
+// never hides a stale snapshot behind a restart.  Caller holds d.lmu.
+func (d *Database) attachDurability(dir string, cfg *config, snapVersion int64, savedAt time.Time) {
 	d.durable = true
 	d.dir = dir
 	d.setPolicy(cfg.compaction)
 	d.snapInterval = cfg.snapInterval
 	d.snapEvery = cfg.snapEvery
 	d.walSync.Store(cfg.walSync)
-	d.snapVersion.Store(v.version)
+	d.snapVersion.Store(snapVersion)
 	d.lastSnap.Store(savedAt.UnixNano())
 	d.snapSignal = make(chan struct{}, 1)
 	d.stopSnap = make(chan struct{})
@@ -312,11 +304,6 @@ func (d *Database) attachDurability(dir string, cfg *config, v *dbview, savedAt 
 // stitched back from the shard snapshots and the journaled global
 // mutation numbers.
 //
-// A directory written by the pre-shard layout (a single db.snap +
-// db.wal) is migrated in place: its snapshot and journal tail are
-// loaded, the state is re-partitioned, and the sharded layout replaces
-// the old files.
-//
 // The engine options come from the snapshot fingerprints; only
 // durability options may be passed (WithSync, WithSnapshotInterval,
 // WithSnapshotEvery, WithCompactionPolicy, WithWALSegmentBytes), plus
@@ -328,22 +315,12 @@ func (d *Database) attachDurability(dir string, cfg *config, v *dbview, savedAt 
 // The database resumes journaling and background snapshotting in dir.
 // Call Close to shut it down cleanly.
 func Open(dir string, opts ...Option) (*Database, error) {
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
-		return openSharded(dir, opts)
-	} else if !os.IsNotExist(err) {
+	if present, err := layoutPresent(dir); err != nil {
 		return nil, err
+	} else if !present {
+		return nil, fmt.Errorf("racelogic: %s (no %s): %w; create one with Database.Persist",
+			dir, ManifestName, ErrNoDatabase)
 	}
-	if _, err := os.Stat(filepath.Join(dir, SnapshotName)); err == nil {
-		return migrateV1(dir, opts)
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return nil, fmt.Errorf("racelogic: %s (no %s or %s): %w; create one with Database.Persist",
-		dir, ManifestName, SnapshotName, ErrNoDatabase)
-}
-
-// openSharded recovers a manifest-committed sharded layout.
-func openSharded(dir string, opts []Option) (*Database, error) {
 	m, err := store.ReadManifestFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err
@@ -381,6 +358,9 @@ func openSharded(dir string, opts []Option) (*Database, error) {
 
 	parts := make([]shardPart, m.Shards)
 	globalVersion := int64(0)
+	// covered is the global version every shard snapshot holds: a crash
+	// mid-checkpoint can leave some shards a set newer than others.
+	covered := snaps[0].GlobalVersion
 	nextID := uint64(0)
 	for s, snap := range snaps {
 		if snap.Index != nil && snap.Index.K() != cfg.seedK {
@@ -388,9 +368,8 @@ func openSharded(dir string, opts []Option) (*Database, error) {
 				filepath.Join(dir, shardSnapName(s, m.Gen)), snap.Index.K(), cfg.seedK)
 		}
 		parts[s] = shardPart{entries: snap.Entries, ids: snap.IDs, idx: snap.Index, seq: snap.Version}
-		if snap.GlobalVersion > globalVersion {
-			globalVersion = snap.GlobalVersion
-		}
+		globalVersion = max(globalVersion, snap.GlobalVersion)
+		covered = min(covered, snap.GlobalVersion)
 		if snap.NextID > nextID {
 			nextID = snap.NextID
 		}
@@ -417,13 +396,12 @@ func openSharded(dir string, opts []Option) (*Database, error) {
 		return reshard(dir, d, cfg, reshardTo, m.Gen+1)
 	}
 	cleanupStaleLayout(dir, m.Gen)
-	v := d.view.Load()
 	for s, snap := range snaps {
 		d.shards[s].snapSeq.Store(snap.Version)
 		d.shards[s].lastSnap.Store(info.ModTime().UnixNano())
 	}
 	d.lmu.Lock()
-	d.attachDurability(dir, cfg, v, info.ModTime())
+	d.attachDurability(dir, cfg, covered, info.ModTime())
 	d.lmu.Unlock()
 	return d, nil
 }
@@ -505,144 +483,6 @@ func (d *Database) closeShardJournals() {
 	}
 }
 
-// migrateV1 upgrades a pre-shard directory in place: load the single
-// snapshot, replay the single journal tail, re-partition the state
-// under the requested (or default) shard count, write the sharded
-// layout, commit it with the manifest, and only then delete the old
-// files.  A crash before the manifest lands leaves the v1 layout
-// authoritative (the partial v2 files are overwritten on the next
-// attempt); a crash after it leaves a complete v2 layout and only
-// best-effort-deleted v1 leftovers, which are ignored once a manifest
-// exists.
-//
-// Like a checkpoint, migration folds the whole journal into the new
-// snapshots, compacting any tombstones the tail replayed (bumping the
-// version once if it did).
-func migrateV1(dir string, opts []Option) (*Database, error) {
-	snapPath := filepath.Join(dir, SnapshotName)
-	s, err := store.ReadFile(snapPath)
-	if err != nil {
-		return nil, err
-	}
-	if s.ShardCount != 1 {
-		return nil, fmt.Errorf("racelogic: %s is a shard file, not a whole-database snapshot", snapPath)
-	}
-	base, err := configFromStoreOptions(s.Options)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", snapPath, err)
-	}
-	cfg, err := durabilityConfig(base, opts, true)
-	if err != nil {
-		return nil, err
-	}
-	if s.Index != nil && s.Index.K() != cfg.seedK {
-		return nil, fmt.Errorf("%s: snapshot index has k=%d but the fingerprint says %d", snapPath, s.Index.K(), cfg.seedK)
-	}
-	d, err := assembleDatabase(cfg, s.Entries, s.IDs, s.NextID, s.GlobalVersion, s.Index)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", snapPath, err)
-	}
-	walPath := filepath.Join(dir, WALName)
-	recs, _, err := store.Replay(walPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.replayV1(recs, s.Version); err != nil {
-		return nil, fmt.Errorf("racelogic: replaying %s: %w", walPath, err)
-	}
-	return commitLayout(dir, d, cfg, 0, true)
-}
-
-// replayV1 applies a pre-shard journal tail — whole-database records —
-// through the partitioned mutation machinery, without journaling.
-func (d *Database) replayV1(recs []store.Record, snapVersion int64) error {
-	for _, rec := range recs {
-		if rec.Version <= snapVersion {
-			continue
-		}
-		//lint:ignore racelint/singlecut replay reloads on purpose to watch the version advance record by record
-		cur := d.view.Load().version
-		if rec.Version != cur+1 {
-			return fmt.Errorf("journal gap: record version %d after database version %d", rec.Version, cur)
-		}
-		switch rec.Op {
-		case store.OpInsert:
-			if err := d.replayInsert(rec.IDs, rec.Entries); err != nil {
-				return err
-			}
-		case store.OpRemove:
-			if err := d.replayRemove(rec.IDs); err != nil {
-				return err
-			}
-		case store.OpCompact:
-			//lint:ignore racelint/singlecut comparing versions across the compaction is the point
-			before := d.view.Load().version
-			if _, _, err := d.compactAll(false, false); err != nil {
-				return err
-			}
-			//lint:ignore racelint/singlecut comparing versions across the compaction is the point
-			if d.view.Load().version == before {
-				return fmt.Errorf("journaled compaction at version %d found nothing to reclaim", rec.Version)
-			}
-		default:
-			return fmt.Errorf("unknown journal op %d", rec.Op)
-		}
-	}
-	return nil
-}
-
-// replayInsert applies one whole-database insert record with
-// pre-assigned IDs, routing each entry to its shard.
-func (d *Database) replayInsert(ids []uint64, entries []string) error {
-	n := len(d.shards)
-	partIDs := make(map[int][]uint64)
-	partEntries := make(map[int][]string)
-	nextID := d.nextID.Load()
-	for j, id := range ids {
-		s := shardOf(id, n)
-		partIDs[s] = append(partIDs[s], id)
-		partEntries[s] = append(partEntries[s], entries[j])
-		if id >= nextID {
-			nextID = id + 1
-		}
-	}
-	touched := sortedKeys(partIDs)
-	unlock := d.lockShards(touched)
-	defer unlock()
-	t := d.ticket.Add(1)
-	states, err := d.applyParallel(touched, func(sh *shard, cur *shardstate) (*shardstate, error) {
-		return sh.applyInsert(cur, partIDs[sh.id], partEntries[sh.id])
-	})
-	if err != nil {
-		return err
-	}
-	d.publish(touched, states, t)
-	d.nextID.Store(nextID)
-	return nil
-}
-
-// replayRemove applies one whole-database remove record.
-func (d *Database) replayRemove(ids []uint64) error {
-	n := len(d.shards)
-	partIDs := make(map[int][]uint64)
-	for _, id := range ids {
-		s := shardOf(id, n)
-		partIDs[s] = append(partIDs[s], id)
-	}
-	touched := sortedKeys(partIDs)
-	unlock := d.lockShards(touched)
-	defer unlock()
-	t := d.ticket.Add(1)
-	states, err := d.applyParallel(touched, func(sh *shard, cur *shardstate) (*shardstate, error) {
-		return sh.applyRemove(cur, partIDs[sh.id])
-	})
-	if err != nil {
-		return err
-	}
-	d.publish(touched, states, t)
-	return nil
-}
-
 // reshard rewrites an opened directory under a new shard count: the
 // fully recovered state is flattened back to global ID order,
 // re-partitioned, and committed as the next layout generation (the
@@ -653,11 +493,11 @@ func reshard(dir string, old *Database, cfg *config, shards, gen int) (*Database
 	entries, ids := flatten(v)
 	ncfg := *cfg
 	ncfg.shards = shards
-	d, err := assembleDatabase(&ncfg, entries, ids, old.nextID.Load(), v.version, nil)
+	d, err := assembleDatabase(&ncfg, entries, ids, old.nextID.Load(), v.version)
 	if err != nil {
 		return nil, err
 	}
-	return commitLayout(dir, d, &ncfg, gen, false)
+	return commitLayout(dir, d, &ncfg, gen)
 }
 
 // flatten returns a view's live entries and IDs in global ID order.
@@ -686,7 +526,7 @@ func flatten(v *dbview) ([]string, []uint64) {
 }
 
 // cleanupStaleLayout removes shard files of every generation except
-// keepGen — the leftovers of a committed migration or reshard.  Best
+// keepGen — the leftovers of a committed reshard.  Best
 // effort: a file that resists deletion is harmless, because only the
 // manifest's generation is ever read.
 func cleanupStaleLayout(dir string, keepGen int) {
@@ -705,13 +545,12 @@ func cleanupStaleLayout(dir string, keepGen int) {
 // commitLayout writes d's current state into dir as generation gen of
 // the sharded layout — shard snapshots, then the manifest naming the
 // generation (the commit point), then best-effort removal of every
-// other generation's files (and, after a migration, the v1 files).
-// Until the manifest lands the previous layout stays authoritative and
-// complete, because no file of it is touched; after it, the new one
-// is, and leftovers are ignored.  Tombstones are compacted away first,
-// exactly like a checkpoint.  The returned database is attached and
-// journaling.
-func commitLayout(dir string, d *Database, cfg *config, gen int, removeV1 bool) (*Database, error) {
+// other generation's files.  Until the manifest lands the previous
+// layout stays authoritative and complete, because no file of it is
+// touched; after it, the new one is, and leftovers are ignored.
+// Tombstones are compacted away first, exactly like a checkpoint.  The
+// returned database is attached and journaling.
+func commitLayout(dir string, d *Database, cfg *config, gen int) (*Database, error) {
 	d.gen = gen
 	_, v, err := d.compactAll(false, false)
 	if err != nil {
@@ -724,16 +563,11 @@ func commitLayout(dir string, d *Database, cfg *config, gen int, removeV1 bool) 
 		return nil, err
 	}
 	cleanupStaleLayout(dir, gen)
-	if removeV1 {
-		for _, name := range []string{SnapshotName, WALName} {
-			_ = os.Remove(filepath.Join(dir, name))
-		}
-	}
 	if _, err := d.openShardJournals(dir, cfg, true); err != nil {
 		return nil, err
 	}
 	d.lmu.Lock()
-	d.attachDurability(dir, cfg, v, time.Now())
+	d.attachDurability(dir, cfg, v.version, time.Now())
 	d.lmu.Unlock()
 	return d, nil
 }

@@ -71,8 +71,8 @@ func TestCrashRecovery(t *testing.T) {
 	mutationScript(t, durable, g)
 	mutationScript(t, control, gCtl)
 
-	// "Crash": drop the durable handle without Close, Checkpoint, or
-	// SaveSnapshot.  The WAL is all that remembers the mutations.
+	// "Crash": drop the durable handle without Close or Checkpoint.  The
+	// WAL is all that remembers the mutations.
 	if durable.WALRecords() == 0 {
 		t.Fatal("test is vacuous: no journaled mutations to recover")
 	}
@@ -430,6 +430,69 @@ func TestStaleJournalFoldedAway(t *testing.T) {
 	}
 	if back.WALRecords() != 0 {
 		t.Errorf("checkpoint with nothing new must still fold the covered records away, %d left", back.WALRecords())
+	}
+}
+
+// TestRecoveredTailSurvivesCheckpoint pins that a journal tail Open
+// replays stays on disk until a snapshot set really holds it.  The
+// recovered database is ahead of its shard snapshots, so neither Close's
+// final checkpoint nor an idle background tick may take the
+// nothing-new path and truncate the journals: after either one and a
+// crash, a second Open must still see every acknowledged mutation.
+func TestRecoveredTailSurvivesCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []racelogic.Option
+		// after runs between the first recovery and the second Open.
+		after func(t *testing.T, db *racelogic.Database)
+	}{
+		{"close", nil, func(t *testing.T, db *racelogic.Database) {
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"idle snapshotter", []racelogic.Option{racelogic.WithSnapshotInterval(20 * time.Millisecond)},
+			func(t *testing.T, db *racelogic.Database) {
+				time.Sleep(200 * time.Millisecond) // ~10 ticks, then crash
+				t.Cleanup(func() { _ = db.Close() })
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := seqgen.NewDNA(127)
+			dir := t.TempDir()
+			db, err := racelogic.NewDatabase(g.Database(4, 8), racelogic.WithShards(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Persist(dir, racelogic.WithSnapshotInterval(0), racelogic.WithSnapshotEvery(0)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Insert(g.Random(8), g.Random(9)); err != nil {
+				t.Fatal(err)
+			}
+			wantIDs, wantVersion := db.IDs(), db.Version()
+			db = nil // crash
+
+			first, err := racelogic.Open(dir, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.WALRecords() == 0 || !reflect.DeepEqual(first.IDs(), wantIDs) {
+				t.Fatalf("first recovery: ids %v with %d journal records, want %v from a journal tail",
+					first.IDs(), first.WALRecords(), wantIDs)
+			}
+			tc.after(t, first)
+
+			back, err := racelogic.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer back.Close()
+			if !reflect.DeepEqual(back.IDs(), wantIDs) || back.Version() != wantVersion {
+				t.Fatalf("second recovery: ids %v at version %d, want %v at %d — the replayed tail was truncated",
+					back.IDs(), back.Version(), wantIDs, wantVersion)
+			}
+		})
 	}
 }
 

@@ -6,8 +6,8 @@
 // never mutating the published one.  The compiler does not know that,
 // so this analyzer enforces it: outside functions marked
 // //racelint:cowsafe (the constructors and the designated Grow /
-// Partition / SetStats-style helpers that build values before
-// publication), no statement may
+// SetStats-style helpers that build values before publication), no
+// statement may
 //
 //   - assign to a field of a COW-typed value,
 //   - write an element of a slice, array, or map reachable through a

@@ -9,7 +9,7 @@
 //     same way in any order;
 //   - append into a map bucket keyed by the range key variable itself
 //     (each bucket is then built within a single iteration, the
-//     Partition idiom);
+//     partitioning idiom);
 //   - commutative integer accumulation (+=, -=, |=, &=, ^=, *=, ++, --)
 //     — float and string folds are order-dependent and flagged;
 //   - idempotent stores whose value does not mention the iteration

@@ -97,7 +97,7 @@ func maxValue(m map[string]int) int {
 }
 
 // partition buckets by the range key itself: each bucket completes in
-// one iteration, legal (the index Partition idiom).
+// one iteration, legal (the partitioning idiom).
 func partition(m map[string][]int, shards int) []map[string][]int {
 	out := make([]map[string][]int, shards)
 	for i := range out {

@@ -20,7 +20,7 @@ const (
 	RoleCow Role = "cow"
 	// RoleCowSafe marks a function or method designated to construct or
 	// mutate RoleCow values before they are published (constructors,
-	// Grow/Partition-style COW helpers).
+	// Grow-style COW helpers).
 	RoleCowSafe Role = "cowsafe"
 	// RoleJournal marks a function that appends a mutation to the
 	// write-ahead log.  journalfirst requires one of these calls before

@@ -60,15 +60,14 @@ type Index struct {
 	// always holds the entries shorter than k: they carry no k-mer, so
 	// seed lookup can never rule them out.
 	always []int
-	// stats, when attached, receives lookup counters.  Grow and
-	// Partition propagate the pointer, so one sink spans a database's
-	// whole index lineage.
+	// stats, when attached, receives lookup counters.  Grow propagates
+	// the pointer, so one sink spans a database's whole index lineage.
 	stats *Stats
 }
 
 // SetStats attaches a counter sink.  Attach before the index is shared
-// between goroutines — the derived indexes Grow and Partition produce
-// inherit the sink automatically.
+// between goroutines — the derived indexes Grow produces inherit the
+// sink automatically.
 //
 //racelint:cowsafe
 func (ix *Index) SetStats(s *Stats) { ix.stats = s }
@@ -143,96 +142,6 @@ func (ix *Index) Grow(entries []string) *Index {
 		}
 	}
 	return nx
-}
-
-// Partition splits the index into n per-shard indexes under shardOf,
-// which maps every indexed slot to its shard.  Local slots are assigned
-// in ascending global-slot order per shard — exactly the order a
-// sharded database assigns them when partitioning the same entries —
-// so each part's postings stay ascending.  Splitting walks the
-// existing postings instead of re-tokenizing every sequence, which is
-// what makes reloading a stored index cheaper than rebuilding it.
-//
-//racelint:cowsafe
-func (ix *Index) Partition(n int, shardOf func(slot int) int) []*Index {
-	shard := make([]int, ix.n)
-	local := make([]int, ix.n)
-	counts := make([]int, n)
-	for s := 0; s < ix.n; s++ {
-		sh := shardOf(s)
-		shard[s] = sh
-		local[s] = counts[sh]
-		counts[sh]++
-	}
-	parts := make([]*Index, n)
-	for i := range parts {
-		parts[i] = &Index{k: ix.k, n: counts[i], dir: make([]map[string][]int, fanout), stats: ix.stats}
-	}
-	for _, s := range ix.always {
-		p := parts[shard[s]]
-		p.always = append(p.always, local[s])
-	}
-	// A k-mer hashes to the same bucket in every part.
-	for b, bucket := range ix.dir {
-		for kmer, post := range bucket {
-			for _, s := range post {
-				p := parts[shard[s]]
-				if p.dir[b] == nil {
-					p.dir[b] = make(map[string][]int)
-				}
-				p.dir[b][kmer] = append(p.dir[b][kmer], local[s])
-			}
-		}
-	}
-	for _, p := range parts {
-		for _, bucket := range p.dir {
-			p.kmers += len(bucket)
-		}
-	}
-	return parts
-}
-
-// Merge is Partition's inverse: it combines per-shard indexes into one
-// global index over n slots, with globalOf mapping each shard's local
-// slots back to their global positions.  Merging walks the existing
-// postings — no sequence is re-tokenized — which is what makes a
-// portable export of a sharded database cheap.  Global slots must be
-// unique across parts; every part must share one k.
-//
-//racelint:cowsafe
-func Merge(parts []*Index, n int, globalOf func(shard, local int) int) (*Index, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("index: merge of zero parts")
-	}
-	out := &Index{k: parts[0].k, n: n, dir: make([]map[string][]int, fanout)}
-	for sh, part := range parts {
-		if part.k != out.k {
-			return nil, fmt.Errorf("index: merge: shard %d has k=%d, shard 0 has %d", sh, part.k, out.k)
-		}
-		for _, local := range part.always {
-			out.always = append(out.always, globalOf(sh, local))
-		}
-		for b, bucket := range part.dir {
-			if len(bucket) > 0 && out.dir[b] == nil {
-				out.dir[b] = make(map[string][]int)
-			}
-			for kmer, post := range bucket {
-				dst := out.dir[b][kmer]
-				for _, local := range post {
-					dst = append(dst, globalOf(sh, local))
-				}
-				out.dir[b][kmer] = dst
-			}
-		}
-	}
-	sort.Ints(out.always)
-	for _, bucket := range out.dir {
-		out.kmers += len(bucket)
-		for _, post := range bucket {
-			sort.Ints(post)
-		}
-	}
-	return out, nil
 }
 
 // K returns the seed length.

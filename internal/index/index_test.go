@@ -355,79 +355,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartitionMatchesFreshBuild pins the split used when a stored
-// global index is reloaded into a sharded database: partitioning must
-// reproduce exactly the per-shard indexes a fresh per-shard build
-// would produce — same candidates for every query.
-func TestPartitionMatchesFreshBuild(t *testing.T) {
-	g := seqgen.NewDNA(41)
-	entries := append(g.Database(15, 9), "AC", "G") // short entries hit always
-	global, err := New(entries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	shardOf := func(slot int) int { return (slot * 7) % n }
-	parts := global.Partition(n, shardOf)
-
-	shardEntries := make([][]string, n)
-	for slot, e := range entries {
-		s := shardOf(slot)
-		shardEntries[s] = append(shardEntries[s], e)
-	}
-	for s := 0; s < n; s++ {
-		want, err := New(shardEntries[s], 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := parts[s]
-		if got.K() != want.K() || got.Len() != want.Len() || got.Kmers() != want.Kmers() {
-			t.Fatalf("shard %d: k=%d len=%d kmers=%d, want %d/%d/%d",
-				s, got.K(), got.Len(), got.Kmers(), want.K(), want.Len(), want.Kmers())
-		}
-		for _, q := range []string{g.Random(9), g.Random(6), "A", entries[0]} {
-			if !reflect.DeepEqual(got.Candidates(q), want.Candidates(q)) {
-				t.Errorf("shard %d query %q: partitioned candidates %v, fresh build %v",
-					s, q, got.Candidates(q), want.Candidates(q))
-			}
-		}
-	}
-}
-
-// TestMergeInvertsPartition pins the export path: merging the parts of
-// a partitioned index reproduces the original global index exactly.
-func TestMergeInvertsPartition(t *testing.T) {
-	g := seqgen.NewDNA(43)
-	entries := append(g.Database(20, 8), "AC")
-	global, err := New(entries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 4
-	shardOf := func(slot int) int { return (slot * 5) % n }
-	parts := global.Partition(n, shardOf)
-	// Reconstruct each shard's local→global mapping the same way a
-	// sharded database would.
-	globals := make([][]int, n)
-	for slot := range entries {
-		s := shardOf(slot)
-		globals[s] = append(globals[s], slot)
-	}
-	back, err := Merge(parts, len(entries), func(sh, local int) int { return globals[sh][local] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.K() != global.K() || back.Len() != global.Len() || back.Kmers() != global.Kmers() {
-		t.Fatalf("merged shape k=%d len=%d kmers=%d, want %d/%d/%d",
-			back.K(), back.Len(), back.Kmers(), global.K(), global.Len(), global.Kmers())
-	}
-	for _, q := range []string{g.Random(8), g.Random(12), "A", entries[3]} {
-		if !reflect.DeepEqual(back.Candidates(q), global.Candidates(q)) {
-			t.Errorf("query %q: merged candidates %v, original %v", q, back.Candidates(q), global.Candidates(q))
-		}
-	}
-}
-
 var sinkIndex *Index
 
 // BenchmarkGrow measures one-entry Grows on a 10k-entry DNA index at

@@ -18,24 +18,24 @@
 //
 // The manifest is written last when a layout is created or rewritten,
 // and every shard file name carries the manifest's layout generation,
-// so a crash mid-bootstrap, mid-migration, or mid-reshard leaves
-// exactly one complete, authoritative layout — the one the manifest
-// names; files of other generations are ignored.
+// so a crash mid-bootstrap or mid-reshard leaves exactly one complete,
+// authoritative layout — the one the manifest names; files of other
+// generations are ignored.
 //
 // # Snapshot format
 //
-// A snapshot holds everything needed to reconstruct one shard (or, for
-// a portable export, a whole database) exactly: the options fingerprint
-// that shaped its engines and seed index, the shard header, the
-// mutation counters, every live entry with its stable ID, and the
-// serialized k-mer seed index (so a reload skips re-tokenizing).
+// A snapshot holds everything needed to reconstruct one shard exactly:
+// the options fingerprint that shaped its engines and seed index, the
+// shard header, the mutation counters, every live entry with its stable
+// ID, and the serialized k-mer seed index (so a reload skips
+// re-tokenizing).
 //
 // Wire format (format version 2), all integers varint/uvarint framed:
 //
 //	"RLSNAP"  magic
 //	uvarint   format version
-//	uvarint   shard number        ┐ shard header (v2); a portable
-//	uvarint   shard count         │ export is shard 0 of 1
+//	uvarint   shard number        ┐
+//	uvarint   shard count         │ shard header
 //	varint    global version      ┘
 //	string    library name        ┐
 //	string    protein matrix      │
@@ -51,12 +51,11 @@
 //	bool      index present, then the index.Encode stream if so
 //	uint32 LE CRC-32 (IEEE) of every preceding byte
 //
-// Format version 1 — the pre-shard layout without the shard header —
-// is still read (as shard 0 of 1, with the global version recovered
-// from the single mutation counter); the racelogic layer migrates such
-// directories in place.  Snapshot files are written to a temporary
-// sibling and renamed into place, so a crash mid-save never corrupts
-// the previous snapshot.
+// Read accepts format version 2 only and refuses any other version by
+// number.  A length field is untrusted until the trailing checksum is
+// verified, so the reader allocates only the bytes it actually reads.
+// Snapshot files are written to a temporary sibling and renamed into
+// place, so a crash mid-save never corrupts the previous snapshot.
 //
 // # Write-ahead log format
 //
@@ -77,19 +76,19 @@
 //	byte      op: 1 insert, 2 remove, 3 compact
 //	varint    shard sequence after applying the record (gapless per
 //	          shard — the replay-integrity check)
-//	varint    global mutation number (v2; one multi-shard mutation
+//	varint    global mutation number (one multi-shard mutation
 //	          journals one record per touched shard, all carrying the
 //	          same number, and recovery takes the maximum across shards)
 //	insert:   uvarint count, then per entry: uvarint ID, string sequence
 //	remove:   uvarint count, then per entry: uvarint ID
 //	compact:  nothing further
 //
-// Format-1 records (no global field) replay with the global recovered
-// as the sequence.  Replay walks records in order and stops cleanly at
-// the first torn or corrupt one: a record whose frame runs past
-// end-of-file, whose CRC mismatches, or whose payload does not decode
-// ends the replay at the last intact record — corrupt bytes never
-// surface as entries.  OpenWAL truncates that torn tail before
+// Replay accepts format version 2 only; a segment headed by any other
+// version is refused loudly.  Replay walks records in order and stops
+// cleanly at the first torn or corrupt one: a record whose frame runs
+// past end-of-file, whose CRC mismatches, or whose payload does not
+// decode ends the replay at the last intact record — corrupt bytes
+// never surface as entries.  OpenWAL truncates that torn tail before
 // appending, so the segment stays a clean prefix of acknowledged
 // mutations.  Records carry the shard sequence they produced, which
 // makes replay idempotent against the snapshot: records at or below the

@@ -1,9 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -259,72 +256,5 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if err := WriteManifestFile(path, Manifest{Shards: 0}); err == nil {
 		t.Error("zero-shard manifest must be rejected")
-	}
-}
-
-// writeV1WAL hand-encodes a format-1 segment: records without the
-// Global field, as the pre-shard build wrote them.
-func writeV1WAL(t *testing.T, path string, recs []Record) {
-	t.Helper()
-	var out bytes.Buffer
-	out.WriteString(walMagic)
-	out.Write(binary.AppendUvarint(nil, 1))
-	for _, rec := range recs {
-		var p bytes.Buffer
-		e := newEncoder(&p)
-		e.raw([]byte{byte(rec.Op)})
-		e.varint(rec.Version)
-		switch rec.Op {
-		case OpInsert:
-			e.uvarint(uint64(len(rec.IDs)))
-			for i, id := range rec.IDs {
-				e.uvarint(id)
-				e.str(rec.Entries[i])
-			}
-		case OpRemove:
-			e.uvarint(uint64(len(rec.IDs)))
-			for _, id := range rec.IDs {
-				e.uvarint(id)
-			}
-		}
-		if e.err != nil {
-			t.Fatal(e.err)
-		}
-		out.Write(binary.AppendUvarint(nil, uint64(p.Len())))
-		out.Write(p.Bytes())
-		var tail [4]byte
-		binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(p.Bytes()))
-		out.Write(tail[:])
-	}
-	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWALReadsV1 pins backward compatibility: format-1 segments replay
-// with Global recovered as Version, and OpenWAL refuses to append to a
-// populated format-1 segment (the migration path replays it read-only).
-func TestWALReadsV1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.wal")
-	v1 := []Record{
-		{Op: OpInsert, Version: 1, IDs: []uint64{0, 1}, Entries: []string{"ACGT", "TT"}},
-		{Op: OpRemove, Version: 2, IDs: []uint64{0}},
-		{Op: OpCompact, Version: 3},
-	}
-	writeV1WAL(t, path, v1)
-	recs, _, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(v1) {
-		t.Fatalf("replayed %d v1 records, want %d", len(recs), len(v1))
-	}
-	for i, rec := range recs {
-		if rec.Global != v1[i].Version {
-			t.Errorf("record %d: Global = %d, want recovered as Version %d", i, rec.Global, v1[i].Version)
-		}
-	}
-	if _, _, err := OpenWAL(path); err == nil {
-		t.Error("OpenWAL on a populated format-1 segment must refuse to append")
 	}
 }

@@ -20,9 +20,9 @@ const ManifestFormatVersion = 1
 // single shard file can state authoritatively: how many shards the
 // layout has, and which layout generation is current.  It is written
 // last when a layout is created or rewritten — its presence (and
-// generation) is the commit point, so a crash mid-bootstrap,
-// mid-migration, or mid-reshard leaves either the complete old layout
-// or the complete new one, never a mix: every generation's files carry
+// generation) is the commit point, so a crash mid-bootstrap or
+// mid-reshard leaves either the complete old layout or the complete new
+// one, never a mix: every generation's files carry
 // the generation in their names, and files of other generations are
 // ignored (and cleaned up) by the next open.
 type Manifest struct {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -16,17 +17,17 @@ import (
 // magic opens every snapshot file.
 const magic = "RLSNAP"
 
-// FormatVersion is the wire format this package writes.  Read rejects
-// newer versions instead of guessing.  Version 2 added the shard header
-// (Shard, ShardCount, GlobalVersion) right after the format field, so a
-// sharded database can persist one snapshot file per shard and stitch
-// the global counters back together at recovery; version-1 files are
-// still read, as the single shard of a one-shard layout.
+// FormatVersion is the wire format this package writes and the only
+// one Read accepts; any other version is refused instead of guessed at.
+// The shard header (Shard, ShardCount, GlobalVersion) right after the
+// format field lets recovery stitch the global counters back together
+// from one snapshot file per shard.
 const FormatVersion = 2
 
 // maxStringLen bounds any single decoded string (entry or library
-// name).  The checksum sits at the end of the file, so length fields
-// must be sanity-checked before allocation, not after verification.
+// name).  The checksum sits at the end of the file, so a length field
+// is untrusted when it is read: the decoder never allocates it up
+// front, it reads the bytes actually present (see decoder.str).
 const maxStringLen = 1 << 30
 
 // Options is the fingerprint of everything fixed when a database is
@@ -44,22 +45,19 @@ type Options struct {
 	Workers    int    // default worker-pool width; ≤ 0 = NumCPU
 }
 
-// Snapshot is one serializable database state — either a whole
-// database (a portable export, ShardCount == 1) or one shard of a
-// partitioned layout.
+// Snapshot is one shard's serializable state within a partitioned
+// layout.
 type Snapshot struct {
 	Options Options
 	// Shard is this file's shard number in [0, ShardCount); ShardCount
-	// is the layout's partition count.  A version-1 file reads as shard
-	// 0 of 1.
+	// is the layout's partition count.
 	Shard      int
 	ShardCount int
 	// Version is the owning shard's mutation sequence at save time —
 	// the counter the shard's journal records are checked against.
 	// GlobalVersion is the database-wide logical mutation counter at
-	// save time (for a one-shard layout the two coincide).  NextID is
-	// the next stable entry ID the database would assign; every shard
-	// records the same global value.
+	// save time.  NextID is the next stable entry ID the database would
+	// assign; every shard records the same global value.
 	Version       int64
 	GlobalVersion int64
 	NextID        uint64
@@ -201,10 +199,12 @@ type byteReader interface {
 
 // decoder reads serialized fields sequentially, latching the first
 // error so the happy path reads as a flat field list.  It is shared by
-// the snapshot reader and the WAL record decoder.
+// the snapshot reader and the WAL record decoder.  buf is the scratch
+// every string is read into before it is copied out.
 type decoder struct {
 	r   byteReader
 	err error
+	buf bytes.Buffer
 }
 
 func (d *decoder) uvarint() uint64 {
@@ -234,12 +234,20 @@ func (d *decoder) str() string {
 		d.err = fmt.Errorf("implausible string length %d", n)
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
+	// n is untrusted until the checksum is verified, so the buffer
+	// grows with the bytes actually read rather than being sized to n:
+	// a short file claiming a huge string runs into EOF after a few
+	// hundred bytes, not after a gigabyte allocation.
+	d.buf.Reset()
+	if _, err := d.buf.ReadFrom(io.LimitReader(d.r, int64(n))); err != nil {
 		d.err = err
 		return ""
 	}
-	return string(b)
+	if uint64(d.buf.Len()) != n {
+		d.err = io.ErrUnexpectedEOF
+		return ""
+	}
+	return d.buf.String()
 }
 
 func (d *decoder) boolean() bool {
@@ -266,18 +274,13 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("store: bad magic %q: not a racelogic snapshot", head)
 	}
 	format := d.uvarint()
-	if d.err == nil && format != 1 && format != FormatVersion {
-		return nil, fmt.Errorf("store: snapshot format version %d, this build reads 1 and %d", format, FormatVersion)
+	if d.err == nil && format != FormatVersion {
+		return nil, fmt.Errorf("store: snapshot format version %d, this build reads %d", format, FormatVersion)
 	}
 
-	s := &Snapshot{Shard: 0, ShardCount: 1}
-	if format >= 2 {
-		s.Shard = int(d.uvarint())
-		s.ShardCount = int(d.uvarint())
-		s.GlobalVersion = d.varint()
-		if d.err == nil && (s.ShardCount < 1 || s.ShardCount > 1<<20 || s.Shard < 0 || s.Shard >= s.ShardCount) {
-			return nil, fmt.Errorf("store: implausible shard header %d of %d", s.Shard, s.ShardCount)
-		}
+	s := &Snapshot{Shard: int(d.uvarint()), ShardCount: int(d.uvarint()), GlobalVersion: d.varint()}
+	if d.err == nil && (s.ShardCount < 1 || s.ShardCount > 1<<20 || s.Shard < 0 || s.Shard >= s.ShardCount) {
+		return nil, fmt.Errorf("store: implausible shard header %d of %d", s.Shard, s.ShardCount)
 	}
 	s.Options = Options{
 		Library:    d.str(),
@@ -290,10 +293,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 		Workers:    int(d.varint()),
 	}
 	s.Version = d.varint()
-	if format < 2 {
-		// Pre-shard files carry one database-wide counter.
-		s.GlobalVersion = s.Version
-	}
 	s.NextID = d.uvarint()
 	count := d.uvarint()
 	if d.err != nil {

@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,7 +19,7 @@ import (
 // testSnapshot builds a representative snapshot: mixed-length entries,
 // non-contiguous IDs (as after removes), every fingerprint field
 // non-zero, and a live seed index.
-func testSnapshot(t *testing.T) *Snapshot {
+func testSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	g := seqgen.NewDNA(61)
 	entries := append(g.Database(6, 8), g.Database(4, 5)...)
@@ -137,6 +139,19 @@ func TestReadRejectsBadStructure(t *testing.T) {
 	if err := Write(&buf, &Snapshot{IDs: []uint64{1}, Entries: nil}); err == nil {
 		t.Error("mismatched IDs/Entries lengths must error")
 	}
+
+	// Format 1, the layout before the shard header, is refused by the
+	// version check like any other version this build does not write.
+	s = testSnapshot(t)
+	buf.Reset()
+	if err := Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	v1 := buf.Bytes()
+	v1[len(magic)] = 1
+	if _, err := Read(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Errorf("format-1 snapshot: got %v, want a refusal naming version 1", err)
+	}
 }
 
 // TestFileRoundTrip covers the atomic file path: write, reload, and the
@@ -179,66 +194,6 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-// writeV1Snapshot hand-encodes a format-1 snapshot — the pre-shard
-// layout without the shard header.
-func writeV1Snapshot(t *testing.T, s *Snapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	hw := &hashWriter{w: &buf, h: crc32.NewIEEE()}
-	e := newEncoder(hw)
-	e.raw([]byte(magic))
-	e.uvarint(1)
-	o := s.Options
-	e.str(o.Library)
-	e.str(o.Matrix)
-	e.uvarint(uint64(o.GateRegion))
-	e.boolean(o.OneHot)
-	e.uvarint(uint64(o.SeedK))
-	e.varint(o.Threshold)
-	e.varint(int64(o.TopK))
-	e.varint(int64(o.Workers))
-	e.varint(s.Version)
-	e.uvarint(s.NextID)
-	e.uvarint(uint64(len(s.Entries)))
-	for i, entry := range s.Entries {
-		e.uvarint(s.IDs[i])
-		e.str(entry)
-	}
-	e.boolean(s.Index != nil)
-	if e.err != nil {
-		t.Fatal(e.err)
-	}
-	if s.Index != nil {
-		if err := s.Index.Encode(hw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], hw.h.Sum32())
-	buf.Write(tail[:])
-	return buf.Bytes()
-}
-
-// TestReadsV1Snapshot pins backward compatibility: a format-1 file
-// reads as shard 0 of 1 with GlobalVersion recovered as Version.
-func TestReadsV1Snapshot(t *testing.T) {
-	s := testSnapshot(t)
-	raw := writeV1Snapshot(t, s)
-	back, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Shard != 0 || back.ShardCount != 1 {
-		t.Errorf("v1 snapshot read as shard %d of %d, want 0 of 1", back.Shard, back.ShardCount)
-	}
-	if back.GlobalVersion != s.Version {
-		t.Errorf("v1 GlobalVersion = %d, want recovered as Version %d", back.GlobalVersion, s.Version)
-	}
-	if !reflect.DeepEqual(back.Entries, s.Entries) || !reflect.DeepEqual(back.IDs, s.IDs) {
-		t.Error("v1 snapshot entries/IDs differ after read")
-	}
-}
-
 // TestSnapshotShardHeader pins the v2 shard header round trip and its
 // validation.
 func TestSnapshotShardHeader(t *testing.T) {
@@ -259,5 +214,35 @@ func TestSnapshotShardHeader(t *testing.T) {
 	s.Shard = 8 // out of range
 	if err := Write(&buf, s); err == nil {
 		t.Error("shard ≥ shard count must be rejected at write")
+	}
+}
+
+// hostileSnapshot is a 19-byte snapshot whose library name claims
+// 1 GiB, just under maxStringLen, followed by four bytes of it.
+func hostileSnapshot() []byte {
+	b := append([]byte(magic), FormatVersion, 0, 1, 0) // shard 0 of 1, global version 0
+	b = binary.AppendUvarint(b, 1<<30)
+	return append(b, "ACGT"...)
+}
+
+// TestReadHostileStringLength pins the decoder's allocation bound: a
+// length field is untrusted until the trailing checksum is verified,
+// so the hostile snapshot must fail with unexpected EOF having
+// allocated about what the file holds, not the gigabyte it claims.
+func TestReadHostileStringLength(t *testing.T) {
+	raw := hostileSnapshot()
+	if len(raw) != 19 {
+		t.Fatalf("hostile snapshot is %d bytes, want 19", len(raw))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("hostile snapshot: got %v, want unexpected EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("reading the hostile snapshot allocated %d bytes, want under 1 MiB", got)
 	}
 }

@@ -15,12 +15,11 @@ import (
 // walMagic opens every WAL segment.
 const walMagic = "RLWAL"
 
-// WALFormatVersion is the WAL wire format this package writes.  Version
-// 2 added the Global field to every record — the database-wide logical
-// mutation counter, journaled beside the per-shard sequence so a sharded
-// database can recover its global version from whichever shard saw the
-// newest mutation.  Version-1 segments are still replayed (their records
-// predate sharding, so Global is recovered as the per-database Version).
+// WALFormatVersion is the WAL wire format this package writes and the
+// only one Replay accepts.  Every record carries the Global field — the
+// database-wide logical mutation counter, journaled beside the
+// per-shard sequence so a sharded database can recover its global
+// version from whichever shard saw the newest mutation.
 const WALFormatVersion = 2
 
 // maxRecordLen bounds a single record's payload.  Frame lengths are read
@@ -54,8 +53,7 @@ type Record struct {
 	// Global is the database-wide logical mutation counter the record
 	// belongs to.  One multi-shard mutation journals one record per
 	// touched shard, all carrying the same Global; recovery takes the
-	// maximum across every shard's journal.  Version-1 segments have no
-	// such field and replay with Global == Version.
+	// maximum across every shard's journal.
 	Global int64
 	// IDs are the stable entry IDs inserted or removed; nil for compact.
 	IDs []uint64
@@ -119,14 +117,14 @@ func Replay(path string) ([]Record, int64, error) {
 	if err != nil {
 		return nil, 0, nil // torn header, no records yet
 	}
-	if format != 1 && format != WALFormatVersion {
-		return nil, 0, fmt.Errorf("store: WAL format version %d, this build reads 1 and %d", format, WALFormatVersion)
+	if format != WALFormatVersion {
+		return nil, 0, fmt.Errorf("store: WAL format version %d, this build reads %d", format, WALFormatVersion)
 	}
 
 	var recs []Record
 	clean := cr.n
 	for {
-		rec, ok := readRecord(cr, format)
+		rec, ok := readRecord(cr)
 		if !ok {
 			return recs, clean, nil
 		}
@@ -137,7 +135,7 @@ func Replay(path string) ([]Record, int64, error) {
 
 // readRecord decodes one framed record; ok is false at end-of-file and
 // on any torn or corrupt frame.
-func readRecord(cr *countReader, format uint64) (Record, bool) {
+func readRecord(cr *countReader) (Record, bool) {
 	n, err := binary.ReadUvarint(cr)
 	if err != nil || n == 0 || n > maxRecordLen {
 		return Record{}, false
@@ -153,26 +151,19 @@ func readRecord(cr *countReader, format uint64) (Record, bool) {
 	if binary.LittleEndian.Uint32(tail[:]) != crc32.ChecksumIEEE(payload) {
 		return Record{}, false
 	}
-	return decodeRecord(payload, format)
+	return decodeRecord(payload)
 }
 
 // decodeRecord parses a CRC-verified payload; ok is false when the
 // structure is invalid anyway (a corruption the checksum was also fed).
-func decodeRecord(payload []byte, format uint64) (Record, bool) {
+func decodeRecord(payload []byte) (Record, bool) {
 	br := bytes.NewReader(payload)
 	d := &decoder{r: br}
 	op, err := br.ReadByte()
 	if err != nil {
 		return Record{}, false
 	}
-	rec := Record{Op: Op(op), Version: d.varint()}
-	if format >= 2 {
-		rec.Global = d.varint()
-	} else {
-		// Pre-shard segments journal one database-wide counter; it is
-		// both the shard sequence and the global version.
-		rec.Global = rec.Version
-	}
+	rec := Record{Op: Op(op), Version: d.varint(), Global: d.varint()}
 	switch rec.Op {
 	case OpInsert:
 		count := d.uvarint()
@@ -245,22 +236,13 @@ func OpenWAL(path string) (*WAL, []Record, error) {
 	w := &WAL{f: f, records: int64(len(recs))}
 	w.gcond = sync.NewCond(&w.gmu)
 	if clean < headerLen || len(recs) == 0 {
-		// New (or torn-at-birth, or older-format-but-empty) segment:
-		// start it over with a current-format header.
+		// New (or torn-at-birth) segment: start it over with a fresh
+		// header.
 		if err := w.rewriteHeader(); err != nil {
 			_ = f.Close()
 			return nil, nil, err
 		}
 	} else {
-		if format, ferr := segmentFormat(path); ferr != nil || format != WALFormatVersion {
-			// A populated older-format segment cannot take current-format
-			// appends; the migration path replays it read-only instead.
-			_ = f.Close()
-			if ferr != nil {
-				return nil, nil, ferr
-			}
-			return nil, nil, fmt.Errorf("store: WAL %s holds format-%d records; migrate it before appending", path, format)
-		}
 		if err := f.Truncate(clean); err != nil {
 			_ = f.Close()
 			return nil, nil, err
@@ -274,21 +256,6 @@ func OpenWAL(path string) (*WAL, []Record, error) {
 		w.synced = clean
 	}
 	return w, recs, nil
-}
-
-// segmentFormat reads just the header version of the segment at path.
-func segmentFormat(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	head := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, head); err != nil || string(head) != walMagic {
-		return 0, fmt.Errorf("store: %s: not a racelogic journal", path)
-	}
-	return binary.ReadUvarint(br)
 }
 
 // rewriteHeader resets the file to a bare header.  Caller holds no

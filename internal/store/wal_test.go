@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -186,7 +187,8 @@ func TestWALTruncationProperty(t *testing.T) {
 // TestWALCorruptionProperty flips every byte of a valid segment in turn:
 // replay must yield a prefix of the original records (the flip may cost
 // the record it hit and everything after, never anything else) or, for a
-// mangled header, fail loudly.
+// mangled header, fail loudly.  A segment headed format 1 — the layout
+// before records carried their global version — fails loudly as well.
 func TestWALCorruptionProperty(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.wal")
@@ -218,5 +220,17 @@ func TestWALCorruptionProperty(t *testing.T) {
 		if len(got) == len(recs) {
 			t.Fatalf("flip at %d: every record still replayed — the corruption went undetected", at)
 		}
+	}
+
+	v1 := append([]byte(nil), raw...)
+	v1[len(walMagic)] = 1
+	if err := os.WriteFile(bad, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Replay(bad); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Errorf("format-1 segment: Replay got %v, want a refusal naming version 1", err)
+	}
+	if _, _, err := OpenWAL(bad); err == nil {
+		t.Error("format-1 segment: OpenWAL must refuse it")
 	}
 }

@@ -266,9 +266,9 @@ func TestDatabaseConcurrentMutation(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip is the durability acceptance property: after
-// mutations, SaveSnapshot → OpenSnapshot reproduces the database so
-// exactly that search reports are byte-identical modulo EnginesBuilt,
-// and the ID/version counters continue where they left off.
+// mutations, Persist → Close → Open reproduces the database so exactly
+// that search reports are byte-identical modulo EnginesBuilt, and the
+// ID/version counters continue where they left off.
 func TestSnapshotRoundTrip(t *testing.T) {
 	g := seqgen.NewDNA(83)
 	var entries []string
@@ -290,17 +290,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("test needs tombstones at save time to exercise save-side compaction")
 	}
 
-	path := filepath.Join(t.TempDir(), "db.snap")
-	if err := db.SaveSnapshot(path); err != nil {
+	dir := t.TempDir()
+	if err := db.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	if db.Tombstones() != 0 {
-		t.Error("SaveSnapshot must compact so the file matches memory")
+		t.Error("Persist must compact so the shard snapshots match memory")
 	}
-	back, err := racelogic.OpenSnapshot(path)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := racelogic.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	if back.Len() != db.Len() || back.Version() != db.Version() || back.SeedK() != db.SeedK() ||
 		back.Buckets() != db.Buckets() {
 		t.Fatalf("reopened shape differs: len %d/%d version %d/%d seedk %d/%d buckets %d/%d",
@@ -350,31 +354,37 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenSnapshotErrors pins the failure modes: missing and corrupted
-// files must error, never half-load.
+// TestOpenSnapshotErrors pins the shard-snapshot failure modes at
+// Open: a missing directory reports ErrNoDatabase, and one flipped byte
+// in one shard's snapshot fails the whole Open, never half-loads.
 func TestOpenSnapshotErrors(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := racelogic.OpenSnapshot(filepath.Join(dir, "missing.snap")); err == nil {
-		t.Error("missing snapshot must error")
+	if _, err := racelogic.Open(filepath.Join(dir, "missing")); !errors.Is(err, racelogic.ErrNoDatabase) {
+		t.Errorf("missing directory: %v, want ErrNoDatabase", err)
 	}
-	db, err := racelogic.NewDatabase([]string{"ACGT", "TTTT"})
+	db, err := racelogic.NewDatabase([]string{"ACGT", "TTTT"}, racelogic.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "db.snap")
-	if err := db.SaveSnapshot(path); err != nil {
+	if err := db.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "shard-*.snap"))
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("want 2 shard snapshots in %s, got %v (err=%v)", dir, snaps, err)
+	}
+	raw, err := os.ReadFile(snaps[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0xff
-	bad := filepath.Join(dir, "bad.snap")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+	if err := os.WriteFile(snaps[1], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := racelogic.OpenSnapshot(bad); err == nil {
-		t.Error("corrupted snapshot must error")
+	if _, err := racelogic.Open(dir); err == nil || errors.Is(err, racelogic.ErrNoDatabase) {
+		t.Errorf("corrupted shard snapshot: %v, want a load error", err)
 	}
 }

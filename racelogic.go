@@ -22,9 +22,10 @@
 //     once, keep compiled engines pooled per shape, optionally build a
 //     k-mer seed index (WithSeedIndex), and serve concurrent Search
 //     calls.  Databases are mutable (Insert/Remove with copy-on-write
-//     snapshot isolation and stable entry IDs) and durable
-//     (SaveSnapshot/OpenSnapshot checksummed binary files);
-//     cmd/raceserve wraps it all in a long-running HTTP JSON API;
+//     snapshot isolation and stable entry IDs) and crash-safe
+//     (Persist/Open: checksummed per-shard snapshots plus write-ahead
+//     journals in one directory); cmd/raceserve wraps it all in a
+//     long-running HTTP JSON API;
 //   - Search — one-shot database search: a thin build-then-search
 //     wrapper over Database for single queries;
 //   - EditDistance — the reference software DP;
@@ -191,12 +192,12 @@ const (
 func ParseBackend(s string) (Backend, error) { return race.ParseBackend(s) }
 
 // WithBackend selects the simulation engine (default BackendCycle).
-// It is accepted by the engine constructors, NewDatabase, Open, and
-// OpenSnapshot.  On a Database it shapes the pooled engines and is
-// therefore fixed at construction — Search rejects it — but it is a
-// pure runtime choice, never part of a snapshot's options fingerprint:
-// a database persisted under one backend may reopen under the other and
-// still report byte-identical results.
+// It is accepted by the engine constructors, NewDatabase, and Open.  On
+// a Database it shapes the pooled engines and is therefore fixed at
+// construction — Search rejects it — but it is a pure runtime choice,
+// never part of a snapshot's options fingerprint: a database persisted
+// under one backend may reopen under another and still report
+// byte-identical results.
 func WithBackend(b Backend) Option {
 	return func(c *config) error {
 		if err := b.Validate(); err != nil {

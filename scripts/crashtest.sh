@@ -4,7 +4,10 @@
 # Starts the server with a durable state directory, inserts entries over
 # HTTP, SIGKILLs the process mid-flight (no shutdown handler runs, no
 # snapshot is saved), restarts it on the same directory, and asserts
-# /stats reports every acknowledged entry.  Run from the repo root:
+# /stats reports every acknowledged entry.  It then stops the recovered
+# server cleanly with SIGTERM and starts it a third time: the shutdown
+# checkpoint must keep the recovered journal tails.  Run from the repo
+# root:
 #
 #   ./scripts/crashtest.sh
 set -euo pipefail
@@ -100,6 +103,25 @@ echo "$METRICS" | grep -q '^racelogic_build_info{' ||
 echo "$METRICS" | grep -q '^racelogic_shard_entries{shard="3"}' ||
     { echo "/metrics is missing the per-shard entry gauges" >&2; exit 1; }
 
+# Stop cleanly: SIGTERM runs the shutdown path, whose final checkpoint
+# must fold the replayed journal tails into the shard snapshots rather
+# than truncate them away.  A third start must still see every entry.
+kill -TERM "$PID"
+if ! wait "$PID"; then
+    echo "raceserve did not stop cleanly on SIGTERM; log:" >&2
+    cat "$LOG" >&2
+    exit 1
+fi
+"$DIR/raceserve" -addr "$ADDR" -wal "$DIR/state" >>"$LOG" 2>&1 &
+PID=$!
+wait_up
+FINAL=$(entries)
+if [ "$FINAL" != "$PRE" ]; then
+    echo "clean stop after recovery lost entries: $FINAL after restart, want $PRE; log:" >&2
+    cat "$LOG" >&2
+    exit 1
+fi
+
 kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
-echo "crashtest: OK — $PRE entries survived kill -9 across $SHARDS shards"
+echo "crashtest: OK — $PRE entries survived kill -9 and a clean stop across $SHARDS shards"

@@ -2,8 +2,6 @@ package racelogic_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -12,7 +10,6 @@ import (
 
 	"racelogic"
 	"racelogic/internal/seqgen"
-	"racelogic/internal/store"
 )
 
 // shardCounts is the partition sweep the determinism properties run
@@ -238,116 +235,6 @@ func TestShardedConcurrentMutationAtomicity(t *testing.T) {
 	}
 }
 
-// TestOpenMigratesV1Layout pins the in-place migration: a directory in
-// the pre-shard layout — one db.snap plus one db.wal tail — opens as a
-// sharded database with zero acknowledged mutations lost, and the old
-// files are replaced by the manifest-committed shard layout.
-func TestOpenMigratesV1Layout(t *testing.T) {
-	g := seqgen.NewDNA(149)
-	entries := g.Database(9, 8)
-	dir := t.TempDir()
-
-	// The portable export is exactly the old layout's snapshot file.
-	seedDB, err := racelogic.NewDatabase(entries, racelogic.WithSeedIndex(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seedDB.SaveSnapshot(filepath.Join(dir, racelogic.SnapshotName)); err != nil {
-		t.Fatal(err)
-	}
-	// A journal tail continuing the snapshot: two inserts and a remove
-	// acknowledged after it was taken.
-	tail := []string{g.Random(8), g.Random(11)}
-	w, _, err := store.OpenWAL(filepath.Join(dir, racelogic.WALName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendInsert(1, 1, []uint64{9, 10}, tail); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendRemove(2, 2, []uint64{3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := racelogic.Open(dir, racelogic.WithSnapshotInterval(0), racelogic.WithSnapshotEvery(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.Len() != len(entries)+len(tail)-1 {
-		t.Fatalf("migrated database has %d entries, want %d", db.Len(), len(entries)+len(tail)-1)
-	}
-	if db.Version() != 3 {
-		t.Errorf("migrated version = %d, want 3 (two journaled mutations, then the migration compacts the tombstone)", db.Version())
-	}
-	wantIDs := []uint64{0, 1, 2, 4, 5, 6, 7, 8, 9, 10}
-	if !reflect.DeepEqual(db.IDs(), wantIDs) {
-		t.Errorf("migrated IDs = %v, want %v", db.IDs(), wantIDs)
-	}
-	// The layout is committed: manifest + shard files in, v1 files out.
-	if _, err := os.Stat(filepath.Join(dir, racelogic.ManifestName)); err != nil {
-		t.Errorf("migration left no manifest: %v", err)
-	}
-	for _, old := range []string{racelogic.SnapshotName, racelogic.WALName} {
-		if _, err := os.Stat(filepath.Join(dir, old)); !os.IsNotExist(err) {
-			t.Errorf("migration left the v1 file %s behind (err=%v)", old, err)
-		}
-	}
-	// Searches match a fresh database over the same live set, and the
-	// migrated directory keeps working across a reopen with mutations.
-	live := append(append([]string{}, entries[:3]...), entries[4:]...)
-	live = append(live, tail...)
-	control, err := racelogic.NewDatabase(live, racelogic.WithSeedIndex(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{g.Random(8), g.Random(11)} {
-		want, err := control.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := db.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Counters and stable IDs legitimately differ (the fresh control
-		// renumbers from zero; the migrated database keeps its IDs); the
-		// ranked coordinates, scores, and aggregates must match exactly.
-		want.Version, got.Version = 0, 0
-		for i := range want.Results {
-			want.Results[i].ID = 0
-		}
-		for i := range got.Results {
-			got.Results[i].ID = 0
-		}
-		if !reflect.DeepEqual(stripEngines(want), stripEngines(got)) {
-			t.Errorf("query %q: migrated report differs from control:\n got %+v\nwant %+v", q, got, want)
-		}
-	}
-	ids, err := db.Insert(g.Random(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids[0] != 11 {
-		t.Errorf("post-migration insert assigned ID %d, want 11", ids[0])
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := racelogic.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	if back.Len() != db.Len() || back.Version() != db.Version() {
-		t.Errorf("reopened migrated dir: len=%d version=%d, want %d/%d",
-			back.Len(), back.Version(), db.Len(), db.Version())
-	}
-}
-
 // TestOpenReshardsInPlace pins WithShards on Open: the directory is
 // rewritten under the new partition count with nothing lost, and the
 // new layout is what later default opens recover.
@@ -512,49 +399,6 @@ func TestShardedCrashRecovery(t *testing.T) {
 		}
 		if !reflect.DeepEqual(stripEngines(want), stripEngines(got)) {
 			t.Errorf("query %q: recovered report differs:\n got %+v\nwant %+v", q, got, want)
-		}
-	}
-}
-
-// TestShardedSnapshotExport pins the portable-export round trip under
-// partitioning: a mutated 7-shard seeded database exports to one file
-// (its per-shard indexes merged, not re-tokenized) and reopens with
-// byte-identical seeded reports.
-func TestShardedSnapshotExport(t *testing.T) {
-	g := seqgen.NewDNA(167)
-	db, err := racelogic.NewDatabase(g.Database(12, 10), racelogic.WithSeedIndex(4), racelogic.WithShards(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Insert(g.Random(10), g.Random(13)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Remove(2, 9); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "export.snap")
-	if err := db.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := racelogic.OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.SeedK() != 4 || back.Len() != db.Len() || back.Version() != db.Version() {
-		t.Fatalf("reopened export: seedk=%d len=%d version=%d, want 4/%d/%d",
-			back.SeedK(), back.Len(), back.Version(), db.Len(), db.Version())
-	}
-	for _, q := range []string{g.Random(10), g.Random(13), g.Random(3)} {
-		want, err := db.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(stripEngines(want), stripEngines(got)) {
-			t.Errorf("query %q: exported report differs:\n got %+v\nwant %+v", q, got, want)
 		}
 	}
 }

@@ -1,74 +1,14 @@
 package racelogic
 
 import (
-	"fmt"
-
-	"racelogic/internal/index"
 	"racelogic/internal/store"
 	"racelogic/internal/tech"
 )
 
-// SaveSnapshot persists the database to path as a versioned,
-// checksummed binary snapshot: every live entry with its stable ID in
-// global ID order, the options fingerprint that shaped the engines, and
-// the mutation/ID counters — one portable file regardless of how the
-// database is partitioned in memory.  The file is written to a
-// temporary sibling and renamed into place, so a crash mid-save leaves
-// any previous snapshot intact.
-//
-// Tombstones are compacted first (bumping Version if there were any),
-// so the saved numbering is exactly the in-memory one: a database
-// reopened with OpenSnapshot returns byte-identical search reports,
-// modulo EnginesBuilt, whatever shard count either side runs with.
-// Concurrent searches are never blocked; Insert and Remove wait for the
-// compaction (not the file write) to finish.
-//
-// SaveSnapshot is the portable export path; it does not interact with a
-// durable database's own snapshot/WAL directory — use Checkpoint for
-// that.
-func (d *Database) SaveSnapshot(path string) error {
-	_, v, err := d.compactAll(false, true)
-	if err != nil {
-		return err
-	}
-	entries, ids := flatten(v)
-	// The per-shard seed indexes are partition-local, so the export
-	// merges them into one global index over the flattened order (and
-	// reopening partitions it back) — neither direction re-tokenizes a
-	// single sequence.
-	var ix *index.Index
-	if d.cfg.seedK > 0 {
-		globalIdx := make(map[uint64]int, len(ids))
-		for i, id := range ids {
-			globalIdx[id] = i
-		}
-		parts := make([]*index.Index, len(v.states))
-		for s, st := range v.states {
-			parts[s] = st.idx
-		}
-		if ix, err = index.Merge(parts, len(entries), func(sh, local int) int {
-			return globalIdx[v.states[sh].ids[local]]
-		}); err != nil {
-			return err
-		}
-	}
-	return store.WriteFile(path, &store.Snapshot{
-		Options:       d.storeOptions(),
-		Shard:         0,
-		ShardCount:    1,
-		Version:       v.version,
-		GlobalVersion: v.version,
-		NextID:        d.nextID.Load(),
-		IDs:           ids,
-		Entries:       entries,
-		Index:         ix,
-	})
-}
-
 // storeOptions is the construction fingerprint serialized with every
-// snapshot (shard files and portable exports alike).  The shard count
-// is deliberately not part of it: partitioning never changes a report,
-// so a snapshot may reopen under any count.
+// shard snapshot.  The shard count is deliberately not part of it:
+// partitioning never changes a report, so a directory may reopen under
+// any count.
 func (d *Database) storeOptions() store.Options {
 	return store.Options{
 		Library:    d.cfg.library.Name,
@@ -83,7 +23,7 @@ func (d *Database) storeOptions() store.Options {
 }
 
 // configFromStoreOptions rebuilds the construction configuration from a
-// snapshot's options fingerprint.
+// shard snapshot's options fingerprint.
 func configFromStoreOptions(o store.Options) (*config, error) {
 	lib, err := tech.ByName(o.Library)
 	if err != nil {
@@ -103,53 +43,4 @@ func configFromStoreOptions(o store.Options) (*config, error) {
 		snapEvery:    DefaultSnapshotEvery,
 		segBytes:     DefaultWALSegmentBytes,
 	}, nil
-}
-
-// OpenSnapshot loads a database saved by SaveSnapshot.  The engine
-// options, per-search defaults, entries, stable IDs, mutation version,
-// and seed index all come from the file, so a snapshot always reopens
-// exactly as it was saved (the stored global index is partitioned
-// across the shards instead of re-built from the sequences, and the
-// partition count defaults to GOMAXPROCS — partitioning never changes a
-// report).  The checksum and structural invariants are verified before
-// anything is built.
-//
-// The accepted options are WithBackend and WithLaneWidth: the
-// simulation engine and its lane-pack width are runtime choices,
-// deliberately outside the snapshot fingerprint, and every combination
-// reproduces the saved database's reports byte for byte.
-//
-// The result is memory-only: mutations are not journaled.  For a
-// crash-safe database use Open on a directory instead.
-func OpenSnapshot(path string, opts ...Option) (*Database, error) {
-	s, err := store.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if s.ShardCount != 1 {
-		return nil, fmt.Errorf("racelogic: %s is shard %d of a %d-shard layout, not a portable snapshot; use Open on its directory",
-			path, s.Shard, s.ShardCount)
-	}
-	cfg, err := configFromStoreOptions(s.Options)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	for _, o := range opts {
-		if err := o(cfg); err != nil {
-			return nil, err
-		}
-	}
-	for _, name := range cfg.applied {
-		if name != "WithBackend" && name != "WithLaneWidth" {
-			return nil, fmt.Errorf("racelogic: %s cannot be set here; a snapshot fixes every option except WithBackend and WithLaneWidth", name)
-		}
-	}
-	if s.Index != nil && s.Index.K() != cfg.seedK {
-		return nil, fmt.Errorf("%s: snapshot index has k=%d but the fingerprint says %d", path, s.Index.K(), cfg.seedK)
-	}
-	d, err := assembleDatabase(cfg, s.Entries, s.IDs, s.NextID, s.GlobalVersion, s.Index)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return d, nil
 }
