@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,26 +150,53 @@ func TestSearchBatchErrors(t *testing.T) {
 // SearchBatchContext records one seed/plan/race/merge span sequence,
 // its per-shard scanned/skipped/cycles sums equal the sums over the
 // batch's reports, and a batch of one traces exactly like SearchContext
-// for the same query once the durations are zeroed.
+// for the same query once the durations are zeroed.  Every traced query
+// is new to its database, so every traced run races rather than reading
+// the outcome memo.
 func TestSearchBatchTrace(t *testing.T) {
 	g := seqgen.NewDNA(64)
 	var db []string
 	for _, n := range []int{7, 9, 11} {
 		db = append(db, g.Database(25, n)...)
 	}
-	d, err := racelogic.NewDatabase(db,
-		racelogic.WithShards(2), racelogic.WithSeedIndex(4), racelogic.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
 	// Two entries verbatim (certain seed hits), a random query, and one
 	// shorter than k, which the seed index cannot filter.
 	queries := []string{db[3], db[40], g.Random(9), g.Random(3)}
-	// Warm every engine shape so the traced runs build nothing.
-	if _, err := d.SearchBatch(queries); err != nil {
-		t.Fatal(err)
+	// Full scans of other queries of the same lengths warm every engine
+	// shape the traced runs use, so those build nothing, and leave the
+	// traced queries unmemoized.
+	warm := make([]string, len(queries))
+	for i, q := range queries {
+		for warm[i] == "" || slices.Contains(queries, warm[i]) {
+			warm[i] = g.Random(len(q))
+		}
 	}
+	newDB := func() *racelogic.Database {
+		t.Helper()
+		d, err := racelogic.NewDatabase(db,
+			racelogic.WithShards(2), racelogic.WithSeedIndex(4), racelogic.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		if _, err := d.SearchBatch(warm, racelogic.WithFullScan()); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// raced fails the test unless a traced run raced its pairs.
+	raced := func(what string, rep *obs.TraceReport) {
+		t.Helper()
+		chunks, memo := 0, 0
+		for _, sh := range rep.Shards {
+			chunks += sh.Chunks
+			memo += sh.Memoized
+		}
+		if chunks == 0 || memo != 0 {
+			t.Fatalf("%s: %d chunks raced, %d entries memo-served; want a cold race", what, chunks, memo)
+		}
+	}
+	d := newDB()
 
 	// Four workers write the shared trace concurrently; the sums below do
 	// not depend on how chunks were scheduled.
@@ -178,6 +206,7 @@ func TestSearchBatchTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := tr.Report()
+	raced("four-worker batch", rep)
 	var names []string
 	for _, sp := range rep.Spans {
 		names = append(names, sp.Name)
@@ -206,14 +235,19 @@ func TestSearchBatchTrace(t *testing.T) {
 		t.Error("seed index skipped nothing; the corpus does not exercise skip sums")
 	}
 
+	// The single and batch-of-one runs each race on their own,
+	// identically warmed database, which sees the same history.
+	dSingle, dBatch := newDB(), newDB()
 	for _, q := range queries {
 		single, batch := obs.NewTrace(), obs.NewTrace()
-		if _, err := d.SearchContext(obs.WithTrace(context.Background(), single), q); err != nil {
+		if _, err := dSingle.SearchContext(obs.WithTrace(context.Background(), single), q); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.SearchBatchContext(obs.WithTrace(context.Background(), batch), []string{q}); err != nil {
+		if _, err := dBatch.SearchBatchContext(obs.WithTrace(context.Background(), batch), []string{q}); err != nil {
 			t.Fatal(err)
 		}
+		raced("SearchContext of "+q, single.Report())
+		raced("batch of one of "+q, batch.Report())
 		a, _ := json.Marshal(zeroTraceDurations(single.Report()))
 		b, _ := json.Marshal(zeroTraceDurations(batch.Report()))
 		if string(a) != string(b) {

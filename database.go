@@ -89,6 +89,11 @@ type Database struct {
 	metrics  *dbMetrics
 	idxStats *index.Stats
 
+	// memo holds each recent query's race outcomes by entry ID, so a
+	// repeated query races only the candidates its last search did not
+	// score (see outcomeMemo).
+	memo *outcomeMemo
+
 	// Durability.  All zero on a memory-only database; set once by
 	// Persist or Open under lmu, then read by the mutation path and the
 	// snapshotter goroutine.
@@ -298,6 +303,7 @@ func assembleShards(cfg *config, parts []shardPart, nextID uint64, version int64
 		shards:     make([]*shard, len(parts)),
 		compaction: cfg.compaction,
 		idxStats:   &index.Stats{},
+		memo:       newOutcomeMemo(memoBudget),
 	}
 	states := make([]*shardstate, len(parts))
 	for s, part := range parts {
@@ -1043,14 +1049,15 @@ func seedFiltered(query string, cfg *config) bool {
 }
 
 // shardScans builds one query's per-shard candidate scans against v:
-// the seed-index lookup, tombstone filtering, and the nil
-// "scan everything" fallback.  tr may be the nil trace; a batch adds
-// every query's skips to it.
+// the seed-index lookup, tombstone filtering, the nil "scan everything"
+// fallback, and the query's memoized outcomes.  tr may be the nil
+// trace; a batch adds every query's skips to it.
 func (d *Database) shardScans(v *dbview, query string, cfg *config, tr *obs.Trace) []pipeline.ShardScan {
 	filtered := seedFiltered(query, cfg)
+	known := d.memo.get(newMemoKey(query, cfg.threshold))
 	scans := make([]pipeline.ShardScan, len(d.shards))
 	for s, st := range v.states {
-		sc := pipeline.ShardScan{DB: d.shards[s].p, Snap: st.snap, IDs: st.ids}
+		sc := pipeline.ShardScan{DB: d.shards[s].p, Snap: st.snap, IDs: st.ids, Known: known}
 		if filtered && st.idx != nil {
 			cands := st.idx.Candidates(query)
 			// Postings may still name tombstoned slots (removal leaves
@@ -1136,10 +1143,12 @@ func (d *Database) search(ctx context.Context, query string, cfg *config) (*Sear
 // searchQueries is the one search body behind search and searchBatch.
 // It loads the view once, so every report is one consistent cut
 // carrying the same Version even under concurrent mutation; builds each
-// query's per-shard seed-index candidate scans under the seed span; and
-// races them all through one scatter-race-fold, gathering each query's
-// shard outcomes under the global (Score, ID) ranking.  A trace
-// attached to ctx records the whole call.
+// query's per-shard seed-index candidate scans, with its memoized
+// outcomes, under the seed span; and races them all through one
+// scatter-race-fold, gathering each query's shard outcomes under the
+// global (Score, ID) ranking.  Each query's scored outcomes then replace
+// its memo entry; a failed search stores nothing.  A trace attached to
+// ctx records the whole call.
 func (d *Database) searchQueries(ctx context.Context, queries []string, cfg *config) ([]*SearchReport, error) {
 	tr := obs.TraceFrom(ctx)
 	v := d.view.Load()
@@ -1160,9 +1169,13 @@ func (d *Database) searchQueries(ctx context.Context, queries []string, cfg *con
 	}
 	d.searches.Add(int64(len(queries)))
 	out := make([]*SearchReport, len(reps))
+	memoized := 0
 	for qi, rep := range reps {
+		d.memo.put(newMemoKey(queries[qi], cfg.threshold), rep.Outcomes)
+		memoized += rep.Memoized
 		out[qi] = d.reportFrom(v, queries[qi], cfg, rep)
 	}
+	d.metrics.memoized.Add(float64(memoized))
 	return out, nil
 }
 

@@ -6,7 +6,9 @@
 // body is order-independent:
 //
 //   - writes into maps (plain stores, delete) — distinct keys land the
-//     same way in any order;
+//     same way in any order — unless the stored value calls anything
+//     but a builtin or a type conversion, whose effects would run in
+//     map order;
 //   - append into a map bucket keyed by the range key variable itself
 //     (each bucket is then built within a single iteration, the
 //     partitioning idiom);
@@ -317,6 +319,16 @@ func (c *checker) writeOuterExpr(pos token.Pos, lhs ast.Expr, tok token.Token, r
 
 // writeIndexed handles stores through m[k] / s[i].
 func (c *checker) writeIndexed(pos token.Pos, ix *ast.IndexExpr, tok token.Token, rhs ast.Expr) {
+	// A map store's keys commute, but a call computing the stored value
+	// runs in map order: a builder call (nl.And(...)) appends to its
+	// receiver in a different order every run.
+	if _, isMap := c.pass.Info.TypeOf(ix.X).Underlying().(*types.Map); isMap {
+		if call := effectCall(c.pass.Info, rhs); call != nil {
+			c.pass.Reportf(pos, "store into %s calls %s, which runs in map iteration order; compute the values in sorted key order",
+				exprString(ix), exprString(call.Fun))
+			return
+		}
+	}
 	if commutativeOps[tok] {
 		if isIntegral(c.pass.Info.TypeOf(ix)) {
 			return
@@ -394,6 +406,28 @@ func sortedAfter(pass *analysis.Pass, body *ast.BlockStmt, pos token.Pos, key st
 		return !sorted
 	})
 	return sorted
+}
+
+// effectCall returns the first call in e that is neither a builtin nor
+// a type conversion, or nil.  A function literal is a value, not a
+// call, so its body is skipped.
+func effectCall(info *types.Info, e ast.Expr) *ast.CallExpr {
+	if e == nil {
+		return nil
+	}
+	var found *ast.CallExpr
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if tv := info.Types[n.Fun]; !tv.IsType() && !tv.IsBuiltin() {
+				found = n
+			}
+		}
+		return found == nil
+	})
+	return found
 }
 
 // isAppendCall reports whether call is the append builtin.

@@ -128,6 +128,42 @@ func plainStore(m map[string]int) map[string]int {
 	return out
 }
 
+// netlist stands in for a circuit builder: every gate call appends to
+// the receiver, so the call order is the gate order.
+type netlist struct{ gates []string }
+
+func (nl *netlist) And(in ...int) int { nl.gates = append(nl.gates, "and"); return len(nl.gates) - 1 }
+func (nl *netlist) Or(in ...int) int  { nl.gates = append(nl.gates, "or"); return len(nl.gates) - 1 }
+func (nl *netlist) Not(in int) int    { nl.gates = append(nl.gates, "not"); return len(nl.gates) - 1 }
+
+// regionEnables builds one gate per map key in map order, so every build
+// numbers the gates differently: flagged.
+func regionEnables(nl *netlist, regionFFs map[int][]int, activity []int) map[int]int {
+	enables := make(map[int]int, len(regionFFs))
+	for key, qs := range regionFFs {
+		enables[key] = nl.And(nl.Or(activity...), nl.Not(nl.And(qs...))) // want `store into enables\[key\] calls nl.And`
+	}
+	return enables
+}
+
+// convertedStore stores builtin and conversion results only: legal.
+func convertedStore(m map[string][]int) map[string]int64 {
+	out := make(map[string]int64, len(m))
+	for k, post := range m {
+		out[k] = int64(len(post)) + int64(cap(post))
+	}
+	return out
+}
+
+// deferredStore stores a closure without calling it: legal.
+func deferredStore(m map[string]int, sink func(int)) map[string]func() {
+	out := make(map[string]func(), len(m))
+	for k, v := range m {
+		out[k] = func() { sink(v) }
+	}
+	return out
+}
+
 // sortBuckets sorts each element in place: commutes, legal.
 func sortBuckets(m map[string][]int) {
 	for _, post := range m {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -178,34 +179,25 @@ func (ix *Index) Candidates(query string) []int {
 		}
 		return all
 	}
-	mark := make([]bool, ix.n)
-	hits := 0
-	seen := make(map[string]bool, len(query)-ix.k+1)
+	// Gather the postings of the query's distinct k-mers plus the short
+	// entries, then sort and dedupe: O(hits log hits), never O(slots).
+	kmers := make([]string, 0, len(query)-ix.k+1)
 	for j := 0; j+ix.k <= len(query); j++ {
-		kmer := query[j : j+ix.k]
-		if seen[kmer] {
-			continue
-		}
-		seen[kmer] = true
-		for _, i := range ix.postings(kmer) {
-			if !mark[i] {
-				mark[i] = true
-				hits++
-			}
-		}
+		kmers = append(kmers, query[j:j+ix.k])
 	}
-	for _, i := range ix.always {
-		if !mark[i] {
-			mark[i] = true
-			hits++
-		}
+	slices.Sort(kmers)
+	kmers = slices.Compact(kmers)
+	hits := len(ix.always)
+	for _, kmer := range kmers {
+		hits += len(ix.postings(kmer))
 	}
 	cands := make([]int, 0, hits)
-	for i, hit := range mark {
-		if hit {
-			cands = append(cands, i)
-		}
+	for _, kmer := range kmers {
+		cands = append(cands, ix.postings(kmer)...)
 	}
+	cands = append(cands, ix.always...)
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
 	if ix.stats != nil {
 		ix.stats.Candidates.Add(int64(len(cands)))
 	}

@@ -374,3 +374,34 @@ func BenchmarkGrow(b *testing.B) {
 	}
 	sinkIndex = ix
 }
+
+var sinkCandidates []int
+
+// BenchmarkCandidates times one seed lookup of the mixed-durable shape:
+// a 10k-entry shard of length-24 entries at k = 8, queried with entries
+// carrying two substitutions, so a lookup returns a few dozen of the
+// shard's slots.
+func BenchmarkCandidates(b *testing.B) {
+	g := seqgen.NewDNA(61)
+	entries := g.Database(10000, 24)
+	ix, err := New(entries, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := make([]string, 64)
+	for i := range queries {
+		if queries[i], err = g.Mutate(entries[(i*157)%len(entries)], 2, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hits := 0
+	for _, q := range queries {
+		hits += len(ix.Candidates(q))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkCandidates = ix.Candidates(queries[i%len(queries)])
+	}
+	b.ReportMetric(float64(hits)/float64(len(queries)), "cands/op")
+}

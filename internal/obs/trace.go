@@ -33,14 +33,18 @@ type Span struct {
 }
 
 // ShardTrace is one shard's share of the search, summed over its
-// queries when the trace covers a batch.  A chunk of the race may span
-// shards: Chunks, EngineCheckouts, EnginesBuilt, CheckoutWaitUS and
-// RaceUS are attributed to the shard of the chunk's first pair.  The
-// count fields are deterministic for a fixed corpus, queries and worker
-// count; only the _us fields vary across reruns.
+// queries when the trace covers a batch.  Scanned counts the entries
+// scored, and Memoized those of them whose outcome the database's
+// outcome memo already held, so only Scanned − Memoized were raced.  A
+// chunk of the race may span shards: Chunks, EngineCheckouts,
+// EnginesBuilt, CheckoutWaitUS and RaceUS are attributed to the shard
+// of the chunk's first pair.  The count fields are deterministic for a
+// fixed corpus, queries, worker count and memo state; only the _us
+// fields vary across reruns.
 type ShardTrace struct {
 	Shard           int     `json:"shard"`
 	Scanned         int     `json:"scanned"`
+	Memoized        int     `json:"memoized"`
 	Skipped         int     `json:"skipped"`
 	Chunks          int     `json:"chunks"`
 	EngineCheckouts int     `json:"engine_checkouts"`
@@ -147,6 +151,17 @@ func (t *Trace) RecordShardScan(shard, scanned, chunks, cycles int, energyJ floa
 	st.Chunks = chunks
 	st.Cycles = cycles
 	st.EnergyJ = energyJ
+	t.mu.Unlock()
+}
+
+// AddShardMemoized adds to the scanned entries of a shard whose outcome
+// was served from the outcome memo instead of raced.
+func (t *Trace) AddShardMemoized(shard, memoized int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.shard(shard).Memoized += memoized
 	t.mu.Unlock()
 }
 

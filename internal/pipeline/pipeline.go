@@ -47,6 +47,12 @@
 // partitioned database returns reports byte-identical (modulo
 // EnginesBuilt) to an unpartitioned one.  A single query is a batch of
 // one: MultiSearch and DB.Search are thin adapters over it.
+//
+// An outcome is a pure function of (query, entry, threshold) on one
+// fabric and library, so a caller that kept a query's earlier outcomes
+// (ShardScan.Known, as returned in Report.Outcomes) gets them written
+// straight into the fold: only the entries they do not cover are
+// chunked and raced, and the report is byte-identical either way.
 package pipeline
 
 import (
@@ -146,7 +152,36 @@ type Report struct {
 	// ascending ID order so the floating-point total is bit-identical
 	// regardless of worker count or shard partitioning.
 	TotalEnergyJ float64
+	// Memoized counts the scanned entries whose outcome came from
+	// ShardScan.Known instead of a race.
+	Memoized int
+	// Outcomes holds every scanned entry's outcome in ascending ID
+	// order, ready to pass back as ShardScan.Known; empty when the
+	// query scanned nothing.
+	Outcomes []Outcome
 }
+
+// Outcome is one scored (query, entry) pair: what a race decided and
+// what it cost.  It is a pure function of the query, the entry and the
+// threshold on a fixed fabric and library, and holds no pointers, so a
+// caller may keep many of them cheaply.  The per-result latency is not
+// stored: it is the library's price of Cycles.
+type Outcome struct {
+	// ID is the entry's rank key (ShardScan.IDs).
+	ID uint64
+	// Score is the arrival time of the output edge, or temporal.Never
+	// when the threshold rejected the entry.
+	Score  int64
+	Cycles int
+	// EnergyJ prices the race; AreaUM2 and PowerDensityWCM2 are zero for
+	// a rejected entry.
+	EnergyJ          float64
+	AreaUM2          float64
+	PowerDensityWCM2 float64
+}
+
+// Rejected reports whether the threshold abandoned the race.
+func (o *Outcome) Rejected() bool { return o.Score == int64(temporal.Never) }
 
 // poolKey identifies an engine shape: hardware arrays are fixed-size, so
 // every (query length, entry length) pair needs its own physical array.
@@ -642,27 +677,14 @@ func (d *DB) SetMaxIdleEngines(n int) { d.pools.SetMaxIdleEngines(n) }
 // parked in the pool set.
 func (d *DB) PooledEngines() int { return d.pools.PooledEngines() }
 
-// entrySlots is the collector state the workers fill in, one slot per
-// scanned entry.  Every scan position is owned by exactly one chunk, so
-// workers write disjoint slots and no locking is needed; the final fold
-// walks the slots in a deterministic order so every aggregate —
-// including the floating-point energy total — is bit-identical
-// regardless of worker count or scheduling.
-type entrySlots struct {
-	results  []*Result // nil = rejected or errored
-	cycles   []int
-	energyJ  []float64
-	rejected []bool
-}
-
-func newEntrySlots(span int) *entrySlots {
-	return &entrySlots{
-		results:  make([]*Result, span),
-		cycles:   make([]int, span),
-		energyJ:  make([]float64, span),
-		rejected: make([]bool, span),
-	}
-}
+// entrySlots is the collector state, one outcome per scan position.
+// Known outcomes are written at plan time, and every other position is
+// owned by exactly one chunk, so workers write disjoint slots and no
+// locking is needed; the final fold walks the slots in a deterministic
+// order so every aggregate — including the floating-point energy total
+// — is bit-identical regardless of worker count, scheduling, or which
+// outcomes were known.
+type entrySlots []Outcome
 
 // scanPlan is one shard's resolved scan set: either the whole snapshot
 // (scan == nil, reusing the buckets sharded at publish time, which hold
@@ -675,6 +697,14 @@ type scanPlan struct {
 	slotSpan int // collector span (snapshot slots under the identity scan)
 	buckets  map[int][]int
 	lengths  []int
+}
+
+// slot maps a scan position to its snapshot slot.
+func (p *scanPlan) slot(pos int) int {
+	if p.scan != nil {
+		return p.scan[pos]
+	}
+	return pos
 }
 
 // resolveScan validates candidates against the snapshot and produces
@@ -737,6 +767,11 @@ type ShardScan struct {
 	// IDs must be unique across every shard of one query's scan, and
 	// must cover the snapshot's slot span.
 	IDs []uint64
+	// Known holds outcomes of this query already scored under the
+	// request's threshold, ascending by ID; it may name entries of other
+	// shards or entries no longer scanned.  A scanned entry whose ID it
+	// holds is not raced.
+	Known []Outcome
 }
 
 // slotID returns the rank key of snapshot slot i.
@@ -747,11 +782,21 @@ func (sc *ShardScan) slotID(i int) uint64 {
 	return sc.IDs[i]
 }
 
+// known returns the outcome Known holds for id, if any.
+func (sc *ShardScan) known(id uint64) (Outcome, bool) {
+	k := sc.Known
+	i := sort.Search(len(k), func(i int) bool { return k[i].ID >= id })
+	if i < len(k) && k[i].ID == id {
+		return k[i], true
+	}
+	return Outcome{}, false
+}
+
 // slotRef locates one scanned entry during the fold: its shard, its
-// scan position there, and its global rank key.
+// scan position there, its snapshot slot, and its global rank key.
 type slotRef struct {
-	shard, si int
-	id        uint64
+	shard, si, slot int
+	id              uint64
 }
 
 // MultiSearch scores query against N partition shards and merges the
@@ -770,25 +815,15 @@ func MultiSearch(shards []ShardScan, query string, req Request) (*Report, error)
 	return reps[0], nil
 }
 
-// fillSlot writes one finished race into its collector slot.
-func (p *Pools) fillSlot(slots *entrySlots, si, i int, s *Snapshot, res *race.AlignResult, area float64) {
+// outcome prices one finished race of the entry with rank key id.
+func (p *Pools) outcome(id uint64, res *race.AlignResult, area float64) Outcome {
 	energy := p.lib.Energy(res.Activity).TotalJ()
-	slots.cycles[si] = res.Cycles
-	slots.energyJ[si] = energy
-	if res.Score == temporal.Never {
-		slots.rejected[si] = true
-		return
+	o := Outcome{ID: id, Score: int64(res.Score), Cycles: res.Cycles, EnergyJ: energy}
+	if !o.Rejected() {
+		o.AreaUM2 = area
+		o.PowerDensityWCM2 = p.lib.PowerOf(energy, res.Activity.Cycles) / (area / 1e8)
 	}
-	slots.results[si] = &Result{
-		Index:            i,
-		Sequence:         s.entries[i],
-		Score:            int64(res.Score),
-		Cycles:           res.Cycles,
-		LatencyNS:        p.lib.LatencyNS(res.Cycles),
-		EnergyJ:          energy,
-		AreaUM2:          area,
-		PowerDensityWCM2: p.lib.PowerOf(energy, res.Activity.Cycles) / (area / 1e8),
-	}
+	return o
 }
 
 // QueryError attributes a batch failure to the query it struck, so a
@@ -830,23 +865,27 @@ type pairChunk struct {
 // (shardSets[qi] — same partition layout for every query, but each
 // query may carry its own seed-index candidate subsets) with one shared
 // worker pool and returns one report per query, index-aligned with
-// queries.  Same-shape (query, entry) pairs are coalesced across
-// queries and shards: each worker checks out one engine per chunk and,
-// under the lanes backend, fills each lane pack with pairs of several
-// in-flight queries via AlignLanesMulti — so a batch of small scans
-// reaches the pack width (and the per-pass amortization) that each
-// query alone could not.  Each query's fold walks its scanned entries
-// in ascending global-ID order, so every report — including the
-// floating-point energy total and the (Score, ID) ranking — is
-// byte-identical to a batch of that query alone however the database
-// is partitioned, except EnginesBuilt, which counts the whole batch's
-// builds (engines are shared across queries, so a per-query
-// attribution would be scheduling-dependent).  A failure anywhere
-// fails the whole batch with a *QueryError naming the lowest (query,
-// rank-key) pair, exactly as sequential calls would first hit it.  All
-// shards of every query must share one Pools (the racelogic layer
-// guarantees this).  Request.Trace receives the batch's spans; a
-// chunk's checkout and race time go to the shard of its first pair.
+// queries.  Entries whose outcome the scan already knows
+// (ShardScan.Known) are written straight into the fold; only the rest
+// are raced, and a batch with nothing left to race starts no workers.
+// Same-shape (query, entry) pairs are coalesced across queries and
+// shards: each worker checks out one engine per chunk and, under the
+// lanes backend, fills each lane pack with pairs of several in-flight
+// queries via AlignLanesMulti — so a batch of small scans reaches the
+// pack width (and the per-pass amortization) that each query alone
+// could not.  Each query's fold walks its scanned entries in ascending
+// global-ID order, so every report — including the floating-point
+// energy total and the (Score, ID) ranking — is byte-identical to a
+// batch of that query alone however the database is partitioned and
+// whichever outcomes were known, except EnginesBuilt, which counts the
+// whole batch's builds (engines are shared across queries, so a
+// per-query attribution would be scheduling-dependent), and Memoized.
+// A failure anywhere fails the whole batch with a *QueryError naming
+// the lowest (query, rank-key) pair, exactly as sequential calls would
+// first hit it.  All shards of every query must share one Pools (the
+// racelogic layer guarantees this).  Request.Trace receives the batch's
+// spans; a chunk's checkout and race time go to the shard of its first
+// pair.
 func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([]*Report, error) {
 	if len(shardSets) != len(queries) {
 		return nil, fmt.Errorf("pipeline: %d shard sets for %d queries", len(shardSets), len(queries))
@@ -897,17 +936,34 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 		return reports, nil
 	}
 
-	// Build the per-shape pair streams in deterministic order — query
-	// ascending, then shard, then the shard's bucket order — and cut them
-	// into chunks against the whole batch's target size, so a dominant
-	// shape still spreads across the pool.  Consecutive pairs of one
-	// stream land in the same packs regardless of which query or shard
-	// they belong to.
+	// Collector state: one slot set per (query, shard).  Known outcomes
+	// land in their slots here; every other pair is owned by exactly one
+	// chunk, so workers write disjoint slots.
+	var sums []shardSums
+	if tr != nil {
+		sums = make([]shardSums, nShards)
+	}
+	slots := make([][]entrySlots, len(queries))
+	for qi := range slots {
+		slots[qi] = make([]entrySlots, len(plans[qi]))
+		for si, plan := range plans[qi] {
+			slots[qi][si] = make(entrySlots, plan.slotSpan)
+		}
+	}
+
+	// Build the per-shape streams of pairs left to race in deterministic
+	// order — query ascending, then shard, then the shard's bucket order
+	// — and cut them into chunks against the whole batch's target size,
+	// so a dominant shape still spreads across the pool.  Consecutive
+	// pairs of one stream land in the same packs regardless of which
+	// query or shard they belong to.
 	streams := make(map[poolKey][]batchPair)
 	var shapeOrder []poolKey
+	racePairs := 0
 	for qi, q := range queries {
 		n := len(q)
 		for si, plan := range plans[qi] {
+			sc := &shardSets[qi][si]
 			for _, m := range plan.lengths {
 				key := poolKey{n: n, m: m}
 				pairs, ok := streams[key]
@@ -915,13 +971,22 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 					shapeOrder = append(shapeOrder, key)
 				}
 				for _, pos := range plan.buckets[m] {
+					if o, ok := sc.known(sc.slotID(plan.slot(pos))); ok {
+						slots[qi][si][pos] = o
+						reports[qi].Memoized++
+						if sums != nil {
+							sums[si].memoized++
+						}
+						continue
+					}
 					pairs = append(pairs, batchPair{query: qi, shard: si, si: pos})
+					racePairs++
 				}
 				streams[key] = pairs
 			}
 		}
 	}
-	target := (totalPairs + workers - 1) / workers
+	target := (racePairs + workers - 1) / workers
 	var chunks []pairChunk
 	for _, key := range shapeOrder {
 		pairs := streams[key]
@@ -929,26 +994,19 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 			chunks = append(chunks, pairChunk{n: key.n, m: key.m, pairs: pairs[:target]})
 			pairs = pairs[target:]
 		}
-		chunks = append(chunks, pairChunk{n: key.n, m: key.m, pairs: pairs})
+		if len(pairs) > 0 {
+			chunks = append(chunks, pairChunk{n: key.n, m: key.m, pairs: pairs})
+		}
 	}
 	endSpan()
 
-	// Collector state: one slot set per (query, shard).  Every pair is
-	// owned by exactly one chunk, so workers write disjoint slots.
-	slots := make([][]*entrySlots, len(queries))
-	for qi := range slots {
-		slots[qi] = make([]*entrySlots, len(plans[qi]))
-		for si, plan := range plans[qi] {
-			slots[qi][si] = newEntrySlots(plan.slotSpan)
-		}
-	}
 	chunkErrs := make([]*pairError, len(chunks))
 	var builds atomic.Int64
 	pools := shardSets[0][0].DB.pools
 	endSpan = tr.StartSpan("race")
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(chunks)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -979,14 +1037,13 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 	// Fold each query over its own ascending-global-ID ref walk; a traced
 	// batch also sums each shard's dimensions in that same fold order.
 	endSpan = tr.StartSpan("merge")
-	var sums []shardSums
-	if tr != nil {
-		sums = make([]shardSums, nShards)
+	if sums != nil {
 		for _, c := range chunks {
 			sums[c.pairs[0].shard].chunks++
 		}
 	}
 	enginesBuilt := int(builds.Load())
+	lib := pools.lib
 	refs := make([]slotRef, 0, totalPairs)
 	for qi, report := range reports {
 		report.EnginesBuilt = enginesBuilt
@@ -998,33 +1055,43 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 			}
 			if plan.scan != nil {
 				for pos, slot := range plan.scan {
-					refs = append(refs, slotRef{shard: si, si: pos, id: sc.slotID(slot)})
+					refs = append(refs, slotRef{shard: si, si: pos, slot: slot, id: sc.slotID(slot)})
 				}
 				continue
 			}
 			for slot := 0; slot < plan.slotSpan; slot++ {
 				if sc.Snap.Live(slot) {
-					refs = append(refs, slotRef{shard: si, si: slot, id: sc.slotID(slot)})
+					refs = append(refs, slotRef{shard: si, si: slot, slot: slot, id: sc.slotID(slot)})
 				}
 			}
 		}
 		sort.Slice(refs, func(a, b int) bool { return refs[a].id < refs[b].id })
+		report.Outcomes = make([]Outcome, 0, len(refs))
 		var all []Result
 		for _, ref := range refs {
-			sl := slots[qi][ref.shard]
-			report.TotalCycles += sl.cycles[ref.si]
-			report.TotalEnergyJ += sl.energyJ[ref.si]
+			o := slots[qi][ref.shard][ref.si]
+			report.TotalCycles += o.Cycles
+			report.TotalEnergyJ += o.EnergyJ
 			if sums != nil {
-				sums[ref.shard].cycles += sl.cycles[ref.si]
-				sums[ref.shard].energyJ += sl.energyJ[ref.si]
+				sums[ref.shard].cycles += o.Cycles
+				sums[ref.shard].energyJ += o.EnergyJ
 			}
-			if sl.rejected[ref.si] {
+			report.Outcomes = append(report.Outcomes, o)
+			if o.Rejected() {
 				report.Rejected++
+				continue
 			}
-			if r := sl.results[ref.si]; r != nil {
-				r.ID = ref.id
-				all = append(all, *r)
-			}
+			all = append(all, Result{
+				Index:            ref.slot,
+				ID:               ref.id,
+				Sequence:         shardSets[qi][ref.shard].Snap.entries[ref.slot],
+				Score:            o.Score,
+				Cycles:           o.Cycles,
+				LatencyNS:        lib.LatencyNS(o.Cycles),
+				EnergyJ:          o.EnergyJ,
+				AreaUM2:          o.AreaUM2,
+				PowerDensityWCM2: o.PowerDensityWCM2,
+			})
 		}
 		sort.Slice(all, func(i, j int) bool {
 			if all[i].Score != all[j].Score {
@@ -1044,6 +1111,7 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 	endSpan()
 	for si, sum := range sums {
 		tr.RecordShardScan(si, sum.scanned, sum.chunks, sum.cycles, sum.energyJ)
+		tr.AddShardMemoized(si, sum.memoized)
 	}
 	return reports, nil
 }
@@ -1051,8 +1119,8 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 // shardSums is one shard's deterministic trace dimensions, summed over
 // a batch's queries.
 type shardSums struct {
-	scanned, chunks, cycles int
-	energyJ                 float64
+	scanned, memoized, chunks, cycles int
+	energyJ                           float64
 }
 
 // pairError is a chunk's failure, attributed to the query index and
@@ -1068,15 +1136,10 @@ type pairError struct {
 // charging the checkout and race time to the shard of the chunk's first
 // pair.  It stops at the first failing pack.
 func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queries []string, c pairChunk,
-	threshold int64, slots [][]*entrySlots, builds *atomic.Int64, tr *obs.Trace) *pairError {
+	threshold int64, slots [][]entrySlots, builds *atomic.Int64, tr *obs.Trace) *pairError {
 
 	// resolve maps a pair to its snapshot slot (the entry index).
-	resolve := func(pr batchPair) int {
-		if scan := plans[pr.query][pr.shard].scan; scan != nil {
-			return scan[pr.si]
-		}
-		return pr.si
-	}
+	resolve := func(pr batchPair) int { return plans[pr.query][pr.shard].slot(pr.si) }
 	key := poolKey{n: c.n, m: c.m}
 	first := c.pairs[0]
 	eng, area, built, err := p.acquireObserved(key, first.shard, tr)
@@ -1126,7 +1189,8 @@ func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queri
 			(*obsFn)(len(pack), width)
 		}
 		for k, pr := range pack {
-			p.fillSlot(slots[pr.query][pr.shard], pr.si, resolve(pr), shardSets[pr.query][pr.shard].Snap, results[k], area)
+			id := shardSets[pr.query][pr.shard].slotID(resolve(pr))
+			slots[pr.query][pr.shard][pr.si] = p.outcome(id, results[k], area)
 		}
 	}
 	return nil

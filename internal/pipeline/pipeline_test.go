@@ -981,6 +981,85 @@ func TestMultiSearchBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestMultiSearchBatchKnownOutcomes pins the known-outcome contract: a
+// batch handed each query's outcomes from an earlier batch races only
+// the entries they do not cover (nothing, when they cover every entry),
+// and returns reports byte-identical to racing everything, apart from
+// EnginesBuilt and Memoized.  Outcomes come back one per scanned entry,
+// in ascending ID order.
+func TestMultiSearchBatchKnownOutcomes(t *testing.T) {
+	g := seqgen.NewDNA(39)
+	var db []string
+	for _, n := range []int{6, 8, 10} {
+		db = append(db, g.Database(20, n)...)
+	}
+	queries := []string{g.Random(8), g.Random(6), g.Random(8)}
+	pools, err := NewPools(widthFactory(64), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packs := 0
+	pools.SetLaneObserver(func(filled, width int) { packs++ })
+	scans := batchShards(t, db, 3, pools)
+	req := Request{Threshold: 12, TopK: 5, Workers: 1}
+	sets := func(known func(qi int) []Outcome) [][]ShardScan {
+		out := make([][]ShardScan, len(queries))
+		for qi := range queries {
+			out[qi] = append([]ShardScan(nil), scans...)
+			for s := range out[qi] {
+				out[qi][s].Known = known(qi)
+			}
+		}
+		return out
+	}
+	cold, err := MultiSearchBatch(sets(func(int) []Outcome { return nil }), queries, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, rep := range cold {
+		if len(rep.Outcomes) != rep.Scanned || rep.Memoized != 0 {
+			t.Fatalf("query %d: %d outcomes, %d memoized for %d scanned", qi, len(rep.Outcomes), rep.Memoized, rep.Scanned)
+		}
+		for i := 1; i < len(rep.Outcomes); i++ {
+			if rep.Outcomes[i-1].ID >= rep.Outcomes[i].ID {
+				t.Fatalf("query %d: outcomes not in ascending ID order at %d", qi, i)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		every int // keep every n-th known outcome
+	}{{"all known", 1}, {"half known", 2}} {
+		packs = 0
+		known := func(qi int) []Outcome {
+			var k []Outcome
+			for i, o := range cold[qi].Outcomes {
+				if i%tc.every == 0 {
+					k = append(k, o)
+				}
+			}
+			return k
+		}
+		warm, err := MultiSearchBatch(sets(known), queries, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := range queries {
+			if got, want := warm[qi].Memoized, len(known(qi)); got != want {
+				t.Errorf("%s, query %d: %d memoized, want %d", tc.name, qi, got, want)
+			}
+			w, c := *warm[qi], *cold[qi]
+			w.EnginesBuilt, c.EnginesBuilt, w.Memoized = 0, 0, 0
+			if !reflect.DeepEqual(w, c) {
+				t.Fatalf("%s, query %d: report differs\nknown: %+v\ncold:  %+v", tc.name, qi, w, c)
+			}
+		}
+		if (packs == 0) != (tc.every == 1) {
+			t.Errorf("%s: %d lane packs raced", tc.name, packs)
+		}
+	}
+}
+
 // TestMultiSearchBatchErrorAttribution pins the batch error contract at
 // a multi-word width: a corrupt entry raced by only one query must
 // surface as a *QueryError naming that query with the scalar path's

@@ -1,6 +1,7 @@
 package seqgen
 
 import (
+	"bytes"
 	"io"
 	"reflect"
 	"strings"
@@ -23,35 +24,50 @@ func drain(t *testing.T, s *Scanner) ([]string, error) {
 	}
 }
 
+// scannerInputs is the table the scanner is pinned to the batch reader
+// on, and the seed corpus of its fuzz target.
+var scannerInputs = []string{
+	">a\nACGT\nacgt\n>b desc here\nTTTT\n",
+	"; legacy comment\n>x\nAC GT\nCC\n; mid comment\nGG\n>y\nTT\n",
+	"ACGT\n# comment\n\nacct\n>stray\nTTTT\n",
+	"",
+	"# only comments\n; nothing else\n",
+	">only-header\n",                 // record with no data: error
+	">dup\nAC\n>dup\nGT\n",           // duplicate ID: error
+	"# preamble\nACGT\nACGT\nTTTT\n", // plain after comments
+}
+
 // TestScannerMatchesReadSequences pins the streaming scanner to the
 // batch reader: same inputs, same sequences, same errors.
 func TestScannerMatchesReadSequences(t *testing.T) {
-	inputs := []string{
-		">a\nACGT\nacgt\n>b desc here\nTTTT\n",
-		"; legacy comment\n>x\nAC GT\nCC\n; mid comment\nGG\n>y\nTT\n",
-		"ACGT\n# comment\n\nacct\n>stray\nTTTT\n",
-		"",
-		"# only comments\n; nothing else\n",
-		">only-header\n",                 // record with no data: error
-		">dup\nAC\n>dup\nGT\n",           // duplicate ID: error
-		"# preamble\nACGT\nACGT\nTTTT\n", // plain after comments
+	for _, in := range scannerInputs {
+		checkScannerMatches(t, []byte(in))
 	}
-	for _, in := range inputs {
-		want, wantErr := ReadSequences(strings.NewReader(in))
-		got, gotErr := drain(t, NewScanner(strings.NewReader(in)))
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("input %q: scanner err %v, reader err %v", in, gotErr, wantErr)
-			continue
-		}
-		if wantErr != nil {
-			continue
-		}
-		if len(want) == 0 && len(got) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("input %q: scanner %v, reader %v", in, got, want)
-		}
+}
+
+// FuzzScannerMatchesReadSequences extends the pin to any bytes: draining
+// the Scanner yields exactly what ReadSequences returns, or both fail,
+// and neither panics.  The Scanner decodes untrusted bulk-insert bodies.
+func FuzzScannerMatchesReadSequences(f *testing.F) {
+	for _, in := range scannerInputs {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(checkScannerMatches)
+}
+
+func checkScannerMatches(t *testing.T, in []byte) {
+	t.Helper()
+	want, wantErr := ReadSequences(bytes.NewReader(in))
+	got, gotErr := drain(t, NewScanner(bytes.NewReader(in)))
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Errorf("input %q: scanner err %v, reader err %v", in, gotErr, wantErr)
+		return
+	}
+	if wantErr != nil || len(want) == 0 && len(got) == 0 {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("input %q: scanner %v, reader %v", in, got, want)
 	}
 }
 

@@ -203,17 +203,16 @@ func postTraced(t *testing.T, url, body string) *SearchResponse {
 	return &sr
 }
 
-// TestSearchTrace asserts ?trace=1 returns the per-shard breakdown,
-// that its deterministic dimensions agree with the report aggregates,
-// and that traced requests bypass the cache in both directions.
+// TestSearchTrace asserts ?trace=1 returns the per-shard breakdown of
+// a raced search, that its deterministic dimensions agree with the
+// report aggregates, and that traced requests bypass the cache in both
+// directions.
 func TestSearchTrace(t *testing.T) {
 	ts, _, _ := newTestServer(t, racelogic.WithShards(2), racelogic.WithSeedIndex(4))
 	body := `{"query":"ACGTACGT"}`
 
-	// Prime the cache with an untraced request: no trace field on it.
-	if _, plain := postSearch(t, ts.URL, body); plain.Trace != nil {
-		t.Error("untraced search must not carry a trace")
-	}
+	// The query is new to the database's outcome memo, so the traced
+	// search races it.
 	sr := postTraced(t, ts.URL, body)
 	if sr.Cached {
 		t.Error("traced search must race, not hit the cache")
@@ -237,7 +236,7 @@ func TestSearchTrace(t *testing.T) {
 	if len(sr.Trace.Shards) == 0 {
 		t.Fatal("trace has no shard breakdown")
 	}
-	scanned, skipped, cycles := 0, 0, 0
+	scanned, skipped, cycles, chunks := 0, 0, 0, 0
 	for i, sh := range sr.Trace.Shards {
 		if i > 0 && sh.Shard <= sr.Trace.Shards[i-1].Shard {
 			t.Errorf("shards out of order: %d after %d", sh.Shard, sr.Trace.Shards[i-1].Shard)
@@ -245,17 +244,28 @@ func TestSearchTrace(t *testing.T) {
 		scanned += sh.Scanned
 		skipped += sh.Skipped
 		cycles += sh.Cycles
+		chunks += sh.Chunks
 	}
 	if scanned != sr.Scanned || skipped != sr.Skipped || cycles != sr.TotalCycles {
 		t.Errorf("shard sums (scanned %d, skipped %d, cycles %d) disagree with report (%d, %d, %d)",
 			scanned, skipped, cycles, sr.Scanned, sr.Skipped, sr.TotalCycles)
 	}
+	if chunks == 0 {
+		t.Error("traced search of a new query raced no chunk")
+	}
 
-	// The traced response must not have landed in the cache: the next
-	// untraced request hits the entry the priming request stored (proving
-	// the traced one did not evict or overwrite it with a traced body).
-	if _, again := postSearch(t, ts.URL, body); !again.Cached || again.Trace != nil {
-		t.Errorf("post-trace search: cached=%v trace=%v, want cache hit with no trace", again.Cached, again.Trace)
+	// The traced response did not land in the cache: the next untraced
+	// request misses, and primes the cache.
+	if _, plain := postSearch(t, ts.URL, body); plain.Cached || plain.Trace != nil {
+		t.Errorf("untraced search after a traced one: cached=%v trace=%v, want a miss with no trace", plain.Cached, plain.Trace)
+	}
+	// A traced request does not read the primed entry, nor evict or
+	// overwrite it with a traced body: the next untraced request hits it.
+	if again := postTraced(t, ts.URL, body); again.Cached || again.Trace == nil {
+		t.Errorf("traced search after priming: cached=%v trace=%v, want a search with a trace", again.Cached, again.Trace != nil)
+	}
+	if _, hit := postSearch(t, ts.URL, body); !hit.Cached || hit.Trace != nil {
+		t.Errorf("post-trace search: cached=%v trace=%v, want cache hit with no trace", hit.Cached, hit.Trace)
 	}
 }
 
@@ -276,28 +286,108 @@ func zeroDurations(tr *obs.TraceReport) *obs.TraceReport {
 	return &out
 }
 
-// TestTraceStableAcrossReruns pins the acceptance criterion: rerunning
-// the same query against the same immutable corpus yields a
-// byte-identical trace modulo the duration fields.  Workers is pinned
-// to 1 so engine checkout counts cannot vary with goroutine scheduling.
+// TestTraceStableAcrossReruns pins the acceptance criterion: the same
+// query against the same immutable corpus yields a byte-identical trace
+// modulo the duration fields at equal outcome-memo state — a cold race
+// on two identically warmed servers, and a memo-served rerun on one.
+// Workers is pinned to 1 so engine checkout counts cannot vary with
+// goroutine scheduling.
 func TestTraceStableAcrossReruns(t *testing.T) {
+	body := `{"query":"ACGTACGT"}`
+	// A full scan of another query of the same length warms every engine
+	// shape the traced runs use without memoizing the traced query.
+	warmServer := func() string {
+		ts, _, _ := newTestServer(t,
+			racelogic.WithShards(2), racelogic.WithSeedIndex(4), racelogic.WithWorkers(1))
+		if resp, _ := postSearch(t, ts.URL, `{"query":"TTGCATGC","full_scan":true}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm-up search: status %d", resp.StatusCode)
+		}
+		return ts.URL
+	}
+	same := func(what string, a, b *SearchResponse) {
+		t.Helper()
+		aj, err := json.Marshal(zeroDurations(a.Trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bj, err := json.Marshal(zeroDurations(b.Trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(aj, bj) {
+			t.Errorf("%s: trace not stable across reruns:\n%s\n%s", what, aj, bj)
+		}
+	}
+
+	first, second := warmServer(), warmServer()
+	a, b := postTraced(t, first, body), postTraced(t, second, body)
+	chunks := 0
+	for _, sh := range a.Trace.Shards {
+		chunks += sh.Chunks
+	}
+	if chunks == 0 {
+		t.Fatal("first traced search raced no chunk")
+	}
+	same("cold race", a, b)
+	same("memo-served rerun", postTraced(t, first, body), postTraced(t, first, body))
+}
+
+// TestMemoObservability: a repeated traced query is served from the
+// database's outcome memo, and the trace, /metrics and /stats say so —
+// each shard's memoized count equals its scanned count, nothing is
+// raced, and the counter and gauges account for every outcome.
+func TestMemoObservability(t *testing.T) {
 	ts, _, _ := newTestServer(t,
 		racelogic.WithShards(2), racelogic.WithSeedIndex(4), racelogic.WithWorkers(1))
 	body := `{"query":"ACGTACGT"}`
-	postTraced(t, ts.URL, body) // warm the engine pools
+	before := scrapeMetrics(t, ts.URL)
+	first := postTraced(t, ts.URL, body)
+	second := postTraced(t, ts.URL, body)
+	if first.Scanned == 0 {
+		t.Fatal("the query scanned nothing; the test corpus does not exercise the memo")
+	}
+	memo := 0
+	for _, sh := range first.Trace.Shards {
+		memo += sh.Memoized
+	}
+	if memo != 0 {
+		t.Errorf("first search: %d entries memo-served, want 0", memo)
+	}
+	for _, sh := range second.Trace.Shards {
+		if sh.Memoized != sh.Scanned || sh.Chunks != 0 || sh.EngineCheckouts != 0 {
+			t.Errorf("repeat, shard %d: memoized %d of %d scanned, %d chunks, %d checkouts; want all memoized, nothing raced",
+				sh.Shard, sh.Memoized, sh.Scanned, sh.Chunks, sh.EngineCheckouts)
+		}
+	}
+	first.Trace, second.Trace = nil, nil
+	first.ElapsedUS, second.ElapsedUS = 0, 0
+	first.EnginesBuilt, second.EnginesBuilt = 0, 0
+	if a, b := fmt.Sprintf("%+v", *first), fmt.Sprintf("%+v", *second); a != b {
+		t.Errorf("memo-served response differs from the raced one:\n%s\n%s", a, b)
+	}
 
-	a := postTraced(t, ts.URL, body)
-	b := postTraced(t, ts.URL, body)
-	aj, err := json.Marshal(zeroDurations(a.Trace))
+	after := scrapeMetrics(t, ts.URL)
+	if d := metricValue(t, after, "racelogic_search_entries_memoized_total") -
+		metricValue(t, before, "racelogic_search_entries_memoized_total"); int(d) != first.Scanned {
+		t.Errorf("racelogic_search_entries_memoized_total advanced by %v, want %d", d, first.Scanned)
+	}
+	if v := metricValue(t, after, "racelogic_memo_queries"); v != 1 {
+		t.Errorf("racelogic_memo_queries = %v, want 1", v)
+	}
+	if v := metricValue(t, after, "racelogic_memo_outcomes"); int(v) != first.Scanned {
+		t.Errorf("racelogic_memo_outcomes = %v, want %d", v, first.Scanned)
+	}
+	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bj, err := json.Marshal(zeroDurations(b.Trace))
-	if err != nil {
+	defer resp.Body.Close()
+	var st StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(aj, bj) {
-		t.Errorf("trace not stable across reruns:\n%s\n%s", aj, bj)
+	if st.MemoQueries != 1 || st.MemoOutcomes != first.Scanned {
+		t.Errorf("/stats memo_queries %d, memo_outcomes %d; want 1, %d", st.MemoQueries, st.MemoOutcomes, first.Scanned)
 	}
 }
 

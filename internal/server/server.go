@@ -260,7 +260,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// every mutation implicitly invalidates the whole cache: a stale
 	// report can only be found under a version no future request asks
 	// for.  (A search racing a mutation may be cached under the older
-	// version's key — harmless for the same reason.)
+	// version's key — harmless for the same reason.)  A repeated query
+	// that misses after a mutation still races little: the database's
+	// outcome memo is keyed by stable entry ID and survives mutations,
+	// so only the entries its last search did not score are raced.
 	key := cacheKey(s.db.Version(), req.Query, topK, req.Threshold, req.FullScan)
 	if !traced {
 		if cached, ok := s.cache.get(key); ok {
@@ -816,6 +819,10 @@ type StatsResponse struct {
 	CacheHits     int64 `json:"cache_hits"`
 	CacheEntries  int   `json:"cache_entries"`
 	CacheCapacity int   `json:"cache_capacity"`
+	// MemoQueries and MemoOutcomes size the database's outcome memo:
+	// the queries whose race outcomes it holds, and those outcomes.
+	MemoQueries   int   `json:"memo_queries"`
+	MemoOutcomes  int   `json:"memo_outcomes"`
 	SlowQueries   int64 `json:"slow_queries"`
 	UptimeSeconds int64 `json:"uptime_seconds"`
 	// Durable reports whether mutations are journaled to a write-ahead
@@ -875,6 +882,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheHits:          s.cacheHits.Load(),
 		CacheEntries:       s.cache.len(),
 		CacheCapacity:      s.cache.capacity(),
+		MemoQueries:        dbs.MemoQueries,
+		MemoOutcomes:       dbs.MemoOutcomes,
 		SlowQueries:        s.slowQueries.Load(),
 		UptimeSeconds:      int64(time.Since(s.start).Seconds()),
 		Durable:            s.db.Durable(),

@@ -28,6 +28,7 @@ type dbMetrics struct {
 	walFsync      *obs.Histogram
 
 	scanned  *obs.Counter
+	memoized *obs.Counter
 	skipped  *obs.Counter
 	rejected *obs.Counter
 }
@@ -73,7 +74,9 @@ func (d *Database) initObs() {
 		obs.ExpBuckets(1e-5, 4, 12))
 
 	m.scanned = r.Counter("racelogic_search_entries_scanned_total",
-		"Database entries raced across all searches.", backend)
+		"Database entries scored across all searches.", backend)
+	m.memoized = r.Counter("racelogic_search_entries_memoized_total",
+		"Scored entries whose outcome the outcome memo served instead of a race.", backend)
 	m.skipped = r.Counter("racelogic_search_entries_skipped_total",
 		"Entries the seed index let searches skip.", backend)
 	m.rejected = r.Counter("racelogic_search_entries_rejected_total",
@@ -129,6 +132,12 @@ func (d *Database) initObs() {
 	r.GaugeFunc("racelogic_version",
 		"Mutation counter of the published view.",
 		func() float64 { return float64(d.view.Load().version) })
+	r.GaugeFunc("racelogic_memo_queries",
+		"Queries whose race outcomes the outcome memo holds.",
+		func() float64 { q, _ := d.memo.size(); return float64(q) })
+	r.GaugeFunc("racelogic_memo_outcomes",
+		"Race outcomes the outcome memo holds across its queries.",
+		func() float64 { _, o := d.memo.size(); return float64(o) })
 	r.GaugeFunc("racelogic_pooled_engines",
 		"Idle compiled engines parked in the shape pools.",
 		func() float64 { return float64(d.pools.PooledEngines()) })
@@ -237,6 +246,10 @@ type DatabaseStats struct {
 	Tombstones int
 	Buckets    int
 	Shards     []ShardStat
+	// MemoQueries and MemoOutcomes size the outcome memo: the queries it
+	// holds and their race outcomes (read beside the view, not from it).
+	MemoQueries  int
+	MemoOutcomes int
 }
 
 // Stats captures one consistent view of the database's gauges.  Use it
@@ -250,11 +263,14 @@ func (d *Database) Stats() DatabaseStats {
 			set[m] = true
 		}
 	}
+	memoQueries, memoOutcomes := d.memo.size()
 	return DatabaseStats{
-		Entries:    v.live(),
-		Version:    v.version,
-		Tombstones: v.dead(),
-		Buckets:    len(set),
-		Shards:     d.shardStatsAt(v),
+		Entries:      v.live(),
+		Version:      v.version,
+		Tombstones:   v.dead(),
+		Buckets:      len(set),
+		Shards:       d.shardStatsAt(v),
+		MemoQueries:  memoQueries,
+		MemoOutcomes: memoOutcomes,
 	}
 }
