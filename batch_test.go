@@ -256,6 +256,64 @@ func TestSearchBatchTrace(t *testing.T) {
 	}
 }
 
+// TestSearchBatchRacesRepeatsOnce pins batch deduplication: a batch
+// that repeats a query races it once, yet every copy gets its own
+// report, equal to the query's single report (EnginesBuilt aside) and
+// sharing no Results slice with another copy; the batch's trace counts
+// the same chunks and scanned entries as the batch of its distinct
+// queries.  Every database is fresh, so no outcome is memo-served.
+func TestSearchBatchRacesRepeatsOnce(t *testing.T) {
+	g := seqgen.NewDNA(66)
+	entries := g.Database(64, 8)
+	a, b := g.Random(8), entries[5]
+	newDB := func() *racelogic.Database {
+		t.Helper()
+		d, err := racelogic.NewDatabase(entries, racelogic.WithShards(2), racelogic.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
+	}
+	traced := func(queries []string) ([]*racelogic.SearchReport, [2]int) {
+		t.Helper()
+		tr := obs.NewTrace()
+		reps, err := newDB().SearchBatchContext(obs.WithTrace(context.Background(), tr), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counts [2]int // chunks, scanned
+		for _, sh := range tr.Report().Shards {
+			counts[0] += sh.Chunks
+			counts[1] += sh.Scanned
+		}
+		return reps, counts
+	}
+	dup, dupCounts := traced([]string{a, b, a, a})
+	_, distinctCounts := traced([]string{a, b})
+	if dupCounts != distinctCounts {
+		t.Errorf("duplicated batch traced (chunks, scanned) = %v, the distinct batch %v", dupCounts, distinctCounts)
+	}
+	if distinctCounts[1] != 2*len(entries) {
+		t.Errorf("distinct batch scanned %d, want %d", distinctCounts[1], 2*len(entries))
+	}
+	for i, q := range []string{a, b, a, a} {
+		want, err := newDB().Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stripEngines(dup[i]), stripEngines(want)) {
+			t.Errorf("copy %d of %q differs from its single report:\n got %+v\nwant %+v", i, q, dup[i], want)
+		}
+	}
+	if len(dup[0].Results) == 0 {
+		t.Fatal("test is vacuous: the repeated query matched nothing")
+	}
+	if &dup[0].Results[0] == &dup[2].Results[0] || &dup[2].Results[0] == &dup[3].Results[0] {
+		t.Error("copies of one query share a Results slice")
+	}
+}
+
 // zeroTraceDurations blanks every wall-clock field of a trace report,
 // leaving the dimensions that are deterministic at one worker.
 func zeroTraceDurations(rep *obs.TraceReport) *obs.TraceReport {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -128,7 +129,6 @@ type shard struct {
 	jrnl     *store.Journal // nil on a memory-only database; set under mu
 	idxStats *index.Stats   // re-attached to every index a compaction rebuilds
 
-	snapSeq  atomic.Int64 // shard sequence the newest durable shard snapshot covers
 	lastSnap atomic.Int64 // unix nanos of this shard's newest durable snapshot
 }
 
@@ -242,14 +242,14 @@ func NewDatabase(entries []string, opts ...Option) (*Database, error) {
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	return assembleDatabase(cfg, entries, ids, uint64(len(entries)), 0)
+	return assembleDatabase(cfg, entries, ids, nil, uint64(len(entries)), 0)
 }
 
 // assembleDatabase wires a Database from a flat (entries, ids) list —
-// the shared tail of NewDatabase and reshard.  Entries are partitioned
-// by shardOf, and each shard's seed index is built fresh when cfg asks
-// for one.
-func assembleDatabase(cfg *config, entries []string, ids []uint64, nextID uint64, version int64) (*Database, error) {
+// the shared tail of NewDatabase and reshard.  dead flags the
+// tombstoned slots a reshard carries over (nil: every entry is live).
+// Entries are partitioned by shardOf.
+func assembleDatabase(cfg *config, entries []string, ids []uint64, dead []bool, nextID uint64, version int64) (*Database, error) {
 	if len(ids) != len(entries) {
 		return nil, fmt.Errorf("racelogic: %d IDs for %d entries", len(ids), len(entries))
 	}
@@ -270,22 +270,30 @@ func assembleDatabase(cfg *config, entries []string, ids []uint64, nextID uint64
 	parts := make([]shardPart, n)
 	for i, entry := range entries {
 		s := shardOf(ids[i], n)
+		if dead != nil && dead[i] {
+			parts[s].dead = append(parts[s].dead, len(parts[s].entries))
+		}
 		parts[s].entries = append(parts[s].entries, entry)
 		parts[s].ids = append(parts[s].ids, ids[i])
 	}
 	return assembleShards(cfg, parts, nextID, version)
 }
 
-// shardPart is one shard's slice of the database at assembly time.
+// shardPart is one shard's slice of the database at assembly time:
+// every slot's entry and ID, the tombstoned slots among them, and the
+// shard's mutation sequence.
 type shardPart struct {
 	entries []string
 	ids     []uint64
-	idx     *index.Index // nil = build from entries when cfg.seedK > 0
-	seq     int64        // the shard's restored mutation sequence
+	dead    []int // tombstoned slots, ascending
+	seq     int64
 }
 
 // assembleShards builds the Database from per-shard parts — the shared
 // tail of every constructor, including the per-shard recovery path.
+// Tombstones are restored through the same pipeline Remove a live
+// database runs, and each shard's seed index is built from its slot
+// entries, shards in parallel.
 //
 //racelint:publisher
 func assembleShards(cfg *config, parts []shardPart, nextID uint64, version int64) (*Database, error) {
@@ -306,37 +314,56 @@ func assembleShards(cfg *config, parts []shardPart, nextID uint64, version int64
 		memo:       newOutcomeMemo(memoBudget),
 	}
 	states := make([]*shardstate, len(parts))
-	for s, part := range parts {
-		p, err := pipeline.NewDBWith(part.entries, pools)
-		if err != nil {
-			return nil, err
-		}
-		if part.seq != 0 {
-			p.SetVersion(part.seq)
-		}
-		idx := part.idx
-		if idx == nil && cfg.seedK > 0 {
-			if idx, err = index.New(part.entries, cfg.seedK); err != nil {
-				return nil, err
-			}
-		}
-		if idx != nil {
-			idx.SetStats(d.idxStats)
-		}
-		sh := &shard{id: s, p: p, byID: make(map[uint64]int, len(part.ids)), idxStats: d.idxStats}
-		for slot, id := range part.ids {
-			sh.byID[id] = slot
-		}
-		sorted := append([]uint64(nil), part.ids...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		d.shards[s] = sh
-		states[s] = &shardstate{snap: p.Snapshot(), idx: idx, ids: part.ids, sorted: sorted}
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for s := range parts {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			d.shards[s], states[s], errs[s] = d.assembleShard(s, parts[s])
+		}(s)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	d.nextID.Store(nextID)
 	d.ticket.Store(version)
 	d.view.Store(&dbview{version: version, states: states})
 	d.initObs()
 	return d, nil
+}
+
+// assembleShard builds one shard and its first state from its part:
+// byID names only the live IDs, sorted every resident one.
+func (d *Database) assembleShard(s int, part shardPart) (*shard, *shardstate, error) {
+	p, err := pipeline.NewDBWith(part.entries, d.pools)
+	if err != nil {
+		return nil, nil, err
+	}
+	sh := &shard{id: s, p: p, byID: make(map[uint64]int, len(part.ids)), idxStats: d.idxStats}
+	for slot, id := range part.ids {
+		sh.byID[id] = slot
+	}
+	if len(part.dead) > 0 {
+		if _, err := p.Remove(part.dead); err != nil {
+			return nil, nil, err
+		}
+		for _, slot := range part.dead {
+			delete(sh.byID, part.ids[slot])
+		}
+	}
+	p.SetVersion(part.seq)
+	var idx *index.Index
+	if d.cfg.seedK > 0 {
+		if idx, err = index.New(part.entries, d.cfg.seedK); err != nil {
+			return nil, nil, err
+		}
+		idx.SetStats(d.idxStats)
+	}
+	sorted := append([]uint64(nil), part.ids...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	return sh, &shardstate{snap: p.Snapshot(), idx: idx, ids: part.ids, sorted: sorted}, nil
 }
 
 // alphabet returns the symbol set the configured engine accepts.
@@ -789,7 +816,7 @@ func (d *Database) Remove(ids ...uint64) error {
 	// concurrent Close may fence the compaction off; the tombstones then
 	// simply persist (and replay), so the remove itself still succeeded.
 	if d.policy().due(nv.dead(), nv.live()) {
-		if _, _, err := d.compactAll(false, false); err != nil && !errors.Is(err, ErrClosed) {
+		if _, err := d.compactAll(false); err != nil && !errors.Is(err, ErrClosed) {
 			return err
 		}
 	}
@@ -838,47 +865,25 @@ func (d *Database) Compact() (*CompactStats, error) {
 	if d.closed.Load() {
 		return nil, ErrClosed
 	}
-	stats, _, err := d.compactAll(true, false)
-	return stats, err
+	return d.compactAll(true)
 }
 
 // compactAll is the one logical compaction: it locks every shard,
 // journals and applies a dense rebuild on each shard with tombstones,
-// and publishes the result as a single version bump.  It returns the
-// stats plus the view the compaction published (or the unchanged
-// current view when there was nothing to reclaim), which is guaranteed
-// dense at publish time — the checkpoint path serializes exactly that
-// view.  needRemap builds the global slot remap (skipped on the
-// automatic path, where nobody consumes it); ignoreClosed lets Close's
-// final checkpoint compact after mutations are fenced off.
-func (d *Database) compactAll(needRemap, ignoreClosed bool) (*CompactStats, *dbview, error) {
+// and publishes the result as a single version bump.  needRemap builds
+// the global slot remap (skipped on the automatic path, where nobody
+// consumes it).
+func (d *Database) compactAll(needRemap bool) (*CompactStats, error) {
 	all := d.allShards()
 	unlock := d.lockShards(all)
-	if !ignoreClosed && d.closed.Load() {
+	if d.closed.Load() {
 		unlock()
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	stats, nv, commits, err := d.compactLocked(needRemap)
-	unlock()
-	if err != nil {
-		return nil, nil, err
-	}
-	if stats.Reclaimed > 0 {
-		if err := d.ack(commits); err != nil {
-			return nil, nil, fmt.Errorf("%w: compaction: %w", ErrJournal, err)
-		}
-		d.maybeRotate(all)
-		d.signalSnapshotter()
-	}
-	return stats, nv, nil
-}
-
-// compactLocked is compactAll's core, run while the caller holds every
-// shard lock (Persist reuses it under its own locking).
-func (d *Database) compactLocked(needRemap bool) (*CompactStats, *dbview, []pendingCommit, error) {
 	v := d.view.Load()
 	if v.dead() == 0 {
-		return &CompactStats{Version: v.version, Live: v.live()}, v, nil, nil
+		unlock()
+		return &CompactStats{Version: v.version, Live: v.live()}, nil
 	}
 	var touched []int
 	for s, st := range v.states {
@@ -891,9 +896,9 @@ func (d *Database) compactLocked(needRemap bool) (*CompactStats, *dbview, []pend
 		return sh.jrnl.AppendCompact(sh.p.Version()+1, t)
 	})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: compaction: %w", ErrJournal, err)
+		unlock()
+		return nil, fmt.Errorf("%w: compaction: %w", ErrJournal, err)
 	}
-
 	var remap []int
 	if needRemap {
 		remap = globalRemap(v)
@@ -902,16 +907,24 @@ func (d *Database) compactLocked(needRemap bool) (*CompactStats, *dbview, []pend
 		return sh.applyCompact(cur)
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		unlock()
+		return nil, err
 	}
 	nv := d.publish(touched, states, t)
 	d.compactions.Add(1)
+	unlock()
+
+	if err := d.ack(commits); err != nil {
+		return nil, fmt.Errorf("%w: compaction: %w", ErrJournal, err)
+	}
+	d.maybeRotate(all)
+	d.signalSnapshotter()
 	return &CompactStats{
 		Version:   nv.version,
 		Live:      nv.live(),
 		Reclaimed: v.dead(),
 		Remap:     remap,
-	}, nv, commits, nil
+	}, nil
 }
 
 // globalRemap computes the pre→post compaction slot remap in global
@@ -1143,39 +1156,63 @@ func (d *Database) search(ctx context.Context, query string, cfg *config) (*Sear
 // searchQueries is the one search body behind search and searchBatch.
 // It loads the view once, so every report is one consistent cut
 // carrying the same Version even under concurrent mutation; builds each
-// query's per-shard seed-index candidate scans, with its memoized
-// outcomes, under the seed span; and races them all through one
-// scatter-race-fold, gathering each query's shard outcomes under the
-// global (Score, ID) ranking.  Each query's scored outcomes then replace
-// its memo entry; a failed search stores nothing.  A trace attached to
-// ctx records the whole call.
+// distinct query's per-shard seed-index candidate scans, with its
+// memoized outcomes, under the seed span; and races them all through
+// one scatter-race-fold, gathering each query's shard outcomes under
+// the global (Score, ID) ranking.  A query the batch repeats races once
+// (the batch shares one option set), and every copy gets its own
+// report.  Each query's scored outcomes then replace its memo entry; a
+// failed search stores nothing.  A trace attached to ctx records the
+// whole call, counting each distinct query's work once.
 func (d *Database) searchQueries(ctx context.Context, queries []string, cfg *config) ([]*SearchReport, error) {
 	tr := obs.TraceFrom(ctx)
 	v := d.view.Load()
-	endSeed := tr.StartSpan("seed")
-	scanSets := make([][]pipeline.ShardScan, len(queries))
+	// distinct holds each query once, in first-appearance order; of[qi]
+	// is query qi's position in it.
+	var distinct []string
+	of := make([]int, len(queries))
+	pos := make(map[string]int, len(queries))
 	for qi, query := range queries {
-		scanSets[qi] = d.shardScans(v, query, cfg, tr)
+		u, ok := pos[query]
+		if !ok {
+			u = len(distinct)
+			pos[query] = u
+			distinct = append(distinct, query)
+		}
+		of[qi] = u
+	}
+	endSeed := tr.StartSpan("seed")
+	scanSets := make([][]pipeline.ShardScan, len(distinct))
+	for u, query := range distinct {
+		scanSets[u] = d.shardScans(v, query, cfg, tr)
 	}
 	endSeed()
-	reps, err := pipeline.MultiSearchBatch(scanSets, queries, pipeline.Request{
+	reps, err := pipeline.MultiSearchBatch(scanSets, distinct, pipeline.Request{
 		Threshold: cfg.threshold,
 		Workers:   cfg.workers,
 		TopK:      cfg.topK,
 		Trace:     tr,
 	})
+	var qe *pipeline.QueryError
+	if errors.As(err, &qe) {
+		// Distinct queries keep first-appearance order, so the lowest
+		// failing one's first copy is the lowest failing query.
+		return nil, &pipeline.QueryError{Query: slices.Index(of, qe.Query), Err: qe.Err}
+	}
 	if err != nil {
 		return nil, err
 	}
 	d.searches.Add(int64(len(queries)))
-	out := make([]*SearchReport, len(reps))
 	memoized := 0
-	for qi, rep := range reps {
-		d.memo.put(newMemoKey(queries[qi], cfg.threshold), rep.Outcomes)
+	for u, rep := range reps {
+		d.memo.put(newMemoKey(distinct[u], cfg.threshold), rep.Outcomes)
 		memoized += rep.Memoized
-		out[qi] = d.reportFrom(v, queries[qi], cfg, rep)
 	}
 	d.metrics.memoized.Add(float64(memoized))
+	out := make([]*SearchReport, len(queries))
+	for qi, query := range queries {
+		out[qi] = d.reportFrom(v, query, cfg, reps[of[qi]])
+	}
 	return out, nil
 }
 
@@ -1203,7 +1240,10 @@ func (d *Database) SearchBatch(queries []string, opts ...Option) ([]*SearchRepor
 
 // SearchBatchContext is SearchBatch with a context.  A trace attached
 // via obs.WithTrace records the whole batch: one seed/plan/race/merge
-// span sequence, and per-shard dimensions summed over the queries.
+// span sequence, and per-shard dimensions summed over the distinct
+// queries.  A query the batch repeats is raced once, so the trace and
+// the Metrics entry counters (scanned, memoized, skipped, rejected)
+// count its work once, while each copy still gets its own report.
 func (d *Database) SearchBatchContext(ctx context.Context, queries []string, opts ...Option) ([]*SearchReport, error) {
 	cfg := *d.cfg
 	cfg.applied = nil

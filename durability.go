@@ -62,12 +62,14 @@ const DefaultSnapshotEvery = 1024
 const DefaultWALSegmentBytes = int64(64 << 20)
 
 // CompactionPolicy decides when tombstoned slots are worth reclaiming
-// with a dense rebuild.  The counts are global — the policy fires on
-// the database's total dead/live ratio — and the rebuild then runs
-// independently inside each shard holding tombstones.  Compaction
-// triggers when ANY enabled condition holds; a zero field disables that
-// condition, and the zero policy disables automatic compaction entirely
-// (Compact stays available as a manual call).  See WithCompactionPolicy.
+// with a dense rebuild.  It is the only automatic trigger: checkpoints
+// capture tombstones into the snapshots rather than compacting them.
+// The counts are global — the policy fires on the database's total
+// dead/live ratio — and the rebuild then runs independently inside each
+// shard holding tombstones.  Compaction triggers when ANY enabled
+// condition holds; a zero field disables that condition, and the zero
+// policy disables automatic compaction entirely (Compact stays
+// available as a manual call).  See WithCompactionPolicy.
 type CompactionPolicy struct {
 	// MaxDead compacts once at least this many tombstones accumulate.
 	MaxDead int
@@ -157,7 +159,9 @@ func layoutPresent(dir string) (bool, error) {
 // Persist attaches crash-safe durability to a database built in memory:
 // it writes one snapshot per shard, the layout manifest, and an empty
 // write-ahead log per shard into dir (created if needed), then starts
-// the background snapshotter.  From then on every Insert, Remove, and
+// the background snapshotter.  The snapshots capture every slot,
+// tombstones included, so Persist changes neither Version nor any
+// Index position.  From then on every Insert, Remove, and
 // Compact is journaled to its shards' logs before it is applied, so a
 // crash — not just a clean shutdown — loses no acknowledged mutation:
 // Open(dir) replays each shard's journal tail over its newest snapshot.
@@ -192,19 +196,17 @@ func (d *Database) Persist(dir string, opts ...Option) error {
 	}
 	d.lmu.Unlock()
 
-	// Hold every shard lock across the compaction, the initial snapshot
-	// writes, and the journal creation: the snapshots must mirror memory
-	// exactly (dense slots, nothing mutating mid-write), so recovery and
-	// the live database agree slot for slot per shard.
+	// Hold every shard lock across the initial snapshot writes and the
+	// journal creation: no mutation may land between the captured view
+	// and the journals that record what follows it.
 	unlock := d.lockShards(d.allShards())
 	defer unlock()
 	if d.closed.Load() {
 		return ErrClosed
 	}
 	d.gen = 0
-	if _, v, _, err := d.compactLocked(false); err != nil {
-		return err
-	} else if err := d.writeShardSnapshots(dir, v); err != nil {
+	v := d.view.Load()
+	if err := d.writeShardSnapshots(dir, v); err != nil {
 		return err
 	} else if err := store.WriteManifestFile(filepath.Join(dir, ManifestName), store.Manifest{Shards: len(d.shards), Gen: d.gen}); err != nil {
 		return err
@@ -221,12 +223,16 @@ func (d *Database) Persist(dir string, opts ...Option) error {
 	return nil
 }
 
-// writeShardSnapshots serializes every shard of one (dense) view to its
-// snapshot file.  The states are immutable, so no lock is needed while
-// the files are written.
+// writeShardSnapshots serializes every shard of one view to its
+// snapshot file, slot for slot, tombstones included.  The states are
+// immutable, so no lock is needed while the files are written.
 func (d *Database) writeShardSnapshots(dir string, v *dbview) error {
 	now := time.Now().UnixNano()
 	for s, st := range v.states {
+		dead := make([]bool, st.snap.Slots())
+		for slot := range dead {
+			dead[slot] = !st.snap.Live(slot)
+		}
 		payload := &store.Snapshot{
 			Options:       d.storeOptions(),
 			Shard:         s,
@@ -236,12 +242,11 @@ func (d *Database) writeShardSnapshots(dir string, v *dbview) error {
 			NextID:        d.nextID.Load(),
 			IDs:           st.ids,
 			Entries:       st.snap.Entries(),
-			Index:         st.idx,
+			Dead:          dead,
 		}
 		if err := store.WriteFile(filepath.Join(dir, shardSnapName(s, d.gen)), payload); err != nil {
 			return err
 		}
-		d.shards[s].snapSeq.Store(st.snap.Version())
 		d.shards[s].lastSnap.Store(now)
 	}
 	return nil
@@ -276,9 +281,10 @@ func (d *Database) openShardJournals(dir string, cfg *config, fresh bool) ([][]s
 
 // attachDurability wires the snapshotter state and starts the loop.
 // snapVersion is the global version the on-disk snapshot set covers —
-// the view just written for Persist and a layout rewrite, the oldest
-// shard snapshot for Open, whose replayed journal tails are in memory
-// but in no snapshot yet.  savedAt is when those snapshots were
+// the view just written for Persist and a layout rewrite; for Open the
+// oldest shard snapshot's, and below the recovered view's whenever a
+// journal tail was replayed, because that tail is in memory but in no
+// snapshot yet.  savedAt is when those snapshots were
 // actually written — now, or the files' mtime for Open — so SnapshotAge
 // never hides a stale snapshot behind a restart.  Caller holds d.lmu.
 func (d *Database) attachDurability(dir string, cfg *config, snapVersion int64, savedAt time.Time) {
@@ -297,10 +303,11 @@ func (d *Database) attachDurability(dir string, cfg *config, snapVersion int64, 
 }
 
 // Open loads the durable database in dir: each shard's newest snapshot
-// restores the bulk of its state, then the shard's write-ahead-log tail
-// is replayed — every mutation acknowledged after that snapshot, up to
-// the first torn record a crash may have left — so a kill -9 between
-// snapshots loses nothing.  The global version and ID counters are
+// restores the bulk of its state (every slot, tombstones included; the
+// seed index is rebuilt from the entries), then the shard's
+// write-ahead-log tail is replayed — every mutation acknowledged after
+// that snapshot, up to the first torn record a crash may have left — so
+// a kill -9 between snapshots loses nothing.  The global version and ID counters are
 // stitched back from the shard snapshots and the journaled global
 // mutation numbers.
 //
@@ -363,11 +370,12 @@ func Open(dir string, opts ...Option) (*Database, error) {
 	covered := snaps[0].GlobalVersion
 	nextID := uint64(0)
 	for s, snap := range snaps {
-		if snap.Index != nil && snap.Index.K() != cfg.seedK {
-			return nil, fmt.Errorf("racelogic: %s index has k=%d but the fingerprint says %d",
-				filepath.Join(dir, shardSnapName(s, m.Gen)), snap.Index.K(), cfg.seedK)
+		parts[s] = shardPart{entries: snap.Entries, ids: snap.IDs, seq: snap.Version}
+		for slot, dead := range snap.Dead {
+			if dead {
+				parts[s].dead = append(parts[s].dead, slot)
+			}
 		}
-		parts[s] = shardPart{entries: snap.Entries, ids: snap.IDs, idx: snap.Index, seq: snap.Version}
 		globalVersion = max(globalVersion, snap.GlobalVersion)
 		covered = min(covered, snap.GlobalVersion)
 		if snap.NextID > nextID {
@@ -396,9 +404,16 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		return reshard(dir, d, cfg, reshardTo, m.Gen+1)
 	}
 	cleanupStaleLayout(dir, m.Gen)
-	for s, snap := range snaps {
-		d.shards[s].snapSeq.Store(snap.Version)
-		d.shards[s].lastSnap.Store(info.ModTime().UnixNano())
+	for _, sh := range d.shards {
+		sh.lastSnap.Store(info.ModTime().UnixNano())
+	}
+	// A replayed record is in no snapshot, yet need not raise the version
+	// past covered: a checkpoint captures the view without the shard
+	// locks, so its stamp can run ahead of a ticket that was journaled
+	// but not yet published.  Claim one version less than the recovered
+	// view, so the next checkpoint writes before it truncates a journal.
+	if d.walReplayed.Load() > 0 {
+		covered = min(covered, d.view.Load().version-1)
 	}
 	d.lmu.Lock()
 	d.attachDurability(dir, cfg, covered, info.ModTime())
@@ -486,43 +501,44 @@ func (d *Database) closeShardJournals() {
 // reshard rewrites an opened directory under a new shard count: the
 // fully recovered state is flattened back to global ID order,
 // re-partitioned, and committed as the next layout generation (the
-// recovered journals are already folded into the new snapshots).
+// recovered journals are already folded into the new snapshots).  The
+// tombstones travel with it, so Version, Tombstones and every Index
+// position survive the reshard.
 func reshard(dir string, old *Database, cfg *config, shards, gen int) (*Database, error) {
 	old.closeShardJournals()
 	v := old.view.Load()
-	entries, ids := flatten(v)
+	entries, ids, dead := flatten(v)
 	ncfg := *cfg
 	ncfg.shards = shards
-	d, err := assembleDatabase(&ncfg, entries, ids, old.nextID.Load(), v.version)
+	d, err := assembleDatabase(&ncfg, entries, ids, dead, old.nextID.Load(), v.version)
 	if err != nil {
 		return nil, err
 	}
 	return commitLayout(dir, d, &ncfg, gen)
 }
 
-// flatten returns a view's live entries and IDs in global ID order.
-// Tombstones are dropped — flattening always follows a compaction.
-func flatten(v *dbview) ([]string, []uint64) {
+// flatten returns every resident slot of a view — entry, stable ID and
+// tombstone flag — in global ID order.
+func flatten(v *dbview) ([]string, []uint64, []bool) {
 	type item struct {
 		id    uint64
 		entry string
+		dead  bool
 	}
 	var all []item
 	for _, st := range v.states {
-		for slot := 0; slot < st.snap.Slots(); slot++ {
-			if st.snap.Live(slot) {
-				all = append(all, item{id: st.ids[slot], entry: st.snap.Entry(slot)})
-			}
+		for slot, id := range st.ids {
+			all = append(all, item{id: id, entry: st.snap.Entry(slot), dead: !st.snap.Live(slot)})
 		}
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].id < all[b].id })
 	entries := make([]string, len(all))
 	ids := make([]uint64, len(all))
+	dead := make([]bool, len(all))
 	for i, it := range all {
-		entries[i] = it.entry
-		ids[i] = it.id
+		entries[i], ids[i], dead[i] = it.entry, it.id, it.dead
 	}
-	return entries, ids
+	return entries, ids, dead
 }
 
 // cleanupStaleLayout removes shard files of every generation except
@@ -547,15 +563,11 @@ func cleanupStaleLayout(dir string, keepGen int) {
 // generation (the commit point), then best-effort removal of every
 // other generation's files.  Until the manifest lands the previous
 // layout stays authoritative and complete, because no file of it is
-// touched; after it, the new one is, and leftovers are ignored.
-// Tombstones are compacted away first, exactly like a checkpoint.  The
+// touched; after it, the new one is, and leftovers are ignored.  The
 // returned database is attached and journaling.
 func commitLayout(dir string, d *Database, cfg *config, gen int) (*Database, error) {
 	d.gen = gen
-	_, v, err := d.compactAll(false, false)
-	if err != nil {
-		return nil, err
-	}
+	v := d.view.Load()
 	if err := d.writeShardSnapshots(dir, v); err != nil {
 		return nil, err
 	}
@@ -610,10 +622,11 @@ func (d *Database) signalSnapshotter() {
 }
 
 // snapshotLoop is the background snapshotter: on a timer, on the
-// mutation-count signal, on a segment rotation, and on the compaction
-// policy's Interval it folds the journals into fresh shard snapshots
-// (compact, save, truncate).  The file writes happen off every lock —
-// mutations and searches proceed — by capturing one immutable view.
+// mutation-count signal, and on a segment rotation it folds the
+// journals into fresh shard snapshots (capture, save, truncate); on
+// the compaction policy's Interval it compacts.  The file writes happen
+// off every lock — mutations and searches proceed — by capturing one
+// immutable view.
 func (d *Database) snapshotLoop() {
 	defer close(d.loopDone)
 	var snapTick, compactTick <-chan time.Time
@@ -632,7 +645,9 @@ func (d *Database) snapshotLoop() {
 		case <-d.stopSnap:
 			return
 		case <-compactTick:
-			if _, _, err := d.compactAll(false, true); err != nil {
+			// Close fences compactions off before it stops the loop; a
+			// tick that loses that race is not a failure.
+			if _, err := d.compactAll(false); err != nil && !errors.Is(err, ErrClosed) {
 				d.snapFailures.Add(1)
 			}
 			continue
@@ -649,14 +664,17 @@ func (d *Database) snapshotLoop() {
 }
 
 // Checkpoint folds the journals into a fresh durable snapshot set now:
-// compact, serialize every shard's state to its snapshot file (atomic
-// temp+rename), and truncate the write-ahead logs the set covers.
-// Mutations block only for the compaction and state capture, not the
-// file writes; each shard's journal is truncated only when no mutation
-// landed on it mid-write (records a snapshot covers are skipped at
-// replay anyway, so a skipped truncation is never a correctness
-// problem).  On a memory-only database Checkpoint is a no-op; on a
-// closed one it returns ErrClosed.
+// capture the published view, serialize every shard's state to its
+// snapshot file slot for slot, tombstones included (atomic
+// temp+rename), and truncate the write-ahead logs the set covers.  A
+// checkpoint never compacts, so it changes neither Version nor any
+// Index position; only the CompactionPolicy and Compact reclaim
+// tombstones.  The capture is one atomic load, so mutations block only
+// while each shard's journal is truncated, and a journal is truncated
+// only when no mutation landed on its shard mid-write (records a
+// snapshot covers are skipped at replay anyway, so a skipped truncation
+// is never a correctness problem).  On a memory-only database
+// Checkpoint is a no-op; on a closed one it returns ErrClosed.
 func (d *Database) Checkpoint() error {
 	if d.closed.Load() {
 		return ErrClosed
@@ -678,8 +696,9 @@ func (d *Database) checkpoint() error {
 		return nil
 	}
 
+	begin := time.Now()
 	v := d.view.Load()
-	if v.version == d.snapVersion.Load() && v.dead() == 0 {
+	if v.version == d.snapVersion.Load() {
 		// Nothing new since the last snapshot set.  Covered records can
 		// still be sitting in the journals — a crash that landed between
 		// "snapshot renamed" and "journal truncated" leaves them — so
@@ -687,17 +706,15 @@ func (d *Database) checkpoint() error {
 		// would actually replay.
 		return d.truncateCoveredJournals(v)
 	}
-	_, v, err := d.compactAll(false, true)
-	if err != nil {
-		return err
-	}
 	if err := d.writeShardSnapshots(dir, v); err != nil {
 		return err
 	}
 	d.snapVersion.Store(v.version)
 	d.lastSnap.Store(time.Now().UnixNano())
 	d.snapSaves.Add(1)
-	return d.truncateCoveredJournals(v)
+	err := d.truncateCoveredJournals(v)
+	d.metrics.checkpoint.Observe(time.Since(begin).Seconds())
+	return err
 }
 
 // truncateCoveredJournals resets each shard's journal if no mutation
@@ -718,7 +735,9 @@ func (d *Database) truncateCoveredJournals(v *dbview) error {
 }
 
 // Close shuts a durable database down cleanly: it stops the background
-// snapshotter, takes a final checkpoint, and closes the journals.
+// snapshotter, takes a final checkpoint — which, like every checkpoint,
+// captures tombstones rather than compacting them — and closes the
+// journals.
 // Mutations after Close fail; searches keep working against the final
 // view.  On a memory-only database Close is a no-op.  Close is
 // idempotent.
@@ -809,7 +828,8 @@ func (d *Database) WALSegments() int {
 }
 
 // Compactions returns the number of dense rebuilds over the database's
-// lifetime in this process — automatic, manual, and save-time.
+// lifetime in this process — automatic (CompactionPolicy) and manual
+// (Compact); checkpoints never compact.
 func (d *Database) Compactions() int64 { return d.compactions.Load() }
 
 // Snapshots returns the number of durable snapshot-set saves by the

@@ -496,6 +496,78 @@ func TestRecoveredTailSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointLeavesCompactionToPolicy pins that a checkpoint
+// captures tombstones instead of compacting them: neither Checkpoint
+// nor Close's final checkpoint moves Version, Tombstones or
+// Compactions, and the reopened database holds the same tombstones at
+// the same version, with identical reports and an empty journal.
+func TestCheckpointLeavesCompactionToPolicy(t *testing.T) {
+	g := seqgen.NewDNA(131)
+	dir := t.TempDir()
+	db, err := racelogic.NewDatabase(g.Database(12, 9), racelogic.WithSeedIndex(4), racelogic.WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Persist(dir, racelogic.WithSnapshotInterval(0), racelogic.WithSnapshotEvery(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Remove(1, 4, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert(g.Random(9)); err != nil {
+		t.Fatal(err)
+	}
+	wantVersion, wantDead := db.Version(), db.Tombstones()
+	if wantDead != 3 || db.Compactions() != 0 {
+		t.Fatalf("setup: %d tombstones after %d compactions, want 3 after none", wantDead, db.Compactions())
+	}
+	unchanged := func(what string, d *racelogic.Database) {
+		t.Helper()
+		if d.Version() != wantVersion || d.Tombstones() != wantDead || d.Compactions() != 0 {
+			t.Errorf("after %s: version %d, %d tombstones, %d compactions; want %d, %d, 0",
+				what, d.Version(), d.Tombstones(), d.Compactions(), wantVersion, wantDead)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Snapshots() != 1 || db.WALRecords() != 0 {
+		t.Fatalf("Checkpoint saved %d snapshot sets and left %d journal records, want 1 and 0",
+			db.Snapshots(), db.WALRecords())
+	}
+	unchanged("Checkpoint", db)
+	if _, err := db.Insert(g.Random(10)); err != nil {
+		t.Fatal(err)
+	}
+	wantVersion++
+	query := g.Random(9)
+	want, err := db.Search(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("Close", db)
+
+	back, err := racelogic.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	unchanged("Open", back)
+	if back.WALRecords() != 0 {
+		t.Errorf("reopened journal holds %d records; Close's checkpoint should have folded them", back.WALRecords())
+	}
+	got, err := back.Search(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripEngines(got), stripEngines(want)) {
+		t.Errorf("reopened report differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestErrUnknownIDSurvivesJournal double-checks that journaling does
 // not change the public error contract.
 func TestErrUnknownIDSurvivesJournal(t *testing.T) {

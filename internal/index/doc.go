@@ -14,7 +14,9 @@
 //
 // The index is an inverted map from every k-mer to the ascending list of
 // entries containing it, built once per database and grown incrementally
-// (copy-on-write, see Grow) as entries are inserted.  The map is split
+// (copy-on-write, see Grow) as entries are inserted.  It is derived
+// entirely from the entries, so it is never serialized: a database
+// reopened from its snapshots rebuilds it with New.  The map is split
 // into a fixed directory of buckets selected by a hash of the k-mer, so
 // a Grow copies the directory and only the buckets its new k-mers land
 // in, each holding about 1/1024 of the index's k-mers, instead of the

@@ -1,13 +1,9 @@
 package index
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"maps"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -202,145 +198,4 @@ func (ix *Index) Candidates(query string) []int {
 		ix.stats.Candidates.Add(int64(len(cands)))
 	}
 	return cands
-}
-
-// Source is the reader Decode consumes.  Callers wrap their stream in a
-// checksumming reader that must observe every byte exactly once, so
-// Decode reads precisely the encoded bytes and never buffers ahead.
-type Source interface {
-	io.Reader
-	io.ByteReader
-}
-
-// Encode writes the index in the snapshot wire format: uvarint-framed
-// counts, slots, and k-mer strings, with k-mers sorted so equal indexes
-// always serialize to identical bytes.
-func (ix *Index) Encode(w io.Writer) error {
-	buf := make([]byte, 0, 1<<12)
-	u := func(v int) { buf = binary.AppendUvarint(buf, uint64(v)) }
-	u(ix.k)
-	u(ix.n)
-	u(len(ix.always))
-	for _, i := range ix.always {
-		u(i)
-	}
-	kmers := make([]string, 0, ix.kmers)
-	for _, bucket := range ix.dir {
-		for kmer := range bucket {
-			kmers = append(kmers, kmer)
-		}
-	}
-	sort.Strings(kmers)
-	u(len(kmers))
-	for _, kmer := range kmers {
-		u(len(kmer))
-		buf = append(buf, kmer...)
-		post := ix.postings(kmer)
-		u(len(post))
-		for _, i := range post {
-			u(i)
-		}
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// Decode reads an Encode-format index back.  It validates structure —
-// slot ranges, ascending postings, k-mer lengths — so a corrupted or
-// hand-rolled stream fails here rather than misrouting searches later.
-//
-//racelint:cowsafe
-func Decode(r Source) (*Index, error) {
-	u := func() (int, error) {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return 0, fmt.Errorf("index: decode: %w", err)
-		}
-		if v > 1<<40 {
-			return 0, fmt.Errorf("index: decode: implausible count %d", v)
-		}
-		return int(v), nil
-	}
-	k, err := u()
-	if err != nil {
-		return nil, err
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("index: decode: seed length %d must be ≥ 1", k)
-	}
-	n, err := u()
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{k: k, n: n, dir: make([]map[string][]int, fanout)}
-	nAlways, err := u()
-	if err != nil {
-		return nil, err
-	}
-	prev := -1
-	for a := 0; a < nAlways; a++ {
-		i, err := u()
-		if err != nil {
-			return nil, err
-		}
-		if i <= prev || i >= n {
-			return nil, fmt.Errorf("index: decode: always-slot %d not ascending in [0,%d)", i, n)
-		}
-		prev = i
-		ix.always = append(ix.always, i)
-	}
-	nKmers, err := u()
-	if err != nil {
-		return nil, err
-	}
-	// k is untrusted: the k-mer buffer grows with the bytes the stream
-	// actually holds instead of being allocated at k up front.
-	var kb bytes.Buffer
-	for m := 0; m < nKmers; m++ {
-		klen, err := u()
-		if err != nil {
-			return nil, err
-		}
-		if klen != k {
-			return nil, fmt.Errorf("index: decode: k-mer length %d, want %d", klen, k)
-		}
-		kb.Reset()
-		if _, err := kb.ReadFrom(io.LimitReader(r, int64(klen))); err != nil {
-			return nil, fmt.Errorf("index: decode: %w", err)
-		}
-		if kb.Len() != klen {
-			return nil, fmt.Errorf("index: decode: %w", io.ErrUnexpectedEOF)
-		}
-		kmer := kb.String()
-		b := bucketOf(kmer)
-		if ix.dir[b] == nil {
-			ix.dir[b] = make(map[string][]int)
-		}
-		if _, dup := ix.dir[b][kmer]; dup {
-			return nil, fmt.Errorf("index: decode: duplicate k-mer %q", kmer)
-		}
-		nPost, err := u()
-		if err != nil {
-			return nil, err
-		}
-		if nPost < 1 {
-			return nil, fmt.Errorf("index: decode: k-mer %q has no postings", kmer)
-		}
-		post := make([]int, 0, min(nPost, 1<<16))
-		prev = -1
-		for p := 0; p < nPost; p++ {
-			i, err := u()
-			if err != nil {
-				return nil, err
-			}
-			if i <= prev || i >= n {
-				return nil, fmt.Errorf("index: decode: posting slot %d for %q not ascending in [0,%d)", i, kmer, n)
-			}
-			prev = i
-			post = append(post, i)
-		}
-		ix.dir[b][kmer] = post
-		ix.kmers++
-	}
-	return ix, nil
 }

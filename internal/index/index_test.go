@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -315,43 +314,6 @@ func TestGrowEmptyAndShort(t *testing.T) {
 	}
 	if got := grown.Candidates("TTTT"); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("grown entry must be seed-reachable, candidates = %v", got)
-	}
-}
-
-// TestEncodeDecodeRoundTrip pins the wire format: Decode(Encode(ix)) is
-// bit-identical, encoding is deterministic, and truncated streams error.
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	g := seqgen.NewDNA(41)
-	var entries []string
-	for _, n := range []int{2, 6, 9} {
-		entries = append(entries, g.Database(8, n)...)
-	}
-	ix, err := New(entries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := ix.Encode(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("Encode is not deterministic")
-	}
-	back, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, ix) {
-		t.Error("decoded index differs from the original")
-	}
-	for _, cut := range []int{1, buf.Len() / 2, buf.Len() - 1} {
-		if _, err := Decode(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Errorf("truncation at %d bytes must error", cut)
-		}
 	}
 }
 

@@ -412,7 +412,8 @@ func (s *Snapshot) Dead() int { return len(s.entries) - s.liveN }
 // Live reports whether slot i holds a live entry.
 func (s *Snapshot) Live(i int) bool { return i >= 0 && i < len(s.live) && s.live[i] }
 
-// Entry returns the entry at slot i; the slot must be live.
+// Entry returns the entry at slot i, live or tombstoned: a tombstoned
+// slot keeps its entry until Compact reclaims it.
 func (s *Snapshot) Entry(i int) string { return s.entries[i] }
 
 // Buckets returns the number of distinct live entry lengths.
@@ -422,21 +423,10 @@ func (s *Snapshot) Buckets() int { return len(s.buckets) }
 // order.  The caller owns the returned slice.
 func (s *Snapshot) Lengths() []int { return append([]int(nil), s.lengths...) }
 
-// Entries returns the live entries in slot order.  On a compacted (or
-// never-mutated) snapshot the result is the dense slot array itself, so
-// callers serializing a snapshot must not modify it.
-func (s *Snapshot) Entries() []string {
-	if s.liveN == len(s.entries) {
-		return s.entries
-	}
-	out := make([]string, 0, s.liveN)
-	for i, e := range s.entries {
-		if s.live[i] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+// Entries returns the slot array: every slot's entry in slot order,
+// tombstoned slots included (Live tells them apart).  It is the
+// snapshot's own backing array, so callers must not modify it.
+func (s *Snapshot) Entries() []string { return s.entries }
 
 // DB is a persistent, concurrency-safe search pipeline: the database is
 // sharded into length buckets held in a copy-on-write Snapshot, and

@@ -131,9 +131,14 @@ func TestMetricsLanesBackend(t *testing.T) {
 }
 
 // TestMetricsCountersAdvance drives a search, an insert, a remove, and
-// a compaction through HTTP and asserts the corresponding counters move.
+// a compaction through HTTP against a durable database, then takes a
+// checkpoint, and asserts the corresponding counters move.
 func TestMetricsCountersAdvance(t *testing.T) {
-	ts, _, _ := newTestServer(t)
+	ts, db, _ := newTestServer(t)
+	if err := db.Persist(t.TempDir(), racelogic.WithSnapshotInterval(0), racelogic.WithSnapshotEvery(0)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	before := scrapeMetrics(t, ts.URL)
 
 	if _, sr := postSearch(t, ts.URL, `{"query":"ACGTACGT"}`); sr == nil {
@@ -158,6 +163,9 @@ func TestMetricsCountersAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 
 	after := scrapeMetrics(t, ts.URL)
 	if err := obs.ValidatePrometheusText(after); err != nil {
@@ -172,6 +180,7 @@ func TestMetricsCountersAdvance(t *testing.T) {
 		{"racelogic_search_entries_scanned_total", 1},
 		{"racelogic_http_mutations_total", 2},
 		{"racelogic_compactions_total", 1},
+		{"racelogic_checkpoint_seconds_count", 1},
 	} {
 		b, a := metricValue(t, before, c.prefix), metricValue(t, after, c.prefix)
 		if a < b+c.min {

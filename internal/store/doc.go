@@ -26,11 +26,13 @@
 //
 // A snapshot holds everything needed to reconstruct one shard exactly:
 // the options fingerprint that shaped its engines and seed index, the
-// shard header, the mutation counters, every live entry with its stable
-// ID, and the serialized k-mer seed index (so a reload skips
-// re-tokenizing).
+// shard header, the mutation counters, and every slot — live or
+// tombstoned — with its stable ID and entry, in slot order.  It is a
+// capture of the shard, not a compaction of it, so a reload reproduces
+// every slot position.  The k-mer seed index is derived entirely from
+// the entries and is not serialized: the loader rebuilds it.
 //
-// Wire format (format version 2), all integers varint/uvarint framed:
+// Wire format (format version 3), all integers varint/uvarint framed:
 //
 //	"RLSNAP"  magic
 //	uvarint   format version
@@ -47,15 +49,18 @@
 //	varint    default workers     ┘
 //	varint    shard mutation sequence
 //	uvarint   next entry ID
-//	uvarint   entry count, then per entry: uvarint ID, string sequence
-//	bool      index present, then the index.Encode stream if so
+//	uvarint   slot count, then per slot: uvarint ID, string sequence,
+//	          bool tombstoned
 //	uint32 LE CRC-32 (IEEE) of every preceding byte
 //
-// Read accepts format version 2 only and refuses any other version by
-// number.  A length field is untrusted until the trailing checksum is
-// verified, so the reader allocates only the bytes it actually reads.
-// Snapshot files are written to a temporary sibling and renamed into
-// place, so a crash mid-save never corrupts the previous snapshot.
+// A bool is a uvarint holding 0 or 1; any other value is refused.
+// Read accepts format version 3 only and refuses any other version by
+// number: format 2 carried a serialized seed index and no tombstones,
+// and format 1 no shard header.  A length field is untrusted until the
+// trailing checksum is verified, so the reader allocates only the bytes
+// it actually reads.  Snapshot files are written to a temporary sibling
+// and renamed into place, so a crash mid-save never corrupts the
+// previous snapshot.
 //
 // # Write-ahead log format
 //

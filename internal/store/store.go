@@ -10,8 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"racelogic/internal/index"
 )
 
 // magic opens every snapshot file.
@@ -22,7 +20,7 @@ const magic = "RLSNAP"
 // The shard header (Shard, ShardCount, GlobalVersion) right after the
 // format field lets recovery stitch the global counters back together
 // from one snapshot file per shard.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // maxStringLen bounds any single decoded string (entry or library
 // name).  The checksum sits at the end of the file, so a length field
@@ -61,14 +59,12 @@ type Snapshot struct {
 	Version       int64
 	GlobalVersion int64
 	NextID        uint64
-	// IDs[i] is the stable ID of Entries[i], in the shard's slot order.
-	// Slots are dense: the saver compacts tombstones away before
-	// serializing.
+	// IDs[i] is the stable ID of Entries[i], in the shard's slot order,
+	// and Dead[i] marks a tombstoned slot.  A snapshot captures every
+	// slot, removed ones included: only a compaction reclaims them.
 	IDs     []uint64
 	Entries []string
-	// Index is the k-mer seed index over Entries, or nil when the
-	// database was built without one.
-	Index *index.Index
+	Dead    []bool
 }
 
 // hashWriter feeds every written byte through the checksum on its way
@@ -119,8 +115,8 @@ func (e *encoder) boolean(b bool) {
 
 // Write serializes s to w in the format documented on the package.
 func Write(w io.Writer, s *Snapshot) error {
-	if len(s.IDs) != len(s.Entries) {
-		return fmt.Errorf("store: %d IDs for %d entries", len(s.IDs), len(s.Entries))
+	if len(s.IDs) != len(s.Entries) || len(s.Dead) != len(s.Entries) {
+		return fmt.Errorf("store: %d IDs and %d tombstone flags for %d entries", len(s.IDs), len(s.Dead), len(s.Entries))
 	}
 	if s.ShardCount < 1 || s.Shard < 0 || s.Shard >= s.ShardCount {
 		return fmt.Errorf("store: shard %d of %d is not a valid shard header", s.Shard, s.ShardCount)
@@ -149,15 +145,10 @@ func Write(w io.Writer, s *Snapshot) error {
 	for i, entry := range s.Entries {
 		e.uvarint(s.IDs[i])
 		e.str(entry)
+		e.boolean(s.Dead[i])
 	}
-	e.boolean(s.Index != nil)
 	if e.err != nil {
 		return e.err
-	}
-	if s.Index != nil {
-		if err := s.Index.Encode(hw); err != nil {
-			return err
-		}
 	}
 	// The trailer is the one field the checksum does not cover.
 	var tail [4]byte
@@ -308,6 +299,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	for i := uint64(0); i < count; i++ {
 		id := d.uvarint()
 		entry := d.str()
+		dead := d.boolean()
 		if d.err != nil {
 			return nil, fmt.Errorf("store: reading entry %d: %w", i, d.err)
 		}
@@ -323,19 +315,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 		}
 		s.IDs = append(s.IDs, id)
 		s.Entries = append(s.Entries, entry)
-	}
-	hasIndex := d.boolean()
-	if d.err != nil {
-		return nil, fmt.Errorf("store: %w", d.err)
-	}
-	if hasIndex {
-		var err error
-		if s.Index, err = index.Decode(hr); err != nil {
-			return nil, err
-		}
-		if s.Index.Len() != len(s.Entries) {
-			return nil, fmt.Errorf("store: index covers %d entries, snapshot has %d", s.Index.Len(), len(s.Entries))
-		}
+		s.Dead = append(s.Dead, dead)
 	}
 	sum := hr.h.Sum32()
 	var tail [4]byte

@@ -11,8 +11,8 @@ import (
 // must never panic, and any snapshot it accepts must come back
 // deep-equal from a Write→Read round trip.
 func FuzzSnapshotRead(f *testing.F) {
-	// A valid shard snapshot with a seed index, its truncations, and the
-	// hostile length header seed the corpus.
+	// A valid shard snapshot, its truncations, the hostile length header
+	// and a snapshot with tombstoned slots seed the corpus.
 	s := testSnapshot(f)
 	s.Shard, s.ShardCount, s.GlobalVersion = 1, 3, 40
 	var buf bytes.Buffer
@@ -26,6 +26,11 @@ func FuzzSnapshotRead(f *testing.F) {
 	}
 	f.Add(hostileSnapshot())
 	f.Add([]byte{})
+	var dead bytes.Buffer
+	if err := Write(&dead, tombstoned(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dead.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Read(bytes.NewReader(data))

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,13 +14,12 @@ import (
 	"strings"
 	"testing"
 
-	"racelogic/internal/index"
 	"racelogic/internal/seqgen"
 )
 
 // testSnapshot builds a representative snapshot: mixed-length entries,
-// non-contiguous IDs (as after removes), every fingerprint field
-// non-zero, and a live seed index.
+// non-contiguous IDs (as after compactions), every fingerprint field
+// non-zero, and every slot live.
 func testSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	g := seqgen.NewDNA(61)
@@ -26,10 +27,6 @@ func testSnapshot(t testing.TB) *Snapshot {
 	ids := make([]uint64, len(entries))
 	for i := range ids {
 		ids[i] = uint64(3*i + 1) // gaps, like a mutated database
-	}
-	ix, err := index.New(entries, 4)
-	if err != nil {
-		t.Fatal(err)
 	}
 	return &Snapshot{
 		Options: Options{
@@ -43,12 +40,22 @@ func testSnapshot(t testing.TB) *Snapshot {
 		NextID:        uint64(3*len(entries) + 1),
 		IDs:           ids,
 		Entries:       entries,
-		Index:         ix,
+		Dead:          make([]bool, len(entries)),
 	}
 }
 
-// TestRoundTrip pins the format: Read(Write(s)) reproduces every field,
-// including the serialized index, and writing is deterministic.
+// tombstoned returns testSnapshot with slots 0, 5 and the last one
+// tombstoned, as a shard holding uncompacted removes is captured.
+func tombstoned(t testing.TB) *Snapshot {
+	s := testSnapshot(t)
+	for _, slot := range []int{0, 5, len(s.Dead) - 1} {
+		s.Dead[slot] = true
+	}
+	return s
+}
+
+// TestRoundTrip pins the format: Read(Write(s)) reproduces every field
+// and writing is deterministic.
 func TestRoundTrip(t *testing.T) {
 	s := testSnapshot(t)
 	var buf, buf2 bytes.Buffer
@@ -68,19 +75,58 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, s) {
 		t.Errorf("round trip differs:\n got %+v\nwant %+v", back, s)
 	}
+}
 
-	// Without an index the flag round-trips as nil, not an empty index.
-	s.Index = nil
-	buf.Reset()
+// TestTombstoneRoundTrip pins that a snapshot keeps every slot: the
+// tombstoned ones come back flagged, with their IDs and entries, in
+// slot order.
+func TestTombstoneRoundTrip(t *testing.T) {
+	s := tombstoned(t)
+	var buf bytes.Buffer
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	back, err = Read(bytes.NewReader(buf.Bytes()))
+	back, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Index != nil {
-		t.Error("index-less snapshot decoded with an index")
+	if !reflect.DeepEqual(back, s) {
+		t.Errorf("tombstone round trip differs:\n got %+v\nwant %+v", back, s)
+	}
+	dead := 0
+	for _, d := range back.Dead {
+		if d {
+			dead++
+		}
+	}
+	if dead != 3 || len(back.Entries) != len(s.Entries) {
+		t.Errorf("read %d tombstones over %d slots, want 3 over %d", dead, len(back.Entries), len(s.Entries))
+	}
+
+	s.Dead = s.Dead[1:]
+	if err := Write(&buf, s); err == nil {
+		t.Error("a tombstone flag count that differs from the entry count must be rejected at write")
+	}
+}
+
+// TestReadRejectsBadTombstoneFlag pins the flag's domain: a value of 2
+// under a valid checksum is refused by the flag check itself.
+func TestReadRejectsBadTombstoneFlag(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, tombstoned(t)); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// The last slot's flag is the payload's final byte, just before the
+	// four-byte trailer.
+	flag := len(raw) - 5
+	if raw[flag] != 1 {
+		t.Fatalf("byte %d holds %d, want the last slot's tombstone flag 1", flag, raw[flag])
+	}
+	raw[flag] = 2
+	binary.LittleEndian.PutUint32(raw[flag+1:], crc32.ChecksumIEEE(raw[:flag+1]))
+	if _, err := Read(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "bool field holds 2") {
+		t.Errorf("tombstone flag 2: got %v, want a refusal of the flag value", err)
 	}
 }
 
@@ -114,8 +160,6 @@ func TestReadRejectsCorruption(t *testing.T) {
 // alone cannot express.
 func TestReadRejectsBadStructure(t *testing.T) {
 	s := testSnapshot(t)
-	s.Index = nil
-
 	s.IDs[0], s.IDs[1] = 5, 5
 	var buf bytes.Buffer
 	if err := Write(&buf, s); err != nil {
@@ -126,7 +170,6 @@ func TestReadRejectsBadStructure(t *testing.T) {
 	}
 
 	s = testSnapshot(t)
-	s.Index = nil
 	s.NextID = 1 // below every assigned ID
 	buf.Reset()
 	if err := Write(&buf, s); err != nil {
@@ -140,17 +183,22 @@ func TestReadRejectsBadStructure(t *testing.T) {
 		t.Error("mismatched IDs/Entries lengths must error")
 	}
 
-	// Format 1, the layout before the shard header, is refused by the
-	// version check like any other version this build does not write.
+	// Format 1, the layout before the shard header, and format 2, the
+	// layout with a serialized seed index and no tombstone flags, are
+	// refused by the version check like any other version this build
+	// does not write.
 	s = testSnapshot(t)
 	buf.Reset()
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	v1 := buf.Bytes()
-	v1[len(magic)] = 1
-	if _, err := Read(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "format version 1") {
-		t.Errorf("format-1 snapshot: got %v, want a refusal naming version 1", err)
+	for _, old := range []byte{1, 2} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		raw[len(magic)] = old
+		want := fmt.Sprintf("format version %d", old)
+		if _, err := Read(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("format-%d snapshot: got %v, want a refusal naming version %d", old, err, old)
+		}
 	}
 }
 
@@ -198,7 +246,6 @@ func TestFileRoundTrip(t *testing.T) {
 // validation.
 func TestSnapshotShardHeader(t *testing.T) {
 	s := testSnapshot(t)
-	s.Index = nil
 	s.Shard, s.ShardCount, s.GlobalVersion = 3, 8, 99
 	var buf bytes.Buffer
 	if err := Write(&buf, s); err != nil {

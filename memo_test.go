@@ -255,6 +255,33 @@ func TestMemoFailedSearchStoresNothing(t *testing.T) {
 	}
 }
 
+// TestMemoCountersCountRepeatsOnce: a batch that repeats a query adds
+// to the scanned and memoized counters once for it, memo cold and memo
+// warm, so scanned − memoized stays the number of entries raced.
+func TestMemoCountersCountRepeatsOnce(t *testing.T) {
+	g := seqgen.NewDNA(67)
+	entries := g.Database(64, 8)
+	d, err := NewDatabase(entries, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := g.Random(8)
+	for _, step := range []struct {
+		name     string
+		wantMemo int
+	}{{"cold", 0}, {"warm", len(entries)}} {
+		scanned0, memo0 := d.metrics.scanned.Value(), memoized(d)
+		if _, err := d.SearchBatch([]string{query, query, query}); err != nil {
+			t.Fatal(err)
+		}
+		scanned, memo := int(d.metrics.scanned.Value()-scanned0), memoized(d)-memo0
+		if scanned != len(entries) || memo != step.wantMemo {
+			t.Errorf("%s batch of three copies counted %d scanned, %d memoized; want %d, %d",
+				step.name, scanned, memo, len(entries), step.wantMemo)
+		}
+	}
+}
+
 // TestMemoEvictionAndBudget: the memo is bounded by its charged
 // records, an evicted query races again, and a scan larger than the
 // whole budget is not stored (and drops the query's older, smaller

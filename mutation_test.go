@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -268,7 +269,10 @@ func TestDatabaseConcurrentMutation(t *testing.T) {
 // TestSnapshotRoundTrip is the durability acceptance property: after
 // mutations, Persist → Close → Open reproduces the database so exactly
 // that search reports are byte-identical modulo EnginesBuilt, and the
-// ID/version counters continue where they left off.
+// ID/version counters continue where they left off.  Tombstones are
+// present throughout: the snapshots capture them rather than compact
+// them, so Index positions (which rank tombstoned IDs too), Skipped and
+// Version all survive the round trip.
 func TestSnapshotRoundTrip(t *testing.T) {
 	g := seqgen.NewDNA(83)
 	var entries []string
@@ -286,16 +290,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := db.Remove(2, 7, 11); err != nil {
 		t.Fatal(err)
 	}
-	if db.Tombstones() == 0 {
-		t.Fatal("test needs tombstones at save time to exercise save-side compaction")
+	wantDead, wantVersion := db.Tombstones(), db.Version()
+	if wantDead == 0 {
+		t.Fatal("test needs tombstones at save time to exercise their capture")
 	}
 
 	dir := t.TempDir()
 	if err := db.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
-	if db.Tombstones() != 0 {
-		t.Error("Persist must compact so the shard snapshots match memory")
+	if db.Tombstones() != wantDead || db.Version() != wantVersion || db.Compactions() != 0 {
+		t.Errorf("Persist changed the database: tombstones %d → %d, version %d → %d, %d compactions",
+			wantDead, db.Tombstones(), wantVersion, db.Version(), db.Compactions())
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -305,10 +311,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if back.Len() != db.Len() || back.Version() != db.Version() || back.SeedK() != db.SeedK() ||
-		back.Buckets() != db.Buckets() {
-		t.Fatalf("reopened shape differs: len %d/%d version %d/%d seedk %d/%d buckets %d/%d",
-			back.Len(), db.Len(), back.Version(), db.Version(), back.SeedK(), db.SeedK(), back.Buckets(), db.Buckets())
+	if back.Len() != db.Len() || back.Version() != wantVersion || back.Tombstones() != wantDead ||
+		back.SeedK() != db.SeedK() || back.Buckets() != db.Buckets() {
+		t.Fatalf("reopened shape differs: len %d/%d version %d/%d tombstones %d/%d seedk %d/%d buckets %d/%d",
+			back.Len(), db.Len(), back.Version(), wantVersion, back.Tombstones(), wantDead,
+			back.SeedK(), db.SeedK(), back.Buckets(), db.Buckets())
 	}
 	if !reflect.DeepEqual(back.IDs(), db.IDs()) {
 		t.Fatalf("reopened IDs %v differ from saved %v", back.IDs(), db.IDs())
@@ -386,5 +393,16 @@ func TestOpenSnapshotErrors(t *testing.T) {
 	}
 	if _, err := racelogic.Open(dir); err == nil || errors.Is(err, racelogic.ErrNoDatabase) {
 		t.Errorf("corrupted shard snapshot: %v, want a load error", err)
+	}
+
+	// A format-2 snapshot — seed index serialized, tombstones compacted
+	// away — is refused by its version number, not misread.
+	raw[len(raw)/2] ^= 0xff
+	raw[len("RLSNAP")] = 2
+	if err := os.WriteFile(snaps[1], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := racelogic.Open(dir); err == nil || !strings.Contains(err.Error(), "format version 2") {
+		t.Errorf("format-2 shard snapshot: %v, want a refusal naming version 2", err)
 	}
 }

@@ -26,6 +26,7 @@ type dbMetrics struct {
 	laneFill      *obs.Histogram
 	walAppend     *obs.Histogram
 	walFsync      *obs.Histogram
+	checkpoint    *obs.Histogram
 
 	scanned  *obs.Counter
 	memoized *obs.Counter
@@ -72,21 +73,24 @@ func (d *Database) initObs() {
 	m.walFsync = r.Histogram("racelogic_wal_fsync_seconds",
 		"Wall-clock per group-commit fsync (the leader's).",
 		obs.ExpBuckets(1e-5, 4, 12))
+	m.checkpoint = r.Histogram("racelogic_checkpoint_seconds",
+		"Wall-clock per checkpoint that writes a snapshot set, view capture through journal truncation.",
+		obs.ExpBuckets(1e-4, 4, 12))
 
 	m.scanned = r.Counter("racelogic_search_entries_scanned_total",
-		"Database entries scored across all searches.", backend)
+		"Database entries scored across all searches; a query a batch repeats counts once.", backend)
 	m.memoized = r.Counter("racelogic_search_entries_memoized_total",
-		"Scored entries whose outcome the outcome memo served instead of a race.", backend)
+		"Scored entries whose outcome the outcome memo served instead of a race; a query a batch repeats counts once.", backend)
 	m.skipped = r.Counter("racelogic_search_entries_skipped_total",
-		"Entries the seed index let searches skip.", backend)
+		"Entries the seed index let searches skip; a query a batch repeats counts once.", backend)
 	m.rejected = r.Counter("racelogic_search_entries_rejected_total",
-		"Entries abandoned by the similarity-threshold pre-filter.", backend)
+		"Entries abandoned by the similarity-threshold pre-filter; a query a batch repeats counts once.", backend)
 
 	r.CounterFunc("racelogic_searches_total",
 		"Search calls served.",
 		func() float64 { return float64(d.searches.Load()) }, backend)
 	r.CounterFunc("racelogic_compactions_total",
-		"Dense rebuilds (automatic, manual, and save-time).",
+		"Dense rebuilds (automatic and manual).",
 		func() float64 { return float64(d.compactions.Load()) })
 	r.CounterFunc("racelogic_snapshot_saves_total",
 		"Durable snapshot-set saves.",
@@ -218,14 +222,22 @@ func (m *dbMetrics) observeSearch(elapsed time.Duration, rep *SearchReport) {
 
 // observeSearchBatch feeds one finished multi-query batch: whole-batch
 // wall clock and size under the batch-labeled series, plus each query's
-// cycles/energy/scan numbers into the same per-query series sequential
+// cycles and energy into the same per-query histograms sequential
 // searches feed, so corpus-wide rates stay comparable across modes.
+// The entry counters count each distinct query once, as the memoized
+// counter does: a repeated query is raced once, so scanned − memoized
+// stays the number of entries raced.
 func (m *dbMetrics) observeSearchBatch(elapsed time.Duration, reps []*SearchReport) {
 	m.batchLatency.Observe(elapsed.Seconds())
 	m.batchQueries.Observe(float64(len(reps)))
+	counted := make(map[string]bool, len(reps))
 	for _, rep := range reps {
 		m.searchCycles.Observe(float64(rep.TotalCycles))
 		m.searchEnergy.Observe(rep.TotalEnergyJ)
+		if counted[rep.Query] {
+			continue
+		}
+		counted[rep.Query] = true
 		m.scanned.Add(float64(rep.Scanned))
 		m.skipped.Add(float64(rep.Skipped))
 		m.rejected.Add(float64(rep.Rejected))

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # crashtest.sh — end-to-end crash-recovery smoke for raceserve -wal.
 #
-# Starts the server with a durable state directory, inserts entries over
-# HTTP, SIGKILLs the process mid-flight (no shutdown handler runs, no
-# snapshot is saved), restarts it on the same directory, and asserts
-# /stats reports every acknowledged entry.  It then stops the recovered
-# server cleanly with SIGTERM and starts it a third time: the shutdown
-# checkpoint must keep the recovered journal tails.  Run from the repo
-# root:
+# Starts the server with a durable state directory, inserts entries and
+# deletes one over HTTP, SIGKILLs the process mid-flight (no shutdown
+# handler runs, no snapshot is saved), restarts it on the same
+# directory, and asserts /stats reports every acknowledged mutation.  It
+# then stops the recovered server cleanly with SIGTERM and starts it a
+# third time: the shutdown checkpoint must keep the recovered journal
+# tails, and it captures the tombstone into a snapshot rather than
+# compacting it away.  Run from the repo root:
 #
 #   ./scripts/crashtest.sh
 set -euo pipefail
@@ -21,6 +22,28 @@ go build -o "$DIR/raceserve" ./cmd/raceserve
 
 entries() {
     curl -sf "http://$ADDR/stats" | grep -o '"entries":[0-9]*' | head -1 | cut -d: -f2
+}
+
+tombstones() {
+    curl -sf "http://$ADDR/stats" | grep -o '"tombstones":[0-9]*' | head -1 | cut -d: -f2
+}
+
+# check_shards asserts /stats holds 4 per-shard gauge sets whose entries
+# sum to the global count given.
+check_shards() {
+    local stats shards arr objs sum
+    stats=$(curl -sf "http://$ADDR/stats")
+    shards=$(echo "$stats" | grep -o '"shard_count":[0-9]*' | cut -d: -f2)
+    [ "$shards" = 4 ] || { echo "$1: shard_count = $shards, want 4" >&2; exit 1; }
+    arr=$(echo "$stats" | sed -n 's/.*"shards":\[\(.*\)\].*/\1/p')
+    [ -n "$arr" ] || { echo "$1: /stats has no shards[] gauges" >&2; exit 1; }
+    objs=$(echo "$arr" | grep -o '"shard":[0-9]*' | wc -l)
+    [ "$objs" = 4 ] || { echo "$1: shards[] holds $objs gauge sets, want 4" >&2; exit 1; }
+    sum=$(echo "$arr" | grep -o '"entries":[0-9]*' | cut -d: -f2 | awk '{s+=$1} END{print s}')
+    if [ "$sum" != "$2" ]; then
+        echo "$1: per-shard entries sum to $sum, global says $2" >&2
+        exit 1
+    fi
 }
 
 wait_up() {
@@ -43,19 +66,21 @@ wait_up
 BASE=$(entries)
 [ "$BASE" = 50 ] || { echo "expected 50 generated entries, got $BASE" >&2; exit 1; }
 
-# Acknowledged mutations: a JSON insert and a bulk FASTA upload.
+# Acknowledged mutations: a JSON insert, a bulk FASTA upload, and the
+# removal of one generated entry, which leaves a tombstone.
 curl -sf -XPOST "http://$ADDR/entries" \
     -d '{"entries":["ACGTACGTACGT","TTTTCCCCGGGG"]}' >/dev/null
 printf '>u1\nAAAATTTTCCCC\n>u2\nGGGGTTTTAAAA\n' |
     curl -sf -XPOST "http://$ADDR/entries/bulk" --data-binary @- >/dev/null
+curl -sf -XDELETE "http://$ADDR/entries/7" >/dev/null
 PRE=$(entries)
-[ "$PRE" = 54 ] || { echo "expected 54 entries before the kill, got $PRE" >&2; exit 1; }
+[ "$PRE" = 53 ] || { echo "expected 53 entries before the kill, got $PRE" >&2; exit 1; }
 
 # Crash hard: SIGKILL, no handler runs, nothing is saved.
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
-# Recover on the same directory: the journal tail must restore all 54.
+# Recover on the same directory: the journal tail must restore all 53.
 "$DIR/raceserve" -addr "$ADDR" -wal "$DIR/state" >>"$LOG" 2>&1 &
 PID=$!
 wait_up
@@ -69,20 +94,10 @@ fi
 # The per-shard gauges must be coherent after recovery: 4 shards whose
 # entries sum to the global count, each shard recovered from its own
 # snapshot + journal tail.
-STATS=$(curl -sf "http://$ADDR/stats")
-SHARDS=$(echo "$STATS" | grep -o '"shard_count":[0-9]*' | cut -d: -f2)
-[ "$SHARDS" = 4 ] || { echo "recovered shard_count = $SHARDS, want 4" >&2; exit 1; }
-SHARD_ARR=$(echo "$STATS" | sed -n 's/.*"shards":\[\(.*\)\].*/\1/p')
-[ -n "$SHARD_ARR" ] || { echo "/stats has no shards[] gauges" >&2; exit 1; }
-SHARD_OBJS=$(echo "$SHARD_ARR" | grep -o '"shard":[0-9]*' | wc -l)
-[ "$SHARD_OBJS" = 4 ] || { echo "shards[] holds $SHARD_OBJS gauge sets, want 4" >&2; exit 1; }
-SHARD_SUM=$(echo "$SHARD_ARR" | grep -o '"entries":[0-9]*' | cut -d: -f2 | awk '{s+=$1} END{print s}')
-if [ "$SHARD_SUM" != "$POST" ]; then
-    echo "per-shard entries sum to $SHARD_SUM, global says $POST" >&2
-    exit 1
-fi
+check_shards "after recovery" "$POST"
 # The journal tails that performed the recovery must be visible per shard.
-WAL_RECS=$(echo "$SHARD_ARR" | grep -o '"wal_records":[0-9]*' | cut -d: -f2 | awk '{s+=$1} END{print s}')
+WAL_RECS=$(curl -sf "http://$ADDR/stats" | sed -n 's/.*"shards":\[\(.*\)\].*/\1/p' |
+    grep -o '"wal_records":[0-9]*' | cut -d: -f2 | awk '{s+=$1} END{print s}')
 [ "$WAL_RECS" -gt 0 ] || { echo "no journal records after WAL-only recovery" >&2; exit 1; }
 
 # And the recovered database still answers searches.
@@ -105,7 +120,8 @@ echo "$METRICS" | grep -q '^racelogic_shard_entries{shard="3"}' ||
 
 # Stop cleanly: SIGTERM runs the shutdown path, whose final checkpoint
 # must fold the replayed journal tails into the shard snapshots rather
-# than truncate them away.  A third start must still see every entry.
+# than truncate them away.  A third start must still see every entry,
+# and the tombstone the checkpoint captured.
 kill -TERM "$PID"
 if ! wait "$PID"; then
     echo "raceserve did not stop cleanly on SIGTERM; log:" >&2
@@ -121,7 +137,10 @@ if [ "$FINAL" != "$PRE" ]; then
     cat "$LOG" >&2
     exit 1
 fi
+check_shards "after the third start" "$FINAL"
+DEAD=$(tombstones)
+[ "$DEAD" = 1 ] || { echo "third start holds $DEAD tombstones, want the 1 the checkpoint captured" >&2; exit 1; }
 
 kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
-echo "crashtest: OK — $PRE entries survived kill -9 and a clean stop across $SHARDS shards"
+echo "crashtest: OK — $PRE entries and a tombstone survived kill -9 and a clean stop across 4 shards"

@@ -292,6 +292,58 @@ func TestOpenReshardsInPlace(t *testing.T) {
 	}
 }
 
+// TestReshardKeepsTombstones pins that a reshard carries the tombstones
+// a crash left in a journal tail: reopening under another shard count
+// reports the same Version, Tombstones, IDs and reports, Index
+// positions included, as the database that crashed, and so does the
+// resharded layout when it is opened again.
+func TestReshardKeepsTombstones(t *testing.T) {
+	g := seqgen.NewDNA(167)
+	dir := t.TempDir()
+	db, err := racelogic.NewDatabase(g.Database(10, 8), racelogic.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Persist(dir, racelogic.WithSnapshotInterval(0), racelogic.WithSnapshotEvery(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	query := g.Random(8)
+	want, err := db.Search(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Results) != db.Len() {
+		t.Fatalf("test needs every entry ranked: %d results of %d", len(want.Results), db.Len())
+	}
+	wantIDs, wantVersion := db.IDs(), db.Version()
+	db = nil // crash: the remove lives only in a journal tail
+
+	for _, opts := range [][]racelogic.Option{{racelogic.WithShards(5)}, nil} {
+		back, err := racelogic.Open(dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Shards() != 5 || back.Version() != wantVersion || back.Tombstones() != 1 ||
+			!reflect.DeepEqual(back.IDs(), wantIDs) {
+			t.Errorf("%d shards at version %d with %d tombstones and IDs %v; want 5 at %d with 1 and %v",
+				back.Shards(), back.Version(), back.Tombstones(), back.IDs(), wantVersion, wantIDs)
+		}
+		got, err := back.Search(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stripEngines(got), stripEngines(want)) {
+			t.Errorf("resharded report differs:\n got %+v\nwant %+v", got, want)
+		}
+		if err := back.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWALSegmentRotationBoundsJournal pins the rotation satellite: with
 // the count and interval snapshot triggers disabled, a tiny segment cap
 // still keeps the journal bounded, because each sealed segment nudges
