@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,19 +252,6 @@ func assembleDatabase(cfg *config, entries []string, ids []uint64, dead []bool, 
 	if len(ids) != len(entries) {
 		return nil, fmt.Errorf("racelogic: %d IDs for %d entries", len(ids), len(entries))
 	}
-	// Validate the entry alphabet once at load: a long-running database
-	// must reject a bad entry here, not fail intermittently at query
-	// time whenever a candidate set happens to include it.
-	alphabet := cfg.alphabet()
-	for i, entry := range entries {
-		if j := invalidSymbol(entry, alphabet); j >= 0 {
-			return nil, fmt.Errorf("racelogic: database entry %d contains symbol %q outside the engine alphabet (%s)",
-				i, entry[j], alphabet)
-		}
-		if len(entry) == 0 {
-			return nil, fmt.Errorf("racelogic: database entry %d is empty", i)
-		}
-	}
 	n := cfg.resolveShards()
 	parts := make([]shardPart, n)
 	for i, entry := range entries {
@@ -291,9 +277,9 @@ type shardPart struct {
 
 // assembleShards builds the Database from per-shard parts — the shared
 // tail of every constructor, including the per-shard recovery path.
-// Tombstones are restored through the same pipeline Remove a live
-// database runs, and each shard's seed index is built from its slot
-// entries, shards in parallel.
+// Every slot's entry is validated, tombstones are restored through the
+// same pipeline Remove a live database runs, and each shard's seed
+// index is built from its slot entries, shards in parallel.
 //
 //racelint:publisher
 func assembleShards(cfg *config, parts []shardPart, nextID uint64, version int64) (*Database, error) {
@@ -337,6 +323,9 @@ func assembleShards(cfg *config, parts []shardPart, nextID uint64, version int64
 // assembleShard builds one shard and its first state from its part:
 // byID names only the live IDs, sorted every resident one.
 func (d *Database) assembleShard(s int, part shardPart) (*shard, *shardstate, error) {
+	if i, err := d.cfg.checkEntries(part.entries); err != nil {
+		return nil, nil, fmt.Errorf("racelogic: database entry ID %d %w", part.ids[i], err)
+	}
 	p, err := pipeline.NewDBWith(part.entries, d.pools)
 	if err != nil {
 		return nil, nil, err
@@ -374,15 +363,30 @@ func (c *config) alphabet() string {
 	return score.DNAAlphabet
 }
 
-// invalidSymbol returns the position of the first byte of s outside
-// alphabet, or -1 when every symbol is valid.
-func invalidSymbol(s, alphabet string) int {
-	for i := 0; i < len(s); i++ {
-		if strings.IndexByte(alphabet, s[i]) < 0 {
-			return i
+// checkEntries returns the position of the first entry no database may
+// hold — an empty one, or one with a symbol outside the engine
+// alphabet — and why, or -1 and nil.  Every way an entry enters a
+// database runs it (construction, Open's snapshot slots and replayed
+// inserts, Insert): a long-running database must reject a bad entry
+// there, not fail intermittently at query time whenever a candidate
+// set happens to include it.
+func (c *config) checkEntries(entries []string) (int, error) {
+	alphabet := c.alphabet()
+	var valid [256]bool
+	for i := 0; i < len(alphabet); i++ {
+		valid[alphabet[i]] = true
+	}
+	for i, entry := range entries {
+		if len(entry) == 0 {
+			return i, errors.New("is empty")
+		}
+		for j := 0; j < len(entry); j++ {
+			if !valid[entry[j]] {
+				return i, fmt.Errorf("contains symbol %q outside the engine alphabet (%s)", entry[j], alphabet)
+			}
 		}
 	}
-	return -1
+	return -1, nil
 }
 
 // allShards returns every shard index ascending — the lock-every-shard
@@ -629,15 +633,8 @@ func (d *Database) maybeRotate(touched []int) {
 // touched shard's write-ahead log before it is applied; with WithSync
 // the flushes of concurrent mutations are group-committed.
 func (d *Database) Insert(entries ...string) ([]uint64, error) {
-	alphabet := d.cfg.alphabet()
-	for i, entry := range entries {
-		if len(entry) == 0 {
-			return nil, fmt.Errorf("racelogic: inserted entry %d is empty", i)
-		}
-		if j := invalidSymbol(entry, alphabet); j >= 0 {
-			return nil, fmt.Errorf("racelogic: inserted entry %d contains symbol %q outside the engine alphabet (%s)",
-				i, entry[j], alphabet)
-		}
+	if i, err := d.cfg.checkEntries(entries); err != nil {
+		return nil, fmt.Errorf("racelogic: inserted entry %d %w", i, err)
 	}
 	if len(entries) == 0 {
 		return []uint64{}, nil

@@ -448,6 +448,10 @@ func (d *Database) replayShardJournals(recs [][]store.Record, snaps []*store.Sna
 			}
 			switch rec.Op {
 			case store.OpInsert:
+				if i, bad := d.cfg.checkEntries(rec.Entries); bad != nil {
+					err = fmt.Errorf("inserted entry ID %d %w", rec.IDs[i], bad)
+					break
+				}
 				st, err = sh.applyInsert(st, rec.IDs, rec.Entries)
 				for _, id := range rec.IDs {
 					if id >= nextID {

@@ -16,19 +16,40 @@
 // entries containing it, built once per database and grown incrementally
 // (copy-on-write, see Grow) as entries are inserted.  It is derived
 // entirely from the entries, so it is never serialized: a database
-// reopened from its snapshots rebuilds it with New.  The map is split
-// into a fixed directory of buckets selected by a hash of the k-mer, so
-// a Grow copies the directory and only the buckets its new k-mers land
-// in, each holding about 1/1024 of the index's k-mers, instead of the
-// whole map; WAL replay, which re-applies inserts through the same
-// Grow, pays the same per record.  The sharded database keeps
-// one Index instance per shard, over that shard's local slots, so
-// inserts landing on different shards grow their indexes in parallel.
-// Candidate lookup is a union over the query's k-mers, run per shard
-// and merged by the pipeline's scatter-gather search.  Entries shorter than k carry no k-mer
-// and can never be filtered soundly, so they are always candidates;
-// likewise a query shorter than k disables filtering for that search.
-// The candidate set is deterministic, so seeded searches compose with the
-// deterministic top-K ranking and the Section 6 threshold pre-filter of
-// internal/pipeline.
+// reopened from its snapshots rebuilds it with New.
+//
+// # Layout
+//
+// The map is split into a fixed directory of 1024 buckets selected by a
+// seedless hash of the k-mer, so bucket placement is the same in every
+// process.  A bucket holds no pointer per k-mer: its distinct k-mers
+// sit in ascending byte order as packed uint64 keys (the first
+// min(k, 8) bytes, big-endian, so integer order is byte order), with
+// the k−8 bytes past each key in one byte string when k > 8, so any k
+// and any byte value stay exact.  The postings are compressed sparse
+// rows: one array of int32 entry slots, ascending per k-mer, and one
+// array of offsets into it.  A shard past math.MaxInt32 slots fails
+// loudly instead of wrapping.
+//
+// New counting-sorts every k-mer occurrence into its bucket and sorts
+// each bucket.  Candidates binary-searches each of the query's k-mers
+// in its bucket and unions their postings, plus the entries shorter
+// than k.  Grow copies the 8 KiB directory and replaces each bucket its
+// new k-mers land in with a merge of the old bucket and the sorted new
+// k-mers, sharing every other bucket with the parent, so it costs
+// O(fanout + the k-mers and postings of the touched buckets + the new
+// entries' k-mers) and never writes memory an older version reads.
+// WAL replay, which re-applies inserts through the same Grow, pays the
+// same per record.  A k-mer that most entries share keeps one long
+// posting list, which every Grow touching its bucket copies.
+//
+// The sharded database keeps one Index instance per shard, over that
+// shard's local slots, so inserts landing on different shards grow
+// their indexes in parallel.  Candidate lookup runs per shard and is
+// merged by the pipeline's scatter-gather search.  Entries shorter than
+// k carry no k-mer and can never be filtered soundly, so they are
+// always candidates; likewise a query shorter than k disables filtering
+// for that search.  The candidate set is deterministic, so seeded
+// searches compose with the deterministic top-K ranking and the
+// Section 6 threshold pre-filter of internal/pipeline.
 package index

@@ -1,7 +1,11 @@
 package index
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,25 +47,85 @@ func TestNewRejectsBadK(t *testing.T) {
 	}
 }
 
-// TestCandidatesMatchBruteForce cross-checks the inverted index against
-// the naive all-pairs k-mer scan on a mixed-length random database.
-func TestCandidatesMatchBruteForce(t *testing.T) {
-	g := seqgen.NewDNA(31)
-	var entries []string
-	for _, n := range []int{3, 6, 9, 12} {
-		entries = append(entries, g.Database(15, n)...)
-	}
-	for _, k := range []int{2, 4, 5} {
-		ix, err := New(entries, k)
-		if err != nil {
-			t.Fatal(err)
+// byteAlphabet mixes the protein letters with bytes no sequence
+// alphabet holds, 0x00 and 0xFF among them, so packed prefixes must
+// order arbitrary bytes.
+const byteAlphabet = "ARNDCQEGHILKMFPSTWYV\x00\x01\x7f\x80\xfe\xff"
+
+// byteStem opens every other entry of a byte corpus.  It is exactly a
+// packed prefix long, so at k > 8 the first windows of those entries
+// share their prefix and differ only in the tail.
+const byteStem = "\xffMK\x00\x80VL\xff"
+
+// corpus is a test database and the queries run against it.
+type corpus struct {
+	name             string
+	entries, queries []string
+}
+
+// corpora returns a DNA and a byte database holding count entries of
+// each length in lens, each queried with random strings, with mutated
+// entries, and with entries whose byte 8, 11 or 19 is changed — the
+// last tail byte of the first window at k = 9, 12 and 20, so the
+// window's prefix is indexed but the k-mer is not.
+func corpora(seed int64, count int, lens []int) []corpus {
+	var out []corpus
+	for _, c := range []struct {
+		name string
+		g    *seqgen.Generator
+	}{
+		{"dna", seqgen.NewDNA(seed)},
+		{"bytes", seqgen.New(byteAlphabet, seed)},
+	} {
+		var entries []string
+		for _, n := range lens {
+			for i := 0; i < count; i++ {
+				e := c.g.Random(n)
+				if c.name == "bytes" && i%2 == 0 {
+					e = (byteStem + e)[:n]
+				}
+				entries = append(entries, e)
+			}
 		}
+		var queries []string
 		for trial := 0; trial < 10; trial++ {
-			q := g.Random(4 + trial)
-			got := ix.Candidates(q)
-			want := naiveCandidates(entries, q, k)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("k=%d query %q: got %v, want %v", k, q, got, want)
+			queries = append(queries, c.g.Random(4+3*trial))
+			e := entries[(trial*37)%len(entries)]
+			if m, err := c.g.Mutate(e, min(1, len(e)), 0, 0); err == nil {
+				queries = append(queries, m)
+			}
+		}
+		alphabet := c.g.Alphabet()
+		for trial, p := range []int{8, 11, 19, 8, 11, 19} {
+			e := []byte(entries[len(entries)-1-2*trial])
+			if len(e) > p {
+				e[p] = alphabet[(strings.IndexByte(alphabet, e[p])+1)%len(alphabet)]
+				queries = append(queries, string(e))
+			}
+		}
+		out = append(out, corpus{c.name, entries, queries})
+	}
+	return out
+}
+
+// TestCandidatesMatchBruteForce cross-checks the inverted index against
+// the naive all-pairs k-mer scan on mixed-length random databases, DNA
+// and arbitrary bytes, at seed lengths on both sides of the packed
+// prefix.
+func TestCandidatesMatchBruteForce(t *testing.T) {
+	for _, c := range corpora(31, 15, []int{3, 6, 9, 12, 24, 40}) {
+		for _, k := range []int{2, 4, 5, 9, 12, 20} {
+			ix, err := New(c.entries, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLayout(t, ix)
+			for _, q := range c.queries {
+				got := ix.Candidates(q)
+				want := naiveCandidates(c.entries, q, k)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, k=%d query %q: got %v, want %v", c.name, k, q, got, want)
+				}
 			}
 		}
 	}
@@ -99,6 +163,40 @@ func TestCandidatesExactCases(t *testing.T) {
 	if got := empty.Candidates("CCCC"); got == nil || len(got) != 0 {
 		t.Errorf("empty candidate set must be non-nil empty, got %#v", got)
 	}
+	// Past the packed prefix the tail decides.  These 10-mers share
+	// their first 8 bytes, 0x00 and 0xFF among them, and their tails
+	// are picked to share one bucket, so only the tail compare tells
+	// them apart.
+	stem := "\x00\xff\x00\xff\x00\xff\x00\xff"
+	tails := collidingTails(binary.BigEndian.Uint64([]byte(stem)), 3)
+	long, err := New([]string{stem + tails[0], stem + tails[2]}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string][]int{
+		stem + tails[0]:              {0},
+		stem + tails[1]:              {},
+		stem + tails[2]:              {1},
+		"\x01" + stem + tails[0][:1]: {},
+	} {
+		if got := long.Candidates(q); !reflect.DeepEqual(got, want) {
+			t.Errorf("k=10 query %q: candidates %v, want %v", q, got, want)
+		}
+	}
+}
+
+// collidingTails returns n ascending 2-byte tails that put the k-mers
+// with packed prefix key into one bucket.
+func collidingTails(key uint64, n int) []string {
+	byBucket := make(map[int][]string)
+	for v := 0; v < 1<<16; v++ {
+		tail := string([]byte{byte(v >> 8), byte(v)})
+		b := bucketOf(key, tail)
+		if byBucket[b] = append(byBucket[b], tail); len(byBucket[b]) == n {
+			return byBucket[b]
+		}
+	}
+	panic("no bucket holds n tails")
 }
 
 func TestStats(t *testing.T) {
@@ -118,54 +216,52 @@ func TestStats(t *testing.T) {
 // TestGrowMatchesFromScratch is the incremental-update property: growing
 // an index batch by batch must leave it bit-identical (k-mers, postings,
 // unfilterable short entries) to a from-scratch New over the same
-// entries.  Every Grow must copy only the buckets its k-mers land in and
-// leave its parent untouched (checkGrowShares).  The one-entry lineage
-// is the shape database inserts and WAL replay produce.
+// entries, on DNA and on arbitrary bytes, at seed lengths on both sides
+// of the packed prefix.  Every Grow must rebuild only the buckets its
+// k-mers land in and leave its parent untouched (checkGrowShares).  The
+// one-entry lineage is the shape database inserts and WAL replay
+// produce.
 func TestGrowMatchesFromScratch(t *testing.T) {
-	g := seqgen.NewDNA(37)
-	var mixed []string
-	for _, n := range []int{2, 5, 8, 11} {
-		mixed = append(mixed, g.Database(6, n)...)
-	}
-	var lineage []string
-	for i := 0; i < 330; i++ {
-		lineage = append(lineage, g.Random([]int{3, 12, 24}[i%3]))
-	}
-	for _, tc := range []struct {
-		name       string
-		all        []string
-		base, step int
-	}{
-		{"batches of 7", mixed, 5, 7},
-		{"one-entry lineage", lineage, 30, 1},
-	} {
-		for _, k := range []int{3, 4, 6} {
-			ix, err := New(tc.all[:tc.base], k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for at := tc.base; at < len(tc.all); at += tc.step {
-				end := min(at+tc.step, len(tc.all))
-				parent, before := ix, deepCopy(ix)
-				ix = ix.Grow(tc.all[at:end])
-				if !checkGrowShares(t, parent, before, ix, tc.all[at:end]) {
-					t.Fatalf("%s, k=%d: Grow at slot %d broke copy-on-write", tc.name, k, at)
+	mixed := corpora(37, 6, []int{2, 5, 8, 11, 16, 24})
+	lineage := corpora(41, 60, []int{3, 12, 24, 40})
+	for ci := range mixed {
+		for _, tc := range []struct {
+			name       string
+			c          corpus
+			base, step int
+		}{
+			{"batches of 7", mixed[ci], 5, 7},
+			{"one-entry lineage", lineage[ci], 30, 1},
+		} {
+			all := tc.c.entries
+			for _, k := range []int{3, 4, 6, 9, 12, 20} {
+				ix, err := New(all[:tc.base], k)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if ix.Len() != end {
-					t.Fatalf("%s, k=%d: grown Len=%d, want %d", tc.name, k, ix.Len(), end)
+				for at := tc.base; at < len(all); at += tc.step {
+					end := min(at+tc.step, len(all))
+					parent, before := ix, deepCopy(ix)
+					ix = ix.Grow(all[at:end])
+					if !checkGrowShares(t, parent, before, ix, all[at:end]) {
+						t.Fatalf("%s %s, k=%d: Grow at slot %d broke copy-on-write", tc.c.name, tc.name, k, at)
+					}
+					if ix.Len() != end {
+						t.Fatalf("%s %s, k=%d: grown Len=%d, want %d", tc.c.name, tc.name, k, ix.Len(), end)
+					}
 				}
-			}
-			fresh, err := New(tc.all, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ix, fresh) {
-				t.Errorf("%s, k=%d: incrementally grown index differs from from-scratch build", tc.name, k)
-			}
-			for trial := 0; trial < 8; trial++ {
-				q := g.Random(3 + trial)
-				if got, want := ix.Candidates(q), fresh.Candidates(q); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s, k=%d query %q: grown candidates %v, fresh %v", tc.name, k, q, got, want)
+				fresh, err := New(all, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkLayout(t, fresh)
+				if !reflect.DeepEqual(ix, fresh) {
+					t.Errorf("%s %s, k=%d: incrementally grown index differs from from-scratch build", tc.c.name, tc.name, k)
+				}
+				for _, q := range tc.c.queries {
+					if got, want := ix.Candidates(q), naiveCandidates(all, q, k); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s, k=%d query %q: grown candidates %v, brute force %v", tc.c.name, tc.name, k, q, got, want)
+					}
 				}
 			}
 		}
@@ -173,27 +269,31 @@ func TestGrowMatchesFromScratch(t *testing.T) {
 }
 
 // checkGrowShares asserts the copy-on-write shape of child =
-// parent.Grow(entries): the child shares, by map pointer, every bucket
-// the entries' k-mers miss, holds its own copy of every bucket they hit,
-// and the parent still deep-equals before, a copy taken ahead of the
-// Grow.
+// parent.Grow(entries): the child shares, by bucket pointer, every
+// bucket the entries' k-mers miss, holds its own copy of every bucket
+// they hit — a new bucket sharing no array with the parent's — and the
+// parent still deep-equals before, a copy taken ahead of the Grow.
 func checkGrowShares(t *testing.T, parent, before, child *Index, entries []string) bool {
 	t.Helper()
 	touched := make(map[int]bool)
 	for _, e := range entries {
-		for o := 0; o+parent.k <= len(e); o++ {
-			touched[bucketOf(e[o:o+parent.k])] = true
+		for _, w := range parent.windows(nil, e) {
+			touched[w.bucket] = true
 		}
 	}
 	ok := true
 	for b := range child.dir {
-		same := reflect.ValueOf(child.dir[b]).Pointer() == reflect.ValueOf(parent.dir[b]).Pointer()
+		same := child.dir[b] == parent.dir[b]
 		if touched[b] && same {
 			t.Errorf("bucket %d: written in place, shared with the parent", b)
 			ok = false
 		}
 		if !touched[b] && !same {
 			t.Errorf("bucket %d: copied, though no new k-mer lands in it", b)
+			ok = false
+		}
+		if touched[b] && sharesArrays(child.dir[b], parent.dir[b]) {
+			t.Errorf("bucket %d: rebuilt over the parent's arrays", b)
 			ok = false
 		}
 	}
@@ -204,18 +304,70 @@ func checkGrowShares(t *testing.T, parent, before, child *Index, entries []strin
 	return ok
 }
 
-// deepCopy returns a copy of ix sharing no map or slice with it.
-func deepCopy(ix *Index) *Index {
-	cp := *ix
-	cp.always = append([]int(nil), ix.always...)
-	cp.dir = make([]map[string][]int, len(ix.dir))
-	for b, bucket := range ix.dir {
-		if bucket == nil {
+// sharesArrays reports whether two buckets share a backing array.  The
+// tails are a string, immutable, so sharing them could never expose a
+// write.
+func sharesArrays(a, b *bucket) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	return &a.keys[0] == &b.keys[0] || &a.offs[0] == &b.offs[0] || &a.slots[0] == &b.slots[0]
+}
+
+// checkLayout asserts the sorted-bucket invariants every lookup relies
+// on: each k-mer sits in the bucket its hash selects, in strictly
+// ascending byte order, with a non-empty, strictly ascending posting
+// list, and Kmers counts them.
+func checkLayout(t *testing.T, ix *Index) {
+	t.Helper()
+	w, tl := min(ix.k, prefixLen), max(ix.k-prefixLen, 0)
+	kmers := 0
+	for b, bk := range ix.dir {
+		if bk == nil {
 			continue
 		}
-		cp.dir[b] = make(map[string][]int, len(bucket))
-		for kmer, post := range bucket {
-			cp.dir[b][kmer] = append([]int(nil), post...)
+		if len(bk.keys) == 0 || len(bk.offs) != len(bk.keys)+1 || len(bk.tails) != len(bk.keys)*tl ||
+			bk.offs[0] != 0 || int(bk.offs[len(bk.keys)]) != len(bk.slots) {
+			t.Fatalf("bucket %d: malformed arrays", b)
+		}
+		prev := ""
+		for i, key := range bk.keys {
+			var prefix [prefixLen]byte
+			binary.BigEndian.PutUint64(prefix[:], key<<(64-8*w))
+			s := string(prefix[:w]) + bk.tail(i, tl)
+			if got := bucketOf(key, bk.tail(i, tl)); got != b {
+				t.Fatalf("bucket %d holds k-mer %q, which hashes to %d", b, s, got)
+			}
+			if i > 0 && s <= prev {
+				t.Fatalf("bucket %d: k-mer %q after %q breaks byte order", b, s, prev)
+			}
+			prev = s
+			post := bk.postings(i)
+			if len(post) == 0 || !slices.IsSorted(post) || len(slices.Compact(slices.Clone(post))) != len(post) {
+				t.Fatalf("bucket %d k-mer %q: postings %v not strictly ascending", b, s, post)
+			}
+		}
+		kmers += len(bk.keys)
+	}
+	if kmers != ix.Kmers() {
+		t.Fatalf("Kmers() = %d, buckets hold %d", ix.Kmers(), kmers)
+	}
+}
+
+// deepCopy returns a copy of ix sharing no bucket or slice with it.
+func deepCopy(ix *Index) *Index {
+	cp := *ix
+	cp.always = slices.Clone(ix.always)
+	cp.dir = make([]*bucket, len(ix.dir))
+	for b, bk := range ix.dir {
+		if bk == nil {
+			continue
+		}
+		cp.dir[b] = &bucket{
+			keys:  slices.Clone(bk.keys),
+			tails: strings.Clone(bk.tails),
+			offs:  slices.Clone(bk.offs),
+			slots: slices.Clone(bk.slots),
 		}
 	}
 	return &cp
@@ -317,24 +469,138 @@ func TestGrowEmptyAndShort(t *testing.T) {
 	}
 }
 
+// TestGrowForks pins that Grow writes nothing its parent reads: two
+// children grown from one parent each equal a from-scratch build of
+// their own entries.  The parent's posting list for ACGT and its short
+// entries both have spare capacity, and the children put their short
+// entry and their ACGT entry at opposite slots, so an append into
+// either shared array would rewrite the other child's view.
+func TestGrowForks(t *testing.T) {
+	base := []string{"ACGTAA", "AC", "CACGTC", "GT", "TACGTT", "TG"}
+	parent, err := New(base, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := [][]string{{"TT", "ACGTA"}, {"ACGTC", "GG"}}
+	var children []*Index
+	for _, more := range forks {
+		children = append(children, parent.Grow(more))
+	}
+	for i, more := range forks {
+		fresh, err := New(append(slices.Clip(base), more...), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(children[i], fresh) {
+			t.Errorf("child grown by %q differs from a from-scratch build", more)
+		}
+	}
+}
+
+// TestGrowPastInt32Slots pins the loud failure of a shard outgrowing
+// the index's int32 slots: Grow panics instead of wrapping a slot.
+func TestGrowPastInt32Slots(t *testing.T) {
+	full := &Index{k: 4, n: math.MaxInt32, dir: make([]*bucket, fanout)}
+	defer func() {
+		if recover() == nil {
+			t.Error("a Grow past math.MaxInt32 slots must panic")
+		}
+	}()
+	full.Grow([]string{"ACGTACGT"})
+}
+
+// FuzzIndexMatchesBruteForce checks, on arbitrary entries, queries and
+// k in 1..24, that New, a one-entry Grow lineage and naiveCandidates
+// agree: the lineage deep-equals the from-scratch build, the build
+// keeps the sorted-bucket layout, and every lookup returns exactly the
+// brute-force candidates.  Entries are the corpus split at sep, so any
+// byte but the separator can appear in them.
+func FuzzIndexMatchesBruteForce(f *testing.F) {
+	f.Add([]byte("ACGTACGT\nTTACGTAA\nAC\nGGACGTACGTTT"), []byte("GACGTA"), byte('\n'), uint8(3))
+	f.Add([]byte("\x00\xff\x00\xff\x00\xff\x00\xff\x00\xff,\xff\x00\xff\x00\xff\x00\xff\x00\xff\x00,\x00\xff\x00\xff\x00\xff\x00\xff\xff"),
+		[]byte("\xff\x00\xff\x00\xff\x00\xff\x00\xff\x00\xff"), byte(','), uint8(8))
+	f.Add([]byte(byteStem+"MKVLA;"+byteStem+"QQ;"+byteStem+"MKVLB;MKVLA"), []byte(byteStem+"MKVLB"), byte(';'), uint8(15))
+	f.Fuzz(func(t *testing.T, corpus, query []byte, sep byte, k uint8) {
+		entries := strings.Split(string(corpus), string([]byte{sep}))
+		if len(entries) > 64 {
+			entries = entries[:64]
+		}
+		kk := 1 + int(k)%24
+		ix, err := New(entries, kk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLayout(t, ix)
+		grown, err := New(nil, kk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			grown = grown.Grow([]string{e})
+		}
+		if !reflect.DeepEqual(grown, ix) {
+			t.Fatalf("k=%d: one-entry Grow lineage differs from New", kk)
+		}
+		for _, q := range append([]string{string(query)}, entries...) {
+			if got, want := ix.Candidates(q), naiveCandidates(entries, q, kk); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d query %q: candidates %v, brute force %v", kk, q, got, want)
+			}
+		}
+	})
+}
+
 var sinkIndex *Index
 
-// BenchmarkGrow measures one-entry Grows on a 10k-entry DNA index at
-// k=8, derived linearly as database inserts and WAL replay derive them.
-func BenchmarkGrow(b *testing.B) {
-	g := seqgen.NewDNA(61)
-	ix, err := New(g.Database(10000, 24), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	extra := g.Database(1024, 24)
+// BenchmarkNew times the from-scratch build of one 10k-entry shard of
+// length-24 DNA at k = 8: the rebuild each shard's Open, reshard and
+// Compact pay.
+func BenchmarkNew(b *testing.B) {
+	entries := seqgen.NewDNA(61).Database(10000, 24)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % len(extra)
-		ix = ix.Grow(extra[j : j+1])
+		ix, err := New(entries, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkIndex = ix
 	}
-	sinkIndex = ix
+}
+
+// BenchmarkGrow measures one-entry Grows on a 10k-entry DNA index at
+// k=8, derived linearly as database inserts and WAL replay derive them.
+// In "distinct" the entries are random; in "shared-kmer" every entry
+// starts with one common 8-mer, so every Grow rebuilds the bucket whose
+// posting list names every entry — the worst case for a layout that
+// copies the postings of the buckets it touches.
+func BenchmarkGrow(b *testing.B) {
+	for _, tc := range []struct{ name, shared string }{
+		{"distinct", ""},
+		{"shared-kmer", "ACGTACGT"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g := seqgen.NewDNA(61)
+			db := func(count int) []string {
+				entries := g.Database(count, 24-len(tc.shared))
+				for i := range entries {
+					entries[i] = tc.shared + entries[i]
+				}
+				return entries
+			}
+			ix, err := New(db(10000), 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			extra := db(1024)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(extra)
+				ix = ix.Grow(extra[j : j+1])
+			}
+			sinkIndex = ix
+		})
+	}
 }
 
 var sinkCandidates []int
