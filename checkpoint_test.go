@@ -46,7 +46,7 @@ func TestReplayedTailBehindCheckpointStamp(t *testing.T) {
 	sh := d.shards[0]
 	sh.mu.Lock()
 	ticketA := d.ticket.Add(1)
-	if _, err := sh.jrnl.AppendInsert(sh.p.Version()+1, ticketA, []uint64{idA}, []string{entryA}); err != nil {
+	if err := sh.jrnl.AppendInsert(sh.p.Version()+1, ticketA, []uint64{idA}, []string{entryA}); err != nil {
 		sh.mu.Unlock()
 		t.Fatal(err)
 	}
@@ -112,5 +112,63 @@ func TestReplayedTailBehindCheckpointStamp(t *testing.T) {
 	if !reflect.DeepEqual(back.IDs(), wantIDs) {
 		t.Fatalf("second recovery: ids %v, want %v — A's journal was truncated with A in no snapshot",
 			back.IDs(), wantIDs)
+	}
+}
+
+// TestWALByteTriggerNudgesOncePerMultiple pins the cadence of the
+// journal byte trigger: with the count and interval triggers off, the
+// snapshotter is nudged once for each multiple of the cap a shard's
+// journal grows across since its last truncation, not on every append
+// that leaves it past the cap.
+func TestWALByteTriggerNudgesOncePerMultiple(t *testing.T) {
+	const walCap = 128
+	g := seqgen.NewDNA(167)
+	d, err := NewDatabase(g.Database(8, 8), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Persist(t.TempDir(), WithSnapshotInterval(0), WithSnapshotEvery(0), WithWALSegmentBytes(walCap)); err != nil {
+		t.Fatal(err)
+	}
+	// Park the snapshotter and collect its nudges where none is dropped.
+	close(d.stopSnap)
+	<-d.loopDone
+	nudges := make(chan struct{}, 1024)
+	d.lmu.Lock()
+	d.snapSignal = nudges
+	d.stopSnap = make(chan struct{}) // Close closes it again
+	d.lmu.Unlock()
+	defer d.Close()
+
+	multiples := func() int {
+		n := 0
+		for _, sh := range d.shards {
+			n += int(sh.jrnl.Size() / walCap)
+		}
+		return n
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 40; i++ {
+			if _, err := d.Insert(g.Random(8)); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := len(nudges), multiples(); got != want {
+				t.Fatalf("round %d, insert %d: %d nudges for %d multiples of %d journal bytes crossed", round, i, got, want, walCap)
+			}
+		}
+		if multiples() < 4 {
+			t.Fatalf("round %d: the journals crossed only %d multiples of %d bytes", round, multiples(), walCap)
+		}
+		for len(nudges) > 0 {
+			<-nudges
+		}
+		// Nothing lands mid-write, so the checkpoint truncates every
+		// journal and the count starts over.
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if n := d.WALRecords(); n != 0 {
+			t.Fatalf("round %d: checkpoint left %d journal records", round, n)
+		}
 	}
 }

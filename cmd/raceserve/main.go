@@ -31,7 +31,7 @@
 //	-gate M              Section 4.3 clock-gating region size (DNA only)
 //	-seedk K             k-mer seed index length (0 = race every entry)
 //	-shards N            shard count (0 = GOMAXPROCS); each shard owns its
-//	                     own snapshot, seed index, and WAL segment chain
+//	                     own snapshot, seed index, and journal file
 //	-cache N             LRU report-cache capacity (0 = off)
 //	-top K               default top-K when a request omits top_k
 //	-backend NAME        simulation engine: cycle (the cycle-accurate
@@ -53,9 +53,10 @@
 //	-fsync               fsync the journals before acknowledging (survives
 //	                     power loss, not just crashes); concurrent
 //	                     mutations share flushes via group commit
-//	-wal-segment-bytes N seal a shard's journal segment past N bytes and
-//	                     fold it into the next snapshot eagerly, so the
-//	                     replay tail stays bounded (0 = never rotate)
+//	-wal-segment-bytes N checkpoint each time a shard's journal grows
+//	                     across another multiple of N bytes, bounding the
+//	                     replay tail at quiescence, not under steady
+//	                     writes (0 = no byte trigger)
 //	-debug-addr ADDR     serve net/http/pprof and /metrics on a second
 //	                     listener (empty = off); keep it off public
 //	                     interfaces
@@ -165,7 +166,7 @@ func main() {
 		"mutations between background snapshots for -wal (0 = off)")
 	flag.BoolVar(&o.fsync, "fsync", false, "fsync the journals before acknowledging mutations (group-committed)")
 	flag.Int64Var(&o.segBytes, "wal-segment-bytes", racelogic.DefaultWALSegmentBytes,
-		"seal a shard's journal segment past this size and fold it into the next snapshot (0 = never rotate)")
+		"checkpoint each time a shard's journal grows across another multiple of this many bytes (0 = no byte trigger)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve net/http/pprof and /metrics on this separate address (empty = off); keep it off public interfaces")
 	flag.DurationVar(&o.slowLatency, "slow-latency", 0,

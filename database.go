@@ -29,10 +29,10 @@ var ErrUnknownID = errors.New("no entry with that id")
 // A Database is partitioned into N independent shards (WithShards,
 // default GOMAXPROCS) by a hash of each entry's stable ID.  Every shard
 // owns its own copy-on-write pipeline snapshot, k-mer seed index, ID
-// tables, tombstone accounting, and — when durable — write-ahead-log
-// segment, behind its own write lock.  Mutations touching different
-// shards therefore proceed in parallel, and the per-insert seed-index
-// update copies only the postings buckets the new k-mers land in.
+// tables, tombstone accounting, and — when durable — write-ahead log,
+// behind its own write lock.  Mutations touching different shards
+// therefore proceed in parallel, and the per-insert seed-index update
+// copies only the postings buckets the new k-mers land in.
 //
 // A Search scatters across the shards: per-shard candidate scans fan
 // out over one shared worker pool (engines are pooled per shape in one
@@ -103,11 +103,12 @@ type Database struct {
 	gen          int // layout generation the shard files are named under
 	snapInterval time.Duration
 	snapEvery    int
-	snapSignal   chan struct{} // nudges the snapshotter (count/rotation trigger)
+	snapSignal   chan struct{} // nudges the snapshotter (count and byte triggers)
 	stopSnap     chan struct{}
 	loopDone     chan struct{}
-	walSync      atomic.Bool // fsync (group-committed) before acknowledging
-	saveMu       sync.Mutex  // serializes durable snapshot file writes
+	walSync      atomic.Bool  // fsync (group-committed) before acknowledging
+	walCap       atomic.Int64 // journal bytes per shard that trigger a checkpoint; 0 = off
+	saveMu       sync.Mutex   // serializes durable snapshot file writes
 
 	// compaction is the automatic tombstone-reclamation policy, checked
 	// against the global dead/live counts after every Remove (and, when
@@ -125,7 +126,7 @@ type shard struct {
 	mu       sync.Mutex
 	p        *pipeline.DB
 	byID     map[uint64]int // ID → local slot; writers only, under mu
-	jrnl     *store.Journal // nil on a memory-only database; set under mu
+	jrnl     *store.WAL     // nil on a memory-only database; set under mu
 	idxStats *index.Stats   // re-attached to every index a compaction rebuilds
 
 	lastSnap atomic.Int64 // unix nanos of this shard's newest durable snapshot
@@ -529,37 +530,36 @@ func (sh *shard) applyCompact(cur *shardstate) (*shardstate, error) {
 // shard's lock is held (other writers cannot touch this shard).
 func (d *Database) state(s int) *shardstate { return d.view.Load().states[s] }
 
-// mutationJournal is the per-shard journaling of one logical mutation:
-// append-then-apply, with rollback of the shards already journaled when
-// a later shard's append fails, so a failed mutation leaves neither
-// memory nor disk changed.
-type pendingCommit struct {
-	shard  int
-	commit store.Commit
-}
-
 // journalShards appends one record per touched shard, rolling all of
 // them back on the first failure so a failed mutation leaves neither
-// memory nor disk changed.
+// memory nor disk changed.  It returns the journals it appended to, for
+// ack, and full: whether an append carried a shard's journal across
+// another multiple of the byte cap (WithWALSegmentBytes), the trigger
+// signalSnapshotter checkpoints on.
 //
 //racelint:journal
-func (d *Database) journalShards(touched []int, appendRec func(sh *shard) (store.Commit, error)) ([]pendingCommit, error) {
-	var commits []pendingCommit
+func (d *Database) journalShards(touched []int, appendRec func(sh *shard) error) ([]*store.WAL, bool, error) {
+	var appended []*store.WAL
+	full := false
+	walCap := d.walCap.Load()
 	for _, s := range touched {
 		sh := d.shards[s]
 		if sh.jrnl == nil {
-			return nil, nil // memory-only: no shard journals anything
+			return nil, false, nil // memory-only: no shard journals anything
 		}
-		c, err := appendRec(sh)
-		if err != nil {
-			for _, pc := range commits {
-				_ = d.shards[pc.shard].jrnl.DropLast()
+		before := sh.jrnl.Size()
+		if err := appendRec(sh); err != nil {
+			for _, w := range appended {
+				_ = w.DropLast()
 			}
-			return nil, err
+			return nil, false, err
 		}
-		commits = append(commits, pendingCommit{shard: s, commit: c})
+		appended = append(appended, sh.jrnl)
+		if walCap > 0 && sh.jrnl.Size()/walCap > before/walCap {
+			full = true
+		}
 	}
-	return commits, nil
+	return appended, full, nil
 }
 
 // ack waits for the journaled records of one mutation to reach stable
@@ -575,47 +575,24 @@ func (d *Database) journalShards(touched []int, appendRec func(sh *shard) (store
 // be acknowledged on top of the suspect tail, and appends fail fast
 // (before applying anything) until a checkpoint folds the journal into
 // a durable snapshot and proves the device writable again.
-func (d *Database) ack(commits []pendingCommit) error {
-	if !d.walSync.Load() || len(commits) == 0 {
+func (d *Database) ack(appended []*store.WAL) error {
+	if !d.walSync.Load() || len(appended) == 0 {
 		return nil
 	}
-	if len(commits) == 1 {
-		return commits[0].commit.Wait()
+	if len(appended) == 1 {
+		return appended[0].GroupSync()
 	}
-	errs := make([]error, len(commits))
+	errs := make([]error, len(appended))
 	var wg sync.WaitGroup
-	for i, pc := range commits {
+	for i, w := range appended {
 		wg.Add(1)
-		go func(i int, c store.Commit) {
+		go func(i int, w *store.WAL) {
 			defer wg.Done()
-			errs[i] = c.Wait()
-		}(i, pc.commit)
+			errs[i] = w.GroupSync()
+		}(i, w)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// maybeRotate seals any touched shard's oversized journal segment and,
-// if a seal happened, nudges the snapshotter to fold it into a snapshot
-// eagerly — the WALBytes bound that holds even with the count and
-// interval triggers disabled.
-func (d *Database) maybeRotate(touched []int) {
-	rotated := false
-	for _, s := range touched {
-		sh := d.shards[s]
-		sh.mu.Lock()
-		if sh.jrnl != nil {
-			if r, err := sh.jrnl.RotateIfOversized(); err != nil {
-				d.snapFailures.Add(1)
-			} else if r {
-				rotated = true
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if rotated {
-		d.nudgeSnapshotter()
-	}
 }
 
 // Insert adds entries to the live database and returns their newly
@@ -662,7 +639,7 @@ func (d *Database) Insert(entries ...string) ([]uint64, error) {
 		return nil, ErrClosed
 	}
 	t := d.ticket.Add(1)
-	commits, err := d.journalShards(touched, func(sh *shard) (store.Commit, error) {
+	appended, full, err := d.journalShards(touched, func(sh *shard) error {
 		return sh.jrnl.AppendInsert(sh.p.Version()+1, t, partIDs[sh.id], partEntries[sh.id])
 	})
 	if err != nil {
@@ -679,11 +656,10 @@ func (d *Database) Insert(entries ...string) ([]uint64, error) {
 	d.publish(touched, states, t)
 	unlock()
 
-	if err := d.ack(commits); err != nil {
+	if err := d.ack(appended); err != nil {
 		return nil, fmt.Errorf("%w: insert: %w", ErrJournal, err)
 	}
-	d.maybeRotate(touched)
-	d.signalSnapshotter()
+	d.signalSnapshotter(full)
 	return newIDs, nil
 }
 
@@ -784,7 +760,7 @@ func (d *Database) Remove(ids ...uint64) error {
 		}
 	}
 	t := d.ticket.Add(1)
-	commits, err := d.journalShards(touched, func(sh *shard) (store.Commit, error) {
+	appended, full, err := d.journalShards(touched, func(sh *shard) error {
 		return sh.jrnl.AppendRemove(sh.p.Version()+1, t, partIDs[sh.id])
 	})
 	if err != nil {
@@ -801,10 +777,9 @@ func (d *Database) Remove(ids ...uint64) error {
 	nv := d.publish(touched, states, t)
 	unlock()
 
-	if err := d.ack(commits); err != nil {
+	if err := d.ack(appended); err != nil {
 		return fmt.Errorf("%w: remove: %w", ErrJournal, err)
 	}
-	d.maybeRotate(touched)
 
 	// Compact when the policy says the global tombstone count is worth
 	// reclaiming: the wasted slots cost collector memory per search and
@@ -817,7 +792,7 @@ func (d *Database) Remove(ids ...uint64) error {
 			return err
 		}
 	}
-	d.signalSnapshotter()
+	d.signalSnapshotter(full)
 	return nil
 }
 
@@ -889,7 +864,7 @@ func (d *Database) compactAll(needRemap bool) (*CompactStats, error) {
 		}
 	}
 	t := d.ticket.Add(1)
-	commits, err := d.journalShards(touched, func(sh *shard) (store.Commit, error) {
+	appended, full, err := d.journalShards(touched, func(sh *shard) error {
 		return sh.jrnl.AppendCompact(sh.p.Version()+1, t)
 	})
 	if err != nil {
@@ -911,11 +886,10 @@ func (d *Database) compactAll(needRemap bool) (*CompactStats, error) {
 	d.compactions.Add(1)
 	unlock()
 
-	if err := d.ack(commits); err != nil {
+	if err := d.ack(appended); err != nil {
 		return nil, fmt.Errorf("%w: compaction: %w", ErrJournal, err)
 	}
-	d.maybeRotate(all)
-	d.signalSnapshotter()
+	d.signalSnapshotter(full)
 	return &CompactStats{
 		Version:   nv.version,
 		Live:      nv.live(),

@@ -28,12 +28,11 @@ var ErrJournal = errors.New("racelogic: journal write failed")
 var ErrNoDatabase = errors.New("no database in directory")
 
 // A durable database directory holds one manifest plus, per shard, one
-// snapshot file and one write-ahead-log segment chain:
+// snapshot file and one write-ahead-log file:
 //
-//	db.manifest                the layout commit point (shard count + generation)
-//	shard-0000.g0.snap …       one snapshot per shard
-//	shard-0000.g0.wal          each shard's active journal segment
-//	shard-0000.g0.wal.000042   sealed segments awaiting a checkpoint
+//	db.manifest           the layout commit point (shard count + generation)
+//	shard-0000.g0.snap …  one snapshot per shard
+//	shard-0000.g0.wal …   one journal per shard
 //
 // Every file name carries the layout generation.  A layout rewrite — a
 // reshard — writes the next generation's files first and commits them
@@ -55,10 +54,10 @@ const DefaultSnapshotInterval = time.Minute
 // snapshot when WithSnapshotEvery is unset.
 const DefaultSnapshotEvery = 1024
 
-// DefaultWALSegmentBytes caps one shard's active journal segment when
-// WithWALSegmentBytes is unset: past it the segment seals and the
-// snapshotter folds it away, bounding WALBytes even with the count and
-// interval triggers disabled.
+// DefaultWALSegmentBytes is the per-shard journal byte cap when
+// WithWALSegmentBytes is unset: each time an append carries a shard's
+// journal across another multiple of it, the snapshotter checkpoints,
+// even with the count and interval triggers disabled.
 const DefaultWALSegmentBytes = int64(64 << 20)
 
 // CompactionPolicy decides when tombstoned slots are worth reclaiming
@@ -183,26 +182,24 @@ func (d *Database) Persist(dir string, opts ...Option) error {
 	} else if present {
 		return fmt.Errorf("racelogic: %s already holds a database; use Open instead of Persist", dir)
 	}
-
-	d.lmu.Lock()
-	if d.closed.Load() {
-		d.lmu.Unlock()
-		return ErrClosed
+	if err := refuseLeftoverSegments(dir, 0); err != nil {
+		return err
 	}
-	if d.durable {
-		dir := d.dir
-		d.lmu.Unlock()
-		return fmt.Errorf("racelogic: database is already durable (%s)", dir)
-	}
-	d.lmu.Unlock()
 
 	// Hold every shard lock across the initial snapshot writes and the
 	// journal creation: no mutation may land between the captured view
-	// and the journals that record what follows it.
+	// and the journals that record what follows it.  Every Persist
+	// attaches under these locks, so the durable check below is final.
 	unlock := d.lockShards(d.allShards())
 	defer unlock()
-	if d.closed.Load() {
+	d.lmu.Lock()
+	closed, durable, cur := d.closed.Load(), d.durable, d.dir
+	d.lmu.Unlock()
+	if closed {
 		return ErrClosed
+	}
+	if durable {
+		return fmt.Errorf("racelogic: database is already durable (%s)", cur)
 	}
 	d.gen = 0
 	v := d.view.Load()
@@ -210,16 +207,12 @@ func (d *Database) Persist(dir string, opts ...Option) error {
 		return err
 	} else if err := store.WriteManifestFile(filepath.Join(dir, ManifestName), store.Manifest{Shards: len(d.shards), Gen: d.gen}); err != nil {
 		return err
-	} else if _, err := d.openShardJournals(dir, cfg, true); err != nil {
+	} else if _, err := d.openShardJournals(dir, true); err != nil {
 		return err
-	} else {
-		d.lmu.Lock()
-		defer d.lmu.Unlock()
-		if d.durable {
-			return fmt.Errorf("racelogic: database is already durable (%s)", d.dir)
-		}
-		d.attachDurability(dir, cfg, v.version, time.Now())
 	}
+	d.lmu.Lock()
+	d.attachDurability(dir, cfg, v.version, time.Now())
+	d.lmu.Unlock()
 	return nil
 }
 
@@ -255,28 +248,50 @@ func (d *Database) writeShardSnapshots(dir string, v *dbview) error {
 // openShardJournals opens (or creates) every shard's journal and
 // returns the records each one replayed.  With fresh set, any records
 // found are orphans of a previous incomplete bootstrap — they were
-// never acknowledged against this database — and are reset away.  The
+// never acknowledged against this database — and are reset away.  On
+// an error every journal it opened is closed and detached again.  The
 // caller either holds every shard lock (Persist) or owns the database
 // exclusively (Open), so the jrnl fields are assigned directly.
-func (d *Database) openShardJournals(dir string, cfg *config, fresh bool) ([][]store.Record, error) {
+func (d *Database) openShardJournals(dir string, fresh bool) ([][]store.Record, error) {
 	recs := make([][]store.Record, len(d.shards))
 	for s, sh := range d.shards {
-		j, srecs, err := store.OpenJournal(dir, shardJournalBase(s, d.gen), cfg.segBytes)
-		if err != nil {
-			return nil, err
-		}
-		if fresh && (len(srecs) > 0 || j.SealedSegments() > 0) {
-			if err := j.Reset(); err != nil {
-				_ = j.Close()
-				return nil, err
+		w, srecs, err := store.OpenWAL(filepath.Join(dir, shardJournalBase(s, d.gen)+".wal"))
+		if err == nil && fresh && len(srecs) > 0 {
+			if err = w.Reset(); err != nil {
+				_ = w.Close()
 			}
 			srecs = nil
 		}
+		if err != nil {
+			// The open error is the one to report; closing is cleanup.
+			for _, opened := range d.shards[:s] {
+				_ = opened.jrnl.Close()
+				opened.jrnl = nil
+			}
+			return nil, err
+		}
 		recs[s] = srecs
-		j.SetTimings(d.walTimings())
-		sh.jrnl = j
+		w.SetTimings(d.walTimings())
+		sh.jrnl = w
 	}
 	return recs, nil
+}
+
+// refuseLeftoverSegments fails when dir holds a sealed journal segment,
+// <base>.wal.<seq>, of layout generation gen.  Earlier builds rotated a
+// shard's journal into such files; this build replays only <base>.wal,
+// so going on would silently drop the acknowledged records a segment
+// holds.
+func refuseLeftoverSegments(dir string, gen int) error {
+	sealed, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("shard-*.g%d.wal.*", gen)))
+	if err != nil {
+		return err
+	}
+	if len(sealed) > 0 {
+		return fmt.Errorf("racelogic: %s is a sealed journal segment, which this build does not replay; "+
+			"open and Close the directory with the build that wrote it to fold the segment into a snapshot", sealed[0])
+	}
+	return nil
 }
 
 // attachDurability wires the snapshotter state and starts the loop.
@@ -294,6 +309,7 @@ func (d *Database) attachDurability(dir string, cfg *config, snapVersion int64, 
 	d.snapInterval = cfg.snapInterval
 	d.snapEvery = cfg.snapEvery
 	d.walSync.Store(cfg.walSync)
+	d.walCap.Store(cfg.walCap)
 	d.snapVersion.Store(snapVersion)
 	d.lastSnap.Store(savedAt.UnixNano())
 	d.snapSignal = make(chan struct{}, 1)
@@ -332,6 +348,9 @@ func Open(dir string, opts ...Option) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := refuseLeftoverSegments(dir, m.Gen); err != nil {
+		return nil, err
+	}
 	snaps := make([]*store.Snapshot, m.Shards)
 	for s := 0; s < m.Shards; s++ {
 		path := filepath.Join(dir, shardSnapName(s, m.Gen))
@@ -362,6 +381,10 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		reshardTo = cfg.resolveShards()
 	}
 	cfg.shards = m.Shards
+	info, err := os.Stat(filepath.Join(dir, shardSnapName(0, m.Gen)))
+	if err != nil {
+		return nil, err
+	}
 
 	parts := make([]shardPart, m.Shards)
 	globalVersion := int64(0)
@@ -387,17 +410,12 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		return nil, err
 	}
 	d.gen = m.Gen
-	recs, err := d.openShardJournals(dir, cfg, false)
+	recs, err := d.openShardJournals(dir, false)
 	if err != nil {
 		return nil, err
 	}
 	if err := d.replayShardJournals(recs, snaps); err != nil {
 		d.closeShardJournals()
-		return nil, err
-	}
-
-	info, err := os.Stat(filepath.Join(dir, shardSnapName(0, m.Gen)))
-	if err != nil {
 		return nil, err
 	}
 	if reshardTo > 0 {
@@ -579,7 +597,7 @@ func commitLayout(dir string, d *Database, cfg *config, gen int) (*Database, err
 		return nil, err
 	}
 	cleanupStaleLayout(dir, gen)
-	if _, err := d.openShardJournals(dir, cfg, true); err != nil {
+	if _, err := d.openShardJournals(dir, true); err != nil {
 		return nil, err
 	}
 	d.lmu.Lock()
@@ -588,35 +606,21 @@ func commitLayout(dir string, d *Database, cfg *config, gen int) (*Database, err
 	return d, nil
 }
 
-// nudgeSnapshotter signals the snapshotter loop unconditionally — the
-// rotation trigger, which must fire even when the count/interval
-// triggers are disabled.
-func (d *Database) nudgeSnapshotter() {
+// signalSnapshotter nudges the background snapshotter when enough
+// mutations have accumulated since the last durable snapshot set, or
+// when full reports that the mutation carried a shard's journal across
+// another multiple of the byte cap — the trigger that holds even with
+// the count and interval triggers disabled.
+func (d *Database) signalSnapshotter(full bool) {
 	d.lmu.Lock()
+	every := d.snapEvery
 	signal := d.snapSignal
 	running := d.durable && !d.closed.Load()
 	d.lmu.Unlock()
 	if !running || signal == nil {
 		return
 	}
-	select {
-	case signal <- struct{}{}:
-	default:
-	}
-}
-
-// signalSnapshotter nudges the background snapshotter when enough
-// mutations have accumulated since the last durable snapshot set.
-func (d *Database) signalSnapshotter() {
-	d.lmu.Lock()
-	every := d.snapEvery
-	signal := d.snapSignal
-	running := d.durable && !d.closed.Load()
-	d.lmu.Unlock()
-	if !running || signal == nil || every <= 0 {
-		return
-	}
-	if d.view.Load().version-d.snapVersion.Load() < int64(every) {
+	if !full && (every <= 0 || d.view.Load().version-d.snapVersion.Load() < int64(every)) {
 		return
 	}
 	select {
@@ -625,12 +629,12 @@ func (d *Database) signalSnapshotter() {
 	}
 }
 
-// snapshotLoop is the background snapshotter: on a timer, on the
-// mutation-count signal, and on a segment rotation it folds the
-// journals into fresh shard snapshots (capture, save, truncate); on
-// the compaction policy's Interval it compacts.  The file writes happen
-// off every lock — mutations and searches proceed — by capturing one
-// immutable view.
+// snapshotLoop is the background snapshotter: on a timer and on the
+// mutation-count and journal-byte signals it folds the journals into
+// fresh shard snapshots (capture, save, truncate); on the compaction
+// policy's Interval it compacts.  The file writes happen off every
+// lock — mutations and searches proceed — by capturing one immutable
+// view.
 func (d *Database) snapshotLoop() {
 	defer close(d.loopDone)
 	var snapTick, compactTick <-chan time.Time
@@ -788,8 +792,11 @@ func (d *Database) Durable() bool {
 	return d.durable && !d.closed.Load()
 }
 
-// WALRecords returns the number of journaled mutations not yet folded
-// into the durable snapshots, across every shard; 0 on a memory-only
+// WALRecords returns the number of records in the shard journals,
+// summed over every shard: the records a restart reads after loading
+// the snapshots.  A checkpoint truncates a shard's journal only when no
+// mutation landed on the shard while it wrote, so the count can include
+// records the newest snapshots already cover.  0 on a memory-only
 // database.
 func (d *Database) WALRecords() int64 {
 	total := int64(0)
@@ -803,28 +810,14 @@ func (d *Database) WALRecords() int64 {
 	return total
 }
 
-// WALBytes returns the journals' total size — active and sealed
-// segments of every shard; 0 on a memory-only database.
+// WALBytes returns the byte size of the shard journals, one file per
+// shard, summed over every shard; 0 on a memory-only database.
 func (d *Database) WALBytes() int64 {
 	total := int64(0)
 	for _, sh := range d.shards {
 		sh.mu.Lock()
 		if sh.jrnl != nil {
 			total += sh.jrnl.Size()
-		}
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// WALSegments returns the number of sealed journal segments awaiting
-// the next checkpoint, across every shard.
-func (d *Database) WALSegments() int {
-	total := 0
-	for _, sh := range d.shards {
-		sh.mu.Lock()
-		if sh.jrnl != nil {
-			total += sh.jrnl.SealedSegments()
 		}
 		sh.mu.Unlock()
 	}
@@ -862,12 +855,10 @@ type ShardStat struct {
 	// uncompacted slots.
 	Entries    int `json:"entries"`
 	Tombstones int `json:"tombstones"`
-	// WALRecords and WALBytes measure the shard's journal tail;
-	// WALSegments its sealed segments awaiting a checkpoint.  Zero on a
-	// memory-only database.
-	WALRecords  int64 `json:"wal_records"`
-	WALBytes    int64 `json:"wal_bytes"`
-	WALSegments int   `json:"wal_segments"`
+	// WALRecords and WALBytes measure the shard's journal, one file.
+	// Zero on a memory-only database.
+	WALRecords int64 `json:"wal_records"`
+	WALBytes   int64 `json:"wal_bytes"`
 	// SnapshotAgeSeconds is the age of the shard's newest durable
 	// snapshot file, -1 when not durable.
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
@@ -896,7 +887,6 @@ func (d *Database) shardStatsAt(v *dbview) []ShardStat {
 		if sh.jrnl != nil {
 			stat.WALRecords = sh.jrnl.Records()
 			stat.WALBytes = sh.jrnl.Size()
-			stat.WALSegments = sh.jrnl.SealedSegments()
 		}
 		sh.mu.Unlock()
 		if durable {

@@ -1,10 +1,12 @@
 package racelogic_test
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -367,6 +369,125 @@ func TestDurabilityAPIErrors(t *testing.T) {
 	}
 	if _, err := racelogic.Open(dir); err == nil {
 		t.Error("mangled WAL header must error loudly")
+	}
+}
+
+// TestFailedPersistDetachesJournals pins Persist's error path: when one
+// shard's journal cannot be created, the journals it already opened are
+// closed and detached, so the database stays memory-only and later
+// mutations reach no journal file.
+func TestFailedPersistDetachesJournals(t *testing.T) {
+	g := seqgen.NewDNA(113)
+	dir := t.TempDir()
+	// A directory where shard 1's journal belongs fails its creation.
+	if err := os.Mkdir(filepath.Join(dir, "shard-0001.g0.wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	db, err := racelogic.NewDatabase(g.Database(6, 8), racelogic.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Persist(dir); err == nil {
+		t.Fatal("Persist succeeded with shard 1's journal path taken by a directory")
+	}
+	if db.Durable() {
+		t.Error("a failed Persist left the database durable")
+	}
+	journal := filepath.Join(dir, "shard-0000.g0.wal")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := db.Insert(g.Random(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("8 inserts after a failed Persist grew %s from %d to %d bytes", journal, len(before), len(after))
+	}
+	if n := db.WALRecords(); n != 0 {
+		t.Errorf("a failed Persist left journals attached: WALRecords = %d", n)
+	}
+}
+
+// dirFiles returns every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = raw
+	}
+	return files
+}
+
+// TestSealedSegmentRefused pins that a sealed journal segment,
+// <base>.wal.<seq>, left by a build that rotated journals is never
+// skipped: Open and Persist both refuse a directory holding one, name
+// the file, and leave every file in the directory as it was.
+func TestSealedSegmentRefused(t *testing.T) {
+	g := seqgen.NewDNA(117)
+	const sealed = "shard-0000.g0.wal.000001"
+
+	openDir := t.TempDir()
+	db, err := racelogic.NewDatabase(g.Database(6, 8), racelogic.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Persist(openDir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert(g.Random(8), g.Random(8)); err != nil {
+		t.Fatal(err)
+	}
+	// The segment holds records: the journal's bytes before Close folds them.
+	raw, err := os.ReadFile(filepath.Join(openDir, "shard-0000.g0.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(openDir, sealed), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := dirFiles(t, openDir)
+	if _, err := racelogic.Open(openDir); err == nil || !strings.Contains(err.Error(), sealed) {
+		t.Errorf("Open with a leftover %s: got %v, want an error naming it", sealed, err)
+	}
+	if got := dirFiles(t, openDir); !reflect.DeepEqual(got, want) {
+		t.Errorf("a refused Open changed the directory: %d files, want %d as before", len(got), len(want))
+	}
+
+	persistDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(persistDir, sealed), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := racelogic.NewDatabase(g.Database(6, 8), racelogic.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = dirFiles(t, persistDir)
+	if err := fresh.Persist(persistDir); err == nil || !strings.Contains(err.Error(), sealed) {
+		t.Errorf("Persist with a leftover %s: got %v, want an error naming it", sealed, err)
+	}
+	if got := dirFiles(t, persistDir); !reflect.DeepEqual(got, want) {
+		t.Errorf("a refused Persist changed the directory: %d files, want %d as before", len(got), len(want))
+	}
+	if fresh.Durable() {
+		t.Error("a refused Persist left the database durable")
 	}
 }
 

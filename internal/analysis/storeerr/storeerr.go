@@ -7,7 +7,7 @@
 // A call's error result must be used when the callee is
 //
 //   - any function or method of racelogic/internal/store (the WAL,
-//     journal, manifest, and snapshot codecs), or
+//     manifest, and snapshot codecs), or
 //   - a durability-relevant stdlib call: (*os.File) Sync, Close,
 //     Write, WriteString, WriteAt, Truncate, Seek; package-level
 //     os.Rename, Remove, RemoveAll, Mkdir, MkdirAll, WriteFile, Link,

@@ -11,21 +11,21 @@ import (
 )
 
 // handled propagates store errors: legal.
-func handled(j *store.Journal) error {
-	if err := j.DropLast(); err != nil {
+func handled(w *store.WAL) error {
+	if err := w.DropLast(); err != nil {
 		return err
 	}
-	return j.Close()
+	return w.Close()
 }
 
 // dropped discards a store error: flagged.
-func dropped(j *store.Journal) {
-	j.DropLast() // want `error returned by .*DropLast.* is discarded on a durability path`
+func dropped(w *store.WAL) {
+	w.DropLast() // want `error returned by .*DropLast.* is discarded on a durability path`
 }
 
 // explicit assigns to _: a visible, reviewable discard, legal.
-func explicit(j *store.Journal) {
-	_ = j.DropLast()
+func explicit(w *store.WAL) {
+	_ = w.DropLast()
 }
 
 // closeFile drops (*os.File).Close on a write path: flagged.

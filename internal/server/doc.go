@@ -21,13 +21,13 @@
 //     rebind (entry IDs are the stable handle and never change);
 //   - GET /healthz is the liveness probe;
 //   - GET /stats reports the database version, live entry and tombstone
-//     counts, durability state (journal tail size, sealed segment
-//     count, snapshot age and save counts), cumulative service
-//     counters (searches, mutations and compactions served, engines
-//     compiled and pooled, cache hits, uptime), and a shards[] array
-//     with one gauge set per partition — entries, tombstones,
-//     wal_records, wal_bytes, wal_segments, snapshot_age_seconds — so
-//     skew and per-shard replay debt are visible at a glance.
+//     counts, durability state (journal size in records and bytes,
+//     snapshot age and save counts), cumulative service counters
+//     (searches, mutations and compactions served, engines compiled and
+//     pooled, cache hits, uptime), and a shards[] array with one gauge
+//     set per partition — entries, tombstones, wal_records, wal_bytes
+//     (the shard's one journal file), snapshot_age_seconds — so skew
+//     and per-shard replay debt are visible at a glance.
 //
 // The handler is safe for concurrent requests because Database.Search
 // is: each in-flight race checks a compiled simulator out of a per-shape

@@ -828,8 +828,8 @@ type StatsResponse struct {
 	// Durable reports whether mutations are journaled to a write-ahead
 	// log; the WAL and snapshot fields below are zero when it is false.
 	Durable bool `json:"durable"`
-	// WALRecords and WALBytes measure the journal tail not yet folded
-	// into a snapshot — what a restart would replay.
+	// WALRecords and WALBytes measure the shard journals, one file per
+	// shard, summed — what a restart reads after loading the snapshots.
 	WALRecords int64 `json:"wal_records"`
 	WALBytes   int64 `json:"wal_bytes"`
 	// Snapshots counts durable snapshot saves; SnapshotFailures the
@@ -838,9 +838,6 @@ type StatsResponse struct {
 	Snapshots          int64   `json:"snapshots"`
 	SnapshotFailures   int64   `json:"snapshot_failures"`
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
-	// WALSegments counts the sealed journal segments awaiting the next
-	// checkpoint, across every shard.
-	WALSegments int `json:"wal_segments"`
 	// Shards holds one gauge set per partition: entries, tombstones,
 	// journal tail, and snapshot age, so an operator can see skew and
 	// per-shard replay debt at a glance.
@@ -892,7 +889,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Snapshots:          s.db.Snapshots(),
 		SnapshotFailures:   s.db.SnapshotFailures(),
 		SnapshotAgeSeconds: age,
-		WALSegments:        s.db.WALSegments(),
 		Shards:             dbs.Shards,
 	})
 }

@@ -9,12 +9,11 @@
 // The racelogic database is partitioned into shards, and the store
 // mirrors that layout on disk.  A durable directory holds one manifest
 // (the layout commit point, naming the shard count), one snapshot file
-// per shard, and one Journal — a chain of WAL segments — per shard:
+// per shard, and one WAL file — the shard's journal — per shard:
 //
 //	db.manifest            "RLMANI", format, shard count, generation, CRC-32
 //	shard-0000.g0.snap …   one Snapshot per shard
-//	shard-0000.g0.wal      the shard's active journal segment
-//	shard-0000.g0.wal.00…  sealed segments awaiting a checkpoint
+//	shard-0000.g0.wal …    one WAL per shard
 //
 // The manifest is written last when a layout is created or rewritten,
 // and every shard file name carries the manifest's layout generation,
@@ -64,7 +63,7 @@
 //
 // # Write-ahead log format
 //
-// Each journal segment is append-only.  Unlike a snapshot — whose one
+// Each journal is append-only.  Unlike a snapshot — whose one
 // checksum trails the whole file — the WAL frames and checksums every
 // record independently, because a crash tears the file at an arbitrary
 // byte and the clean prefix must stay loadable:
@@ -88,31 +87,28 @@
 //	remove:   uvarint count, then per entry: uvarint ID
 //	compact:  nothing further
 //
-// Replay accepts format version 2 only; a segment headed by any other
+// Replay accepts format version 2 only; a journal headed by any other
 // version is refused loudly.  Replay walks records in order and stops
 // cleanly at the first torn or corrupt one: a record whose frame runs
 // past end-of-file, whose CRC mismatches, or whose payload does not
 // decode ends the replay at the last intact record — corrupt bytes
 // never surface as entries.  OpenWAL truncates that torn tail before
-// appending, so the segment stays a clean prefix of acknowledged
+// appending, so the journal stays a clean prefix of acknowledged
 // mutations.  Records carry the shard sequence they produced, which
 // makes replay idempotent against the snapshot: records at or below the
 // shard snapshot's sequence are skipped, so it never matters whether a
 // crash landed between "snapshot renamed" and "WAL truncated".
 //
-// # Segments, rotation, and group commit
+// # Truncation and group commit
 //
-// A Journal rotates its active segment once it exceeds a size cap:
-// the segment is sealed (closed, synced, renamed to its sequence-
-// numbered name) and a fresh active segment opens.  Sealing happens on
-// record boundaries under the shard's write lock, so only the active
-// segment can hold a torn tail.  The database folds sealed segments
-// into the next snapshot eagerly, which bounds the bytes a restart
-// must replay regardless of snapshot triggers.
+// A shard's journal is one file.  It grows until a checkpoint has
+// captured every record in it into a snapshot, and Reset then empties
+// it back to a bare header; the database reads its byte size only as a
+// checkpoint trigger.
 //
 // Appends never fsync on their own.  Callers needing acknowledged-
-// means-durable wait on the Commit token after releasing their
-// ordering locks; WAL.GroupSync then elects one leader to flush for
-// every waiter — group commit — so N concurrent mutations cost far
-// fewer than N fsyncs per shard.
+// means-durable call WAL.GroupSync after releasing their ordering
+// locks; it elects one leader to flush for every waiter — group
+// commit — so N concurrent mutations cost far fewer than N fsyncs per
+// shard.
 package store

@@ -10,16 +10,8 @@ type Timings struct {
 	Sync   func(seconds float64)
 }
 
-// SetTimings installs observers on the active segment and every
-// segment a future rotation opens.  Call it before concurrent traffic.
-func (j *Journal) SetTimings(t Timings) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.timings = t
-	j.active.SetTimings(t)
-}
-
-// SetTimings installs observers on this segment.
+// SetTimings installs observers on this journal.  Call it before
+// concurrent traffic.
 func (w *WAL) SetTimings(t Timings) {
 	w.mu.Lock()
 	w.timings = t

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// walMagic opens every WAL segment.
+// walMagic opens every WAL file.
 const walMagic = "RLWAL"
 
 // WALFormatVersion is the WAL wire format this package writes and the
@@ -82,7 +82,7 @@ func (c *countReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// headerLen is the byte length of the segment header this build writes.
+// headerLen is the byte length of the journal header this build writes.
 var headerLen = int64(len(walMagic) + len(binary.AppendUvarint(nil, WALFormatVersion)))
 
 // Replay reads the WAL at path and returns every intact record in
@@ -92,7 +92,7 @@ var headerLen = int64(len(walMagic) + len(binary.AppendUvarint(nil, WALFormatVer
 // mismatch, or a payload that does not decode — returning the records
 // before it; corrupt bytes never surface as entries.  A present-but-
 // mangled header (bad magic, unknown format version) is a loud error
-// instead: that is not a torn append, the segment itself is not ours.
+// instead: that is not a torn append, the file itself is not ours.
 func Replay(path string) ([]Record, int64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -192,12 +192,12 @@ func decodeRecord(payload []byte) (Record, bool) {
 	return rec, true
 }
 
-// WAL is an open write-ahead log segment.  Appends are serialized
-// internally, but the database layer additionally orders them under its
-// own per-shard write lock so record sequences hit the file
-// monotonically.  Appends never fsync on their own; callers that need
+// WAL is an open write-ahead log: one shard's journal file.  Appends
+// are serialized internally, but the database layer additionally
+// orders them under its own per-shard write lock so record sequences
+// hit the file monotonically.  Appends never fsync on their own; callers that need
 // acknowledged-means-durable call GroupSync afterwards, which batches
-// the flushes of every append waiting on the segment into as few
+// the flushes of every append waiting on the journal into as few
 // fsyncs as possible (group commit).
 type WAL struct {
 	mu       sync.Mutex
@@ -216,11 +216,11 @@ type WAL struct {
 	syncing bool
 	synced  int64
 	serr    error // the current round's flush failure
-	fatal   error // a flush failed: the segment's unsynced tail is suspect
+	fatal   error // a flush failed: the journal's unsynced tail is suspect
 	syncs   int64 // fsyncs issued through GroupSync/Close, for tests
 }
 
-// OpenWAL opens the segment at path for appending, creating it with a
+// OpenWAL opens the journal at path for appending, creating it with a
 // fresh header when absent, and returns the intact records already in
 // it.  Any torn tail left by a crash is truncated away first, so the
 // next append lands on a record boundary.
@@ -236,7 +236,7 @@ func OpenWAL(path string) (*WAL, []Record, error) {
 	w := &WAL{f: f, records: int64(len(recs))}
 	w.gcond = sync.NewCond(&w.gmu)
 	if clean < headerLen || len(recs) == 0 {
-		// New (or torn-at-birth) segment: start it over with a fresh
+		// New (or torn-at-birth) journal: start it over with a fresh
 		// header.
 		if err := w.rewriteHeader(); err != nil {
 			_ = f.Close()
@@ -340,7 +340,7 @@ func (w *WAL) AppendCompact(version, g int64) error {
 
 // append frames one payload and writes it in a single call, keeping the
 // window a crash can tear as small as the kernel allows.  On a write
-// failure the segment is truncated back to the last good record so the
+// failure the journal is truncated back to the last good record so the
 // failed append can never replay as acknowledged.
 func (w *WAL) append(encode func(*encoder)) error {
 	w.mu.Lock()
@@ -430,7 +430,7 @@ func (w *WAL) unwind() {
 // releasing their ordering locks, which is what lets flushes from many
 // mutations coalesce.
 //
-// If the segment shrinks below the caller's appended prefix while it
+// If the journal shrinks below the caller's appended prefix while it
 // waits — a Reset after a checkpoint snapshot captured the records, or
 // a DropLast rollback — GroupSync returns nil: the bytes are either
 // durable in the snapshot or deliberately gone, and there is nothing
@@ -533,7 +533,7 @@ func (w *WAL) Syncs() int64 {
 	return w.syncs
 }
 
-// Reset empties the segment back to a bare header — the truncation step
+// Reset empties the journal back to a bare header — the truncation step
 // after a snapshot has captured everything the log held.
 func (w *WAL) Reset() error {
 	w.mu.Lock()
@@ -544,21 +544,21 @@ func (w *WAL) Reset() error {
 	return w.rewriteHeader()
 }
 
-// Records returns the number of records in the current segment.
+// Records returns the number of records in the journal.
 func (w *WAL) Records() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.records
 }
 
-// Size returns the segment's byte length.
+// Size returns the journal's byte length.
 func (w *WAL) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.size
 }
 
-// Sync flushes the segment to stable storage.
+// Sync flushes the journal to stable storage.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -568,7 +568,7 @@ func (w *WAL) Sync() error {
 	return w.f.Sync()
 }
 
-// Close syncs and closes the segment.  Further appends fail; waiters
+// Close syncs and closes the journal.  Further appends fail; waiters
 // blocked in GroupSync observe the final synced prefix (everything, on
 // a successful close) and return.
 func (w *WAL) Close() error {

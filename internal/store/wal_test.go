@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -232,5 +233,110 @@ func TestWALCorruptionProperty(t *testing.T) {
 	}
 	if _, _, err := OpenWAL(bad); err == nil {
 		t.Error("format-1 segment: OpenWAL must refuse it")
+	}
+}
+
+// TestWALGroupCommit hammers one journal from many goroutines: every
+// append must be durable when its GroupSync returns, while the leader
+// batches the flushes — far fewer fsyncs than appends.
+func TestWALGroupCommit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.wal")
+	w, _, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appenders, each = 8, 25
+	var mu sync.Mutex // stands in for the shard write lock ordering appends
+	var wg sync.WaitGroup
+	errs := make(chan error, appenders)
+	seq := int64(0)
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				mu.Lock()
+				seq++
+				err := w.AppendInsert(seq, seq, []uint64{uint64(seq)}, []string{"ACGT"})
+				mu.Unlock()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := w.GroupSync(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if w.Records() != appenders*each {
+		t.Fatalf("Records() = %d, want %d", w.Records(), appenders*each)
+	}
+	syncs := w.Syncs()
+	if syncs == 0 {
+		t.Fatal("group commit never flushed")
+	}
+	if syncs > appenders*each {
+		t.Fatalf("%d fsyncs for %d appends — group commit amortized nothing", syncs, appenders*each)
+	}
+	t.Logf("group commit: %d appends, %d fsyncs", appenders*each, syncs)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != appenders*each {
+		t.Fatalf("replayed %d records, want %d", len(recs), appenders*each)
+	}
+}
+
+// TestWALDropLast pins the multi-shard rollback: dropping the most
+// recent append restores the previous replayable state exactly.
+func TestWALDropLast(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.wal")
+	w, _, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendInsert(1, 1, []uint64{0}, []string{"ACGT"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendInsert(2, 2, []uint64{1}, []string{"TTTT"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.DropLast(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Records() != 1 {
+		t.Fatalf("Records() after DropLast = %d, want 1", w.Records())
+	}
+	// Idempotent within the same window: nothing more to drop.
+	if err := w.DropLast(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendCompact(2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := Replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{
+		{Op: OpInsert, Version: 1, Global: 1, IDs: []uint64{0}, Entries: []string{"ACGT"}},
+		{Op: OpCompact, Version: 2, Global: 2},
+	}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("after DropLast+append, replay = %+v, want %+v", recs, want)
 	}
 }

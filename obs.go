@@ -146,14 +146,11 @@ func (d *Database) initObs() {
 		"Idle compiled engines parked in the shape pools.",
 		func() float64 { return float64(d.pools.PooledEngines()) })
 	r.GaugeFunc("racelogic_wal_records",
-		"Journaled mutations not yet folded into snapshots.",
+		"Records in the shard journals, read by a restart after the snapshots.",
 		func() float64 { return float64(d.WALRecords()) })
 	r.GaugeFunc("racelogic_wal_bytes",
-		"Journal bytes across active and sealed segments.",
+		"Journal bytes across every shard's journal file.",
 		func() float64 { return float64(d.WALBytes()) })
-	r.GaugeFunc("racelogic_wal_sealed_segments",
-		"Sealed journal segments awaiting a checkpoint.",
-		func() float64 { return float64(d.WALSegments()) })
 	r.GaugeFunc("racelogic_snapshot_age_seconds",
 		"Age of the newest durable snapshot set; -1 when memory-only.",
 		func() float64 { return d.SnapshotAge().Seconds() })

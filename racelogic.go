@@ -109,7 +109,7 @@ type config struct {
 	walSync      bool          // fsync every journal append (group-committed)
 	snapInterval time.Duration // background snapshot period; 0 = off
 	snapEvery    int           // mutations between snapshots; 0 = off
-	segBytes     int64         // WAL segment rotation cap; 0 = unbounded
+	walCap       int64         // journal bytes per shard that trigger a checkpoint; 0 = off
 	// applied records the names of the options used, in order, so the
 	// constructors can reject options that would silently do nothing in
 	// their context (e.g. WithTopK on a single-pair engine).
@@ -393,19 +393,21 @@ func WithShards(n int) Option {
 // per-shard bookkeeping outweighs any lock-spreading benefit.
 const MaxShards = 256
 
-// WithWALSegmentBytes caps the size of one write-ahead-log segment per
-// shard (default DefaultWALSegmentBytes).  When a mutation grows a
-// shard's active segment past the cap, the segment is sealed and the
-// background snapshotter is nudged to fold it into the next snapshot
-// eagerly — so wal_bytes stays bounded even with the count and interval
-// snapshot triggers disabled.  n = 0 disables rotation.  It is a
-// durability option: pass it to Persist or Open.
+// WithWALSegmentBytes sets the journal bytes per shard that force a
+// checkpoint (default DefaultWALSegmentBytes).  Each shard journals to
+// one file; each time an append carries it across another multiple of
+// n bytes, the background snapshotter is nudged to checkpoint, even with
+// the count and interval snapshot triggers disabled.  A checkpoint
+// truncates a shard's journal only when no mutation lands on the shard
+// while it writes, so the cap bounds wal_bytes at quiescence, not under
+// steady writes.  n = 0 disables the trigger.  It is a durability
+// option: pass it to Persist or Open.
 func WithWALSegmentBytes(n int64) Option {
 	return func(c *config) error {
 		if n < 0 {
-			return fmt.Errorf("racelogic: WAL segment size %d must be ≥ 0", n)
+			return fmt.Errorf("racelogic: journal byte cap %d must be ≥ 0", n)
 		}
-		c.segBytes = n
+		c.walCap = n
 		c.applied = append(c.applied, "WithWALSegmentBytes")
 		return nil
 	}
@@ -478,7 +480,7 @@ func buildConfig(opts []Option) (*config, error) {
 		compaction:   DefaultCompactionPolicy,
 		snapInterval: DefaultSnapshotInterval,
 		snapEvery:    DefaultSnapshotEvery,
-		segBytes:     DefaultWALSegmentBytes,
+		walCap:       DefaultWALSegmentBytes,
 	}
 	for _, o := range opts {
 		if err := o(c); err != nil {

@@ -344,11 +344,11 @@ func TestReshardKeepsTombstones(t *testing.T) {
 	}
 }
 
-// TestWALSegmentRotationBoundsJournal pins the rotation satellite: with
-// the count and interval snapshot triggers disabled, a tiny segment cap
-// still keeps the journal bounded, because each sealed segment nudges
-// the snapshotter to fold it away eagerly.
-func TestWALSegmentRotationBoundsJournal(t *testing.T) {
+// TestWALByteTriggerBoundsJournal pins the journal byte trigger: with
+// the count and interval snapshot triggers disabled, a tiny byte cap
+// still keeps the journal bounded, because each multiple of the cap a
+// shard's journal grows across nudges the snapshotter to fold it away.
+func TestWALByteTriggerBoundsJournal(t *testing.T) {
 	g := seqgen.NewDNA(157)
 	dir := t.TempDir()
 	db, err := racelogic.NewDatabase(g.Database(4, 8), racelogic.WithShards(2))
@@ -369,7 +369,7 @@ func TestWALSegmentRotationBoundsJournal(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for db.Snapshots() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("segment rotation never triggered an eager snapshot")
+			t.Fatal("the byte trigger never caused an eager snapshot")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -378,15 +378,15 @@ func TestWALSegmentRotationBoundsJournal(t *testing.T) {
 	// checkpoints interleave, so the bound holds at quiescence.
 	for db.WALBytes() > 4*256 {
 		if time.Now().After(deadline) {
-			t.Fatalf("journal never folded: wal_bytes=%d after rotation-triggered snapshots (segments=%d)",
-				db.WALBytes(), db.WALSegments())
+			t.Fatalf("journal never folded: wal_bytes=%d after byte-triggered snapshots (records=%d)",
+				db.WALBytes(), db.WALRecords())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if db.SnapshotFailures() != 0 {
-		t.Errorf("%d snapshot failures during rotation folding", db.SnapshotFailures())
+		t.Errorf("%d snapshot failures during byte-triggered folding", db.SnapshotFailures())
 	}
-	// Recovery from the segmented layout works.
+	// Recovery after byte-triggered checkpoints works.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestWALSegmentRotationBoundsJournal(t *testing.T) {
 	}
 	defer back.Close()
 	if back.Len() != 64 {
-		t.Errorf("recovered %d entries from the rotated layout, want 64", back.Len())
+		t.Errorf("recovered %d entries after byte-triggered checkpoints, want 64", back.Len())
 	}
 }
 

@@ -41,6 +41,6 @@ func configFromStoreOptions(o store.Options) (*config, error) {
 		compaction:   DefaultCompactionPolicy,
 		snapInterval: DefaultSnapshotInterval,
 		snapEvery:    DefaultSnapshotEvery,
-		segBytes:     DefaultWALSegmentBytes,
+		walCap:       DefaultWALSegmentBytes,
 	}, nil
 }

@@ -69,7 +69,7 @@ func TestOpenRejectsInvalidReplayedInsert(t *testing.T) {
 	defer d.Close()
 	sh := d.shards[0]
 	sh.mu.Lock()
-	_, err := sh.jrnl.AppendInsert(sh.p.Version()+1, d.ticket.Add(1), []uint64{d.nextID.Add(1) - 1}, []string{"ACGTXXXX"})
+	err := sh.jrnl.AppendInsert(sh.p.Version()+1, d.ticket.Add(1), []uint64{d.nextID.Add(1) - 1}, []string{"ACGTXXXX"})
 	sh.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
