@@ -110,6 +110,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -294,6 +295,20 @@ func durabilityOptions(o options) []racelogic.Option {
 	}
 }
 
+// recoveryLog renders the recovery report of every shard Open restored
+// for the startup log line; it is empty after a reshard, whose shards
+// were built rather than recovered.
+func recoveryLog(db *racelogic.Database) string {
+	var b strings.Builder
+	for _, st := range db.ShardStats() {
+		if r := st.Recovery; r != nil {
+			fmt.Fprintf(&b, "; shard %d: %d snapshot bytes read in %.1f ms, index built in %.1f ms, %d journal records replayed (%d skipped) in %.1f ms",
+				st.Shard, r.SnapshotBytes, 1e3*r.ReadSeconds, 1e3*r.IndexSeconds, r.Replayed, r.Skipped, 1e3*r.ReplaySeconds)
+		}
+	}
+	return b.String()
+}
+
 // loadDatabase resolves the database in precedence order: recover the
 // durable -wal directory if it already holds a database (the crash-safe
 // warm start — cold-load flags are ignored, the state carries its own),
@@ -312,7 +327,7 @@ func loadDatabase(o options) (*racelogic.Database, error) {
 		db, err := racelogic.Open(o.walDir, openOpts...)
 		switch {
 		case err == nil:
-			log.Printf("raceserve: recovered %s (%d entries, version %d)", o.walDir, db.Len(), db.Version())
+			log.Printf("raceserve: recovered %s (%d entries, version %d)%s", o.walDir, db.Len(), db.Version(), recoveryLog(db))
 			return db, nil
 		case !errors.Is(err, racelogic.ErrNoDatabase):
 			return nil, err

@@ -80,6 +80,7 @@ type Database struct {
 	snapSaves    atomic.Int64
 	snapFailures atomic.Int64
 	snapVersion  atomic.Int64 // view version the newest durable snapshot set covers
+	snapCaptured atomic.Int64 // view version the newest checkpoint captured, written or in flight
 	lastSnap     atomic.Int64 // unix nanos of the newest durable snapshot set
 	walReplayed  atomic.Int64 // journal records replayed over snapshots at open
 
@@ -128,6 +129,7 @@ type shard struct {
 	byID     map[uint64]int // ID → local slot; writers only, under mu
 	jrnl     *store.WAL     // nil on a memory-only database; set under mu
 	idxStats *index.Stats   // re-attached to every index a compaction rebuilds
+	recovery *ShardRecovery // how Open restored the shard; nil unless it did
 
 	lastSnap atomic.Int64 // unix nanos of this shard's newest durable snapshot
 }
@@ -268,12 +270,14 @@ func assembleDatabase(cfg *config, entries []string, ids []uint64, dead []bool, 
 
 // shardPart is one shard's slice of the database at assembly time:
 // every slot's entry and ID, the tombstoned slots among them, and the
-// shard's mutation sequence.
+// shard's mutation sequence.  Open passes the shard's recovery report,
+// which assembly completes with the index build time.
 type shardPart struct {
-	entries []string
-	ids     []uint64
-	dead    []int // tombstoned slots, ascending
-	seq     int64
+	entries  []string
+	ids      []uint64
+	dead     []int // tombstoned slots, ascending
+	seq      int64
+	recovery *ShardRecovery
 }
 
 // assembleShards builds the Database from per-shard parts — the shared
@@ -331,7 +335,7 @@ func (d *Database) assembleShard(s int, part shardPart) (*shard, *shardstate, er
 	if err != nil {
 		return nil, nil, err
 	}
-	sh := &shard{id: s, p: p, byID: make(map[uint64]int, len(part.ids)), idxStats: d.idxStats}
+	sh := &shard{id: s, p: p, byID: make(map[uint64]int, len(part.ids)), idxStats: d.idxStats, recovery: part.recovery}
 	for slot, id := range part.ids {
 		sh.byID[id] = slot
 	}
@@ -346,13 +350,17 @@ func (d *Database) assembleShard(s int, part shardPart) (*shard, *shardstate, er
 	p.SetVersion(part.seq)
 	var idx *index.Index
 	if d.cfg.seedK > 0 {
+		begin := time.Now()
 		if idx, err = index.New(part.entries, d.cfg.seedK); err != nil {
 			return nil, nil, err
 		}
 		idx.SetStats(d.idxStats)
+		if part.recovery != nil {
+			part.recovery.IndexSeconds = time.Since(begin).Seconds()
+		}
 	}
-	sorted := append([]uint64(nil), part.ids...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	sorted := slices.Clone(part.ids)
+	slices.Sort(sorted)
 	return sh, &shardstate{snap: p.Snapshot(), idx: idx, ids: part.ids, sorted: sorted}, nil
 }
 
@@ -439,18 +447,19 @@ func (d *Database) publish(touched []int, states map[int]*shardstate, ticket int
 }
 
 // appendSorted extends a shard's ascending resident-ID table with a
-// freshly inserted ID block.  The common case — the new IDs exceed
-// every resident one — is a copy-on-write append past every older
-// state's length; an out-of-order block (possible when concurrent
-// multi-shard inserts race) falls back to a sorted copy.
+// freshly inserted ID block.  The common case — an ascending block
+// whose IDs exceed every resident one — is a copy-on-write append past
+// every older state's length; any other block (possible when
+// concurrent multi-shard inserts race, and in a replayed journal tail
+// holding their records) falls back to a sorted copy.
 func appendSorted(sorted, ids []uint64) []uint64 {
-	if len(sorted) == 0 || ids[0] > sorted[len(sorted)-1] {
+	if (len(sorted) == 0 || ids[0] > sorted[len(sorted)-1]) && slices.IsSorted(ids) {
 		return append(sorted, ids...)
 	}
 	out := make([]uint64, 0, len(sorted)+len(ids))
 	out = append(out, sorted...)
 	out = append(out, ids...)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -458,20 +467,30 @@ func appendSorted(sorted, ids []uint64) []uint64 {
 // shard and returns its replacement state.  Caller holds the shard's
 // lock; cur is the shard's current state.
 func (sh *shard) applyInsert(cur *shardstate, ids []uint64, entries []string) (*shardstate, error) {
-	start, snap, err := sh.p.Insert(entries)
+	st, start, err := sh.appendSlots(cur, ids, entries)
 	if err != nil {
 		return nil, err
 	}
-	nids := cur.ids
 	for j, id := range ids {
 		sh.byID[id] = start + j
-		nids = append(nids, id)
+	}
+	return st, nil
+}
+
+// appendSlots appends entries with their IDs as new slots of the
+// shard — one pipeline Insert and one seed-index Grow, however many
+// entries — and returns the replacement state and the first new slot.
+// It leaves byID to the caller.
+func (sh *shard) appendSlots(cur *shardstate, ids []uint64, entries []string) (*shardstate, int, error) {
+	start, snap, err := sh.p.Insert(entries)
+	if err != nil {
+		return nil, 0, err
 	}
 	idx := cur.idx
 	if idx != nil {
 		idx = idx.Grow(entries)
 	}
-	return &shardstate{snap: snap, idx: idx, ids: nids, sorted: appendSorted(cur.sorted, ids)}, nil
+	return &shardstate{snap: snap, idx: idx, ids: append(cur.ids, ids...), sorted: appendSorted(cur.sorted, ids)}, start, nil
 }
 
 // applyRemove tombstones the given IDs (all pre-validated as live in
@@ -521,8 +540,8 @@ func (sh *shard) applyCompact(cur *shardstate) (*shardstate, error) {
 		// propagated; re-attach it before the state publishes.
 		idx.SetStats(sh.idxStats)
 	}
-	sorted := append([]uint64(nil), ids...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
 	return &shardstate{snap: snap, idx: idx, ids: ids, sorted: sorted}, nil
 }
 

@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
+	"racelogic/internal/pipeline"
 	"racelogic/internal/store"
 )
 
@@ -203,11 +205,7 @@ func (d *Database) Persist(dir string, opts ...Option) error {
 	}
 	d.gen = 0
 	v := d.view.Load()
-	if err := d.writeShardSnapshots(dir, v); err != nil {
-		return err
-	} else if err := store.WriteManifestFile(filepath.Join(dir, ManifestName), store.Manifest{Shards: len(d.shards), Gen: d.gen}); err != nil {
-		return err
-	} else if _, err := d.openShardJournals(dir, true); err != nil {
+	if err := d.writeLayout(dir, v); err != nil {
 		return err
 	}
 	d.lmu.Lock()
@@ -245,36 +243,75 @@ func (d *Database) writeShardSnapshots(dir string, v *dbview) error {
 	return nil
 }
 
-// openShardJournals opens (or creates) every shard's journal and
-// returns the records each one replayed.  With fresh set, any records
-// found are orphans of a previous incomplete bootstrap — they were
-// never acknowledged against this database — and are reset away.  On
-// an error every journal it opened is closed and detached again.  The
-// caller either holds every shard lock (Persist) or owns the database
-// exclusively (Open), so the jrnl fields are assigned directly.
-func (d *Database) openShardJournals(dir string, fresh bool) ([][]store.Record, error) {
-	recs := make([][]store.Record, len(d.shards))
+// writeLayout writes v into dir as layout generation d.gen: every
+// shard's snapshot, an empty journal per shard, and last the manifest,
+// the layout's commit point, so a layout is committed only once every
+// file it names exists.  On an error nothing the call wrote stays: the
+// journals it opened are closed, detached and removed with its shard
+// snapshots, and no manifest names them, so a retry starts over.  The
+// caller holds every shard lock (Persist) or owns the database
+// exclusively (a reshard in Open).
+func (d *Database) writeLayout(dir string, v *dbview) error {
+	err := d.writeShardSnapshots(dir, v)
+	if err == nil {
+		err = d.openShardJournals(dir)
+	}
+	if err == nil {
+		if err = store.WriteManifestFile(filepath.Join(dir, ManifestName), store.Manifest{Shards: len(d.shards), Gen: d.gen}); err != nil {
+			d.dropShardJournals(dir)
+		}
+	}
+	if err != nil {
+		// No manifest names this generation's snapshots, so they are
+		// nobody's data; a file that resists removal is ignored anyway.
+		for s := range d.shards {
+			_ = os.Remove(filepath.Join(dir, shardSnapName(s, d.gen)))
+		}
+	}
+	return err
+}
+
+// shardJournalPath names shard s's journal file in generation gen.
+func shardJournalPath(dir string, s, gen int) string {
+	return filepath.Join(dir, shardJournalBase(s, gen)+".wal")
+}
+
+// openShardJournals opens (or creates) every shard's journal empty.
+// Any records found are orphans of a previous incomplete bootstrap or
+// reshard — they were never acknowledged against this database — and
+// are reset away.  On an error every journal it opened is closed,
+// detached and removed again.  The caller holds every shard lock or
+// owns the database, so the jrnl fields are assigned directly.
+func (d *Database) openShardJournals(dir string) error {
 	for s, sh := range d.shards {
-		w, srecs, err := store.OpenWAL(filepath.Join(dir, shardJournalBase(s, d.gen)+".wal"))
-		if err == nil && fresh && len(srecs) > 0 {
+		w, recs, err := store.OpenWAL(shardJournalPath(dir, s, d.gen))
+		if err == nil && len(recs) > 0 {
 			if err = w.Reset(); err != nil {
 				_ = w.Close()
 			}
-			srecs = nil
 		}
 		if err != nil {
-			// The open error is the one to report; closing is cleanup.
-			for _, opened := range d.shards[:s] {
-				_ = opened.jrnl.Close()
-				opened.jrnl = nil
-			}
-			return nil, err
+			// The open error is the one to report; the rest is cleanup.
+			d.dropShardJournals(dir)
+			return err
 		}
-		recs[s] = srecs
 		w.SetTimings(d.walTimings())
 		sh.jrnl = w
 	}
-	return recs, nil
+	return nil
+}
+
+// dropShardJournals closes, detaches and removes every journal a
+// failed writeLayout opened.  The caller holds every shard lock or
+// owns the database.
+func (d *Database) dropShardJournals(dir string) {
+	for s, sh := range d.shards {
+		if sh.jrnl != nil {
+			_ = sh.jrnl.Close()
+			sh.jrnl = nil
+			_ = os.Remove(shardJournalPath(dir, s, d.gen))
+		}
+	}
 }
 
 // refuseLeftoverSegments fails when dir holds a sealed journal segment,
@@ -311,6 +348,7 @@ func (d *Database) attachDurability(dir string, cfg *config, snapVersion int64, 
 	d.walSync.Store(cfg.walSync)
 	d.walCap.Store(cfg.walCap)
 	d.snapVersion.Store(snapVersion)
+	d.snapCaptured.Store(snapVersion)
 	d.lastSnap.Store(savedAt.UnixNano())
 	d.snapSignal = make(chan struct{}, 1)
 	d.stopSnap = make(chan struct{})
@@ -323,9 +361,16 @@ func (d *Database) attachDurability(dir string, cfg *config, snapVersion int64, 
 // seed index is rebuilt from the entries), then the shard's
 // write-ahead-log tail is replayed — every mutation acknowledged after
 // that snapshot, up to the first torn record a crash may have left — so
-// a kill -9 between snapshots loses nothing.  The global version and ID counters are
-// stitched back from the shard snapshots and the journaled global
-// mutation numbers.
+// a kill -9 between snapshots loses nothing.  The global version and ID
+// counters are stitched back from the shard snapshots and the journaled
+// global mutation numbers.
+//
+// Recovery runs every shard at once: the snapshot files are read whole
+// and decoded concurrently, the shards and their seed indexes are
+// assembled concurrently, and each shard then replays its own journal
+// tail in bulk (see replayShard).  Each shard's recovery report —
+// snapshot bytes and read time, index build time, journal records
+// replayed and skipped, replay time — appears in ShardStats.
 //
 // The engine options come from the snapshot fingerprints; only
 // durability options may be passed (WithSync, WithSnapshotInterval,
@@ -333,7 +378,8 @@ func (d *Database) attachDurability(dir string, cfg *config, snapVersion int64, 
 // WithShards to reshard the directory in place and WithBackend /
 // WithLaneWidth to pick the simulation engine and its pack width — all
 // runtime choices a snapshot deliberately does not fix, because none of
-// them changes a report.
+// them changes a report.  A reshard builds new shards from the
+// recovered state, and they carry no recovery report.
 //
 // The database resumes journaling and background snapshotting in dir.
 // Call Close to shut it down cleanly.
@@ -351,21 +397,9 @@ func Open(dir string, opts ...Option) (*Database, error) {
 	if err := refuseLeftoverSegments(dir, m.Gen); err != nil {
 		return nil, err
 	}
-	snaps := make([]*store.Snapshot, m.Shards)
-	for s := 0; s < m.Shards; s++ {
-		path := filepath.Join(dir, shardSnapName(s, m.Gen))
-		snap, err := store.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if snap.Shard != s || snap.ShardCount != m.Shards {
-			return nil, fmt.Errorf("racelogic: %s claims shard %d of %d, manifest says %d of %d",
-				path, snap.Shard, snap.ShardCount, s, m.Shards)
-		}
-		if s > 0 && snap.Options != snaps[0].Options {
-			return nil, fmt.Errorf("racelogic: %s options fingerprint differs from shard 0 — mixed layouts in one directory", path)
-		}
-		snaps[s] = snap
+	snaps, reports, infos, err := readShardSnapshots(dir, m)
+	if err != nil {
+		return nil, err
 	}
 	base, err := configFromStoreOptions(snaps[0].Options)
 	if err != nil {
@@ -381,10 +415,6 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		reshardTo = cfg.resolveShards()
 	}
 	cfg.shards = m.Shards
-	info, err := os.Stat(filepath.Join(dir, shardSnapName(0, m.Gen)))
-	if err != nil {
-		return nil, err
-	}
 
 	parts := make([]shardPart, m.Shards)
 	globalVersion := int64(0)
@@ -393,7 +423,7 @@ func Open(dir string, opts ...Option) (*Database, error) {
 	covered := snaps[0].GlobalVersion
 	nextID := uint64(0)
 	for s, snap := range snaps {
-		parts[s] = shardPart{entries: snap.Entries, ids: snap.IDs, seq: snap.Version}
+		parts[s] = shardPart{entries: snap.Entries, ids: snap.IDs, seq: snap.Version, recovery: reports[s]}
 		for slot, dead := range snap.Dead {
 			if dead {
 				parts[s].dead = append(parts[s].dead, slot)
@@ -410,11 +440,7 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		return nil, err
 	}
 	d.gen = m.Gen
-	recs, err := d.openShardJournals(dir, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.replayShardJournals(recs, snaps); err != nil {
+	if err := d.replayShardJournals(dir, snaps); err != nil {
 		d.closeShardJournals()
 		return nil, err
 	}
@@ -422,8 +448,8 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		return reshard(dir, d, cfg, reshardTo, m.Gen+1)
 	}
 	cleanupStaleLayout(dir, m.Gen)
-	for _, sh := range d.shards {
-		sh.lastSnap.Store(info.ModTime().UnixNano())
+	for s, sh := range d.shards {
+		sh.lastSnap.Store(infos[s].ModTime().UnixNano())
 	}
 	// A replayed record is in no snapshot, yet need not raise the version
 	// past covered: a checkpoint captures the view without the shard
@@ -434,77 +460,230 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		covered = min(covered, d.view.Load().version-1)
 	}
 	d.lmu.Lock()
-	d.attachDurability(dir, cfg, covered, info.ModTime())
+	d.attachDurability(dir, cfg, covered, infos[0].ModTime())
 	d.lmu.Unlock()
 	return d, nil
 }
 
-// replayShardJournals replays each shard's journal tail over its
-// restored snapshot.  Records a shard snapshot already covers are
-// skipped — a crash between "snapshot renamed" and "journal truncated"
-// makes them legitimate leftovers — and the remainder must advance the
-// shard's sequence gaplessly; anything else means the directory holds a
-// journal from some other history, and loading it would serve wrong
-// data.  The global version and ID counters advance to the maximum the
-// records carry.
+// readShardSnapshots reads every shard snapshot the manifest names,
+// all at once, and checks that each one claims its own place in the
+// layout and shares shard 0's options fingerprint.  It returns each
+// shard's snapshot, a recovery report holding the read, and the file's
+// stat.  Errors are reported for the lowest shard first, as reading
+// the shards one by one would meet them.
+func readShardSnapshots(dir string, m store.Manifest) ([]*store.Snapshot, []*ShardRecovery, []os.FileInfo, error) {
+	snaps := make([]*store.Snapshot, m.Shards)
+	reports := make([]*ShardRecovery, m.Shards)
+	infos := make([]os.FileInfo, m.Shards)
+	errs := make([]error, m.Shards)
+	var wg sync.WaitGroup
+	for s := range snaps {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			path := filepath.Join(dir, shardSnapName(s, m.Gen))
+			begin := time.Now()
+			if infos[s], errs[s] = os.Stat(path); errs[s] != nil {
+				return
+			}
+			snaps[s], errs[s] = store.ReadFile(path)
+			reports[s] = &ShardRecovery{SnapshotBytes: infos[s].Size(), ReadSeconds: time.Since(begin).Seconds()}
+		}(s)
+	}
+	wg.Wait()
+	for s, snap := range snaps {
+		if errs[s] != nil {
+			return nil, nil, nil, errs[s]
+		}
+		path := filepath.Join(dir, shardSnapName(s, m.Gen))
+		if snap.Shard != s || snap.ShardCount != m.Shards {
+			return nil, nil, nil, fmt.Errorf("racelogic: %s claims shard %d of %d, manifest says %d of %d",
+				path, snap.Shard, snap.ShardCount, s, m.Shards)
+		}
+		if s > 0 && snap.Options != snaps[0].Options {
+			return nil, nil, nil, fmt.Errorf("racelogic: %s options fingerprint differs from shard 0 — mixed layouts in one directory", path)
+		}
+	}
+	return snaps, reports, infos, nil
+}
+
+// replayShardJournals opens every shard's journal and replays its tail
+// over the restored snapshot, shards concurrently, then publishes the
+// recovered states as one view.  Records a shard snapshot already
+// covers are skipped — a crash between "snapshot renamed" and "journal
+// truncated" makes them legitimate leftovers — and the remainder must
+// advance the shard's sequence gaplessly; anything else means the
+// directory holds a journal from some other history, and loading it
+// would serve wrong data.  The global version and ID counters advance
+// to the maximum the records carry.  Errors are reported for the
+// lowest shard first; the caller closes the journals opened.
 //
 //racelint:publisher
-func (d *Database) replayShardJournals(recs [][]store.Record, snaps []*store.Snapshot) error {
-	globalVersion := d.view.Load().version
-	nextID := d.nextID.Load()
-	for s, sh := range d.shards {
-		var err error
-		st := d.view.Load().states[s]
-		for _, rec := range recs[s] {
-			if rec.Version <= snaps[s].Version {
-				continue
-			}
-			cur := sh.p.Version()
-			if rec.Version != cur+1 {
-				return fmt.Errorf("racelogic: replaying shard %d journal: gap: record version %d after shard version %d",
-					s, rec.Version, cur)
-			}
-			switch rec.Op {
-			case store.OpInsert:
-				if i, bad := d.cfg.checkEntries(rec.Entries); bad != nil {
-					err = fmt.Errorf("inserted entry ID %d %w", rec.IDs[i], bad)
-					break
-				}
-				st, err = sh.applyInsert(st, rec.IDs, rec.Entries)
-				for _, id := range rec.IDs {
-					if id >= nextID {
-						nextID = id + 1
-					}
-				}
-			case store.OpRemove:
-				st, err = sh.applyRemove(st, rec.IDs)
-			case store.OpCompact:
-				var next *shardstate
-				next, err = sh.applyCompact(st)
-				if err == nil && next == st {
-					err = fmt.Errorf("journaled compaction at shard version %d found nothing to reclaim", rec.Version)
-				}
-				st = next
-			default:
-				err = fmt.Errorf("unknown journal op %d", rec.Op)
-			}
-			if err != nil {
-				return fmt.Errorf("racelogic: replaying shard %d journal: %w", s, err)
-			}
-			d.walReplayed.Add(1)
-			if rec.Global > globalVersion {
-				globalVersion = rec.Global
-			}
-		}
-		d.publish([]int{s}, map[int]*shardstate{s: st}, 0)
-	}
-	// The published version counted per-shard publishes; restamp it with
-	// the recovered global counter (the logical mutation count).
+func (d *Database) replayShardJournals(dir string, snaps []*store.Snapshot) error {
 	v := d.view.Load()
-	d.view.Store(&dbview{version: globalVersion, states: v.states})
+	states := make([]*shardstate, len(d.shards))
+	tails := make([]replayed, len(d.shards))
+	errs := make([]error, len(d.shards))
+	var wg sync.WaitGroup
+	for s, sh := range d.shards {
+		wg.Add(1)
+		go func(s int, sh *shard) {
+			defer wg.Done()
+			begin := time.Now()
+			w, recs, err := store.OpenWAL(shardJournalPath(dir, s, d.gen))
+			if err != nil {
+				errs[s] = err
+				return
+			}
+			w.SetTimings(d.walTimings())
+			sh.jrnl = w
+			states[s], tails[s], errs[s] = sh.replay(d.cfg, v.states[s], recs, snaps[s].Version)
+			if errs[s] != nil {
+				errs[s] = fmt.Errorf("racelogic: replaying shard %d journal: %w", s, errs[s])
+				return
+			}
+			sh.recovery.Replayed, sh.recovery.Skipped = tails[s].records, tails[s].skipped
+			sh.recovery.ReplaySeconds = time.Since(begin).Seconds()
+		}(s, sh)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	globalVersion := v.version
+	nextID := d.nextID.Load()
+	for _, t := range tails {
+		d.walReplayed.Add(t.records)
+		globalVersion = max(globalVersion, t.global)
+		nextID = max(nextID, t.nextID)
+	}
+	// The view carries the recovered global counter, the logical
+	// mutation count, not a count of per-shard publishes.
+	d.view.Store(&dbview{version: globalVersion, states: states})
 	d.ticket.Store(globalVersion)
 	d.nextID.Store(nextID)
 	return nil
+}
+
+// replayed totals one shard's replayed journal tail: the records it
+// applied and skipped, the highest global mutation number among them,
+// and the ID after the highest one they inserted.
+type replayed struct {
+	records, skipped int64
+	global           int64
+	nextID           uint64
+}
+
+// replayBatch holds the inserts and removes of a journal tail not yet
+// applied: the inserted IDs and entries, and the tombstoned slots.
+type replayBatch struct {
+	ids     []uint64
+	entries []string
+	dead    []int
+}
+
+// replay applies one shard's journal records over st, the state its
+// snapshot restored, and returns the recovered state.  It walks the
+// records in journal order and validates each one as a record-by-record
+// replay would, with the same errors, keeping byID and the slot
+// numbering current as it goes; the inserts and removes between two
+// journaled compactions are then applied in bulk by flush.  That is
+// safe because a remove never precedes its ID's insert and no slot is
+// reused before a compaction.  The shard's version ends at the last
+// record's.
+func (sh *shard) replay(cfg *config, st *shardstate, recs []store.Record, covered int64) (*shardstate, replayed, error) {
+	var out replayed
+	var b replayBatch
+	cur := sh.p.Version()
+	for _, rec := range recs {
+		if rec.Version <= covered {
+			out.skipped++
+			continue
+		}
+		if rec.Version != cur+1 {
+			return nil, out, fmt.Errorf("gap: record version %d after shard version %d", rec.Version, cur)
+		}
+		var err error
+		switch rec.Op {
+		case store.OpInsert:
+			if i, bad := cfg.checkEntries(rec.Entries); bad != nil {
+				return nil, out, fmt.Errorf("inserted entry ID %d %w", rec.IDs[i], bad)
+			}
+			slot := len(st.ids) + len(b.ids)
+			for j, id := range rec.IDs {
+				sh.byID[id] = slot + j
+				out.nextID = max(out.nextID, id+1)
+			}
+			b.ids = append(b.ids, rec.IDs...)
+			b.entries = append(b.entries, rec.Entries...)
+		case store.OpRemove:
+			err = sh.replayRemove(&b, rec.IDs)
+		case store.OpCompact:
+			var next *shardstate
+			if st, err = sh.flush(st, &b, cur); err == nil {
+				next, err = sh.applyCompact(st)
+			}
+			if err == nil && next == st {
+				err = fmt.Errorf("journaled compaction at shard version %d found nothing to reclaim", rec.Version)
+			}
+			st = next
+		default:
+			err = fmt.Errorf("unknown journal op %d", rec.Op)
+		}
+		if err != nil {
+			return nil, out, err
+		}
+		cur = rec.Version
+		out.records++
+		out.global = max(out.global, rec.Global)
+	}
+	st, err := sh.flush(st, &b, cur)
+	return st, out, err
+}
+
+// replayRemove resolves one journaled remove against byID and adds the
+// slots to the batch, failing as Database.Remove's apply step would: an
+// ID that names no live entry wraps ErrUnknownID, and an ID the record
+// names twice fails as pipeline.Remove fails a repeated slot.
+func (sh *shard) replayRemove(b *replayBatch, ids []uint64) error {
+	first := len(b.dead)
+	for _, id := range ids {
+		slot, ok := sh.byID[id]
+		if !ok {
+			return fmt.Errorf("racelogic: remove %d: %w", id, ErrUnknownID)
+		}
+		b.dead = append(b.dead, slot)
+	}
+	for i, id := range ids {
+		if _, ok := sh.byID[id]; !ok {
+			return pipeline.NotLive(b.dead[first+i]) // an earlier copy deleted it
+		}
+		delete(sh.byID, id)
+	}
+	return nil
+}
+
+// flush applies a batch to st — its inserts as one pipeline Insert and
+// one seed-index Grow, then its removes as one pipeline Remove — empties
+// the batch and stamps the shard with version, the sequence of the last
+// record the batch took.
+func (sh *shard) flush(st *shardstate, b *replayBatch, version int64) (*shardstate, error) {
+	if len(b.ids) > 0 {
+		var err error
+		if st, _, err = sh.appendSlots(st, b.ids, b.entries); err != nil {
+			return nil, err
+		}
+	}
+	if len(b.dead) > 0 {
+		if _, err := sh.p.Remove(b.dead); err != nil {
+			return nil, err
+		}
+	}
+	*b = replayBatch{}
+	sh.p.SetVersion(version)
+	return &shardstate{snap: sh.p.Snapshot(), idx: st.idx, ids: st.ids, sorted: st.sorted}, nil
 }
 
 // closeShardJournals closes every open journal (the error-path cleanup
@@ -581,25 +760,19 @@ func cleanupStaleLayout(dir string, keepGen int) {
 }
 
 // commitLayout writes d's current state into dir as generation gen of
-// the sharded layout — shard snapshots, then the manifest naming the
-// generation (the commit point), then best-effort removal of every
-// other generation's files.  Until the manifest lands the previous
+// the sharded layout — shard snapshots and empty journals, then the
+// manifest naming the generation (the commit point), then best-effort
+// removal of every other generation's files.  Until the manifest lands the previous
 // layout stays authoritative and complete, because no file of it is
 // touched; after it, the new one is, and leftovers are ignored.  The
 // returned database is attached and journaling.
 func commitLayout(dir string, d *Database, cfg *config, gen int) (*Database, error) {
 	d.gen = gen
 	v := d.view.Load()
-	if err := d.writeShardSnapshots(dir, v); err != nil {
-		return nil, err
-	}
-	if err := store.WriteManifestFile(filepath.Join(dir, ManifestName), store.Manifest{Shards: len(d.shards), Gen: gen}); err != nil {
+	if err := d.writeLayout(dir, v); err != nil {
 		return nil, err
 	}
 	cleanupStaleLayout(dir, gen)
-	if _, err := d.openShardJournals(dir, true); err != nil {
-		return nil, err
-	}
 	d.lmu.Lock()
 	d.attachDurability(dir, cfg, v.version, time.Now())
 	d.lmu.Unlock()
@@ -607,10 +780,12 @@ func commitLayout(dir string, d *Database, cfg *config, gen int) (*Database, err
 }
 
 // signalSnapshotter nudges the background snapshotter when enough
-// mutations have accumulated since the last durable snapshot set, or
-// when full reports that the mutation carried a shard's journal across
-// another multiple of the byte cap — the trigger that holds even with
-// the count and interval triggers disabled.
+// mutations have accumulated since the view the newest checkpoint
+// captured — written or still being written, so a mutation that lands
+// while a set is written does not queue a second set right behind it —
+// or when full reports that the mutation carried a shard's journal
+// across another multiple of the byte cap, the trigger that holds even
+// with the count and interval triggers disabled.
 func (d *Database) signalSnapshotter(full bool) {
 	d.lmu.Lock()
 	every := d.snapEvery
@@ -620,7 +795,7 @@ func (d *Database) signalSnapshotter(full bool) {
 	if !running || signal == nil {
 		return
 	}
-	if !full && (every <= 0 || d.view.Load().version-d.snapVersion.Load() < int64(every)) {
+	if !full && (every <= 0 || d.view.Load().version-d.snapCaptured.Load() < int64(every)) {
 		return
 	}
 	select {
@@ -681,8 +856,12 @@ func (d *Database) snapshotLoop() {
 // while each shard's journal is truncated, and a journal is truncated
 // only when no mutation landed on its shard mid-write (records a
 // snapshot covers are skipped at replay anyway, so a skipped truncation
-// is never a correctness problem).  On a memory-only database
-// Checkpoint is a no-op; on a closed one it returns ErrClosed.
+// is never a correctness problem).  The count trigger of
+// WithSnapshotEvery counts mutations from the view a checkpoint
+// captures, from the capture on, so mutations landing while the set is
+// written count toward the next checkpoint instead of forcing one right
+// behind this one.  On a memory-only database Checkpoint is a no-op; on
+// a closed one it returns ErrClosed.
 func (d *Database) Checkpoint() error {
 	if d.closed.Load() {
 		return ErrClosed
@@ -714,7 +893,10 @@ func (d *Database) checkpoint() error {
 		// would actually replay.
 		return d.truncateCoveredJournals(v)
 	}
+	d.snapCaptured.Store(v.version)
 	if err := d.writeShardSnapshots(dir, v); err != nil {
+		// Count the next trigger from the set on disk again.
+		d.snapCaptured.Store(d.snapVersion.Load())
 		return err
 	}
 	d.snapVersion.Store(v.version)
@@ -847,6 +1029,24 @@ func (d *Database) SnapshotAge() time.Duration {
 	return time.Since(time.Unix(0, d.lastSnap.Load()))
 }
 
+// ShardRecovery is how Open restored one shard, the per-layer split of
+// its recovery time.
+type ShardRecovery struct {
+	// SnapshotBytes is the size of the shard's snapshot file, and
+	// ReadSeconds the time to read, check and decode it.
+	SnapshotBytes int64   `json:"snapshot_bytes"`
+	ReadSeconds   float64 `json:"read_seconds"`
+	// IndexSeconds is the time to build the shard's seed index from the
+	// snapshot's entries; 0 without WithSeedIndex.
+	IndexSeconds float64 `json:"index_seconds"`
+	// Replayed counts the journal records applied over the snapshot and
+	// Skipped the records it already covered.  ReplaySeconds is the time
+	// to read the journal and apply its tail.
+	Replayed      int64   `json:"replayed"`
+	Skipped       int64   `json:"skipped"`
+	ReplaySeconds float64 `json:"replay_seconds"`
+}
+
 // ShardStat is one shard's gauge set, as surfaced by /stats.
 type ShardStat struct {
 	// Shard is the partition number.
@@ -862,6 +1062,10 @@ type ShardStat struct {
 	// SnapshotAgeSeconds is the age of the shard's newest durable
 	// snapshot file, -1 when not durable.
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
+	// Recovery is how Open restored the shard from its snapshot and
+	// journal; nil when this process built the shard instead (NewDatabase,
+	// or a reshard).
+	Recovery *ShardRecovery `json:"recovery,omitempty"`
 }
 
 // ShardStats returns per-shard gauges, one entry per partition.
@@ -891,6 +1095,10 @@ func (d *Database) shardStatsAt(v *dbview) []ShardStat {
 		sh.mu.Unlock()
 		if durable {
 			stat.SnapshotAgeSeconds = time.Since(time.Unix(0, sh.lastSnap.Load())).Seconds()
+		}
+		if sh.recovery != nil {
+			rec := *sh.recovery
+			stat.Recovery = &rec
 		}
 		out[s] = stat
 	}

@@ -1,7 +1,6 @@
 package racelogic_test
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -374,8 +373,8 @@ func TestDurabilityAPIErrors(t *testing.T) {
 
 // TestFailedPersistDetachesJournals pins Persist's error path: when one
 // shard's journal cannot be created, the journals it already opened are
-// closed and detached, so the database stays memory-only and later
-// mutations reach no journal file.
+// closed, detached and removed, so the database stays memory-only and
+// later mutations reach no journal file.
 func TestFailedPersistDetachesJournals(t *testing.T) {
 	g := seqgen.NewDNA(113)
 	dir := t.TempDir()
@@ -394,24 +393,76 @@ func TestFailedPersistDetachesJournals(t *testing.T) {
 		t.Error("a failed Persist left the database durable")
 	}
 	journal := filepath.Join(dir, "shard-0000.g0.wal")
-	before, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("a failed Persist left %s behind (stat: %v)", journal, err)
 	}
 	for i := 0; i < 8; i++ {
 		if _, err := db.Insert(g.Random(8)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, before) {
-		t.Errorf("8 inserts after a failed Persist grew %s from %d to %d bytes", journal, len(before), len(after))
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("8 inserts after a failed Persist recreated %s (stat: %v)", journal, err)
 	}
 	if n := db.WALRecords(); n != 0 {
 		t.Errorf("a failed Persist left journals attached: WALRecords = %d", n)
+	}
+}
+
+// TestFailedPersistCommitsNothing pins the order Persist writes a
+// layout in: every journal exists before the manifest commits it, and a
+// failed call removes what it wrote.  With shard 1's journal path taken
+// by a directory, Persist fails, the directory holds no database, and a
+// retry once the blocker is gone persists every entry.
+func TestFailedPersistCommitsNothing(t *testing.T) {
+	g := seqgen.NewDNA(229)
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "shard-0001.g0.wal")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	db, err := racelogic.NewDatabase(g.Database(6, 8), racelogic.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Persist(dir); err == nil {
+		t.Fatal("Persist succeeded with shard 1's journal path taken by a directory")
+	}
+	if _, err := racelogic.Open(dir); !errors.Is(err, racelogic.ErrNoDatabase) {
+		t.Fatalf("Open after a failed Persist: got %v, want ErrNoDatabase", err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0].Name() != filepath.Base(blocker) {
+		var names []string
+		for _, e := range left {
+			names = append(names, e.Name())
+		}
+		t.Errorf("a failed Persist left %v, want only the blocker", names)
+	}
+
+	if _, err := db.Insert(g.Random(8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Persist(dir); err != nil {
+		t.Fatalf("Persist retried after the blocker was removed: %v", err)
+	}
+	want := db.IDs()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := racelogic.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if got := back.IDs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened %d IDs, want the %d the retried Persist held", len(got), len(want))
 	}
 }
 

@@ -41,6 +41,7 @@ type listPackage struct {
 	CgoFiles   []string
 	Export     string
 	DepOnly    bool
+	Module     *struct{ Main bool }
 	Error      *struct{ Err string }
 }
 
@@ -67,7 +68,7 @@ func ModuleRoot(dir string) (string, error) {
 func goList(dir string, patterns []string) ([]listPackage, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,CgoFiles,Export,DepOnly,Error",
+		"-json=ImportPath,Dir,GoFiles,CgoFiles,Export,DepOnly,Module,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -184,6 +185,13 @@ func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Import
 // are resolvable by `go list` from dir — the analysistest harness uses
 // it to type-check testdata packages against real stdlib (and module)
 // export data.
+//
+// The export data comes from a `go list` subprocess, whose reads the
+// test cache never sees, so StdImporter stats the Go files of every
+// module package among the imports and their dependencies itself: the
+// go command records a test's file stats as its inputs, so editing one
+// of those packages reruns a cached fixture test instead of replaying
+// its old result.
 func StdImporter(fset *token.FileSet, dir string, importPaths []string) (types.Importer, error) {
 	exports := make(map[string]string)
 	if len(importPaths) > 0 {
@@ -194,6 +202,13 @@ func StdImporter(fset *token.FileSet, dir string, importPaths []string) (types.I
 		for _, p := range listed {
 			if p.Export != "" {
 				exports[p.ImportPath] = p.Export
+			}
+			if p.Module != nil && p.Module.Main {
+				for _, name := range p.GoFiles {
+					if _, err := os.Stat(filepath.Join(p.Dir, name)); err != nil {
+						return nil, fmt.Errorf("load: %s: %w", p.ImportPath, err)
+					}
+				}
 			}
 		}
 	}

@@ -31,17 +31,24 @@
 // array of offsets into it.  A shard past math.MaxInt32 slots fails
 // loudly instead of wrapping.
 //
-// New counting-sorts every k-mer occurrence into its bucket and sorts
-// each bucket.  Candidates binary-searches each of the query's k-mers
-// in its bucket and unions their postings, plus the entries shorter
-// than k.  Grow copies the 8 KiB directory and replaces each bucket its
-// new k-mers land in with a merge of the old bucket and the sorted new
-// k-mers, sharing every other bucket with the parent, so it costs
-// O(fanout + the k-mers and postings of the touched buckets + the new
-// entries' k-mers) and never writes memory an older version reads.
-// WAL replay, which re-applies inserts through the same Grow, pays the
-// same per record.  A k-mer that most entries share keeps one long
-// posting list, which every Grow touching its bucket copies.
+// New lists every k-mer occurrence in slot order and orders them by
+// k-mer with a stable least-significant-digit radix sort, one counting
+// pass per k-mer byte (prefix bytes read from the packed key, tail
+// bytes from the entry, so every k takes one path), with no comparison
+// sort.  The sorted occurrences arrive grouped by k-mer in byte order,
+// slots ascending, so New sizes every bucket and then fills each one
+// directly, repeats within an entry dropped.  Candidates binary-searches
+// each of the query's k-mers in its bucket and unions their ascending
+// posting lists, plus the entries shorter than k, by merging them pair
+// by pair.  Grow builds fresh buckets from the new entries exactly as
+// New does, copies the 8 KiB directory, installs each fresh bucket
+// whose slot was empty and replaces each one that held k-mers with a
+// merge of the two, sharing every other bucket with the parent, so it
+// costs O(fanout + the k-mers and postings of the touched buckets + the
+// new entries' k-mers) and never writes memory an older version reads.
+// WAL replay grows each shard once for all the inserts between two
+// journaled compactions.  A k-mer that most entries share keeps one
+// long posting list, which every Grow touching its bucket copies.
 //
 // The sharded database keeps one Index instance per shard, over that
 // shard's local slots, so inserts landing on different shards grow

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -136,7 +135,8 @@ func (ix *Index) SetStats(s *Stats) { ix.stats = s }
 
 // New builds the index over entries with seed length k ≥ 1.  Entries are
 // identified by their slice position, matching pipeline candidate
-// indices.
+// indices.  Every bucket starts empty, so New fills each one directly
+// from its sorted k-mers (see builder.fill); no bucket is merged.
 //
 //racelint:cowsafe
 func New(entries []string, k int) (*Index, error) {
@@ -146,7 +146,11 @@ func New(entries []string, k int) (*Index, error) {
 	if err := checkSlots(0, entries); err != nil {
 		return nil, err
 	}
-	return (&Index{k: k}).Grow(entries), nil
+	g := newBuilder(k, 0, entries)
+	occ, short := g.occurrences()
+	ix := &Index{k: k, n: len(entries), dir: make([]*bucket, fanout), always: short}
+	ix.kmers = g.fill(ix.dir, g.sortByKmer(occ))
+	return ix, nil
 }
 
 // checkSlots returns an error when entries appended at slot base would
@@ -193,11 +197,11 @@ func (ix *Index) windows(ws []window, s string) []window {
 // Grow returns a new Index covering the old entries plus entries
 // appended at slots [ix.Len(), ix.Len()+len(entries)) — the incremental
 // update for a database insert.  It copies the postings directory,
-// counting-sorts the new entries' k-mers into their buckets, and
-// replaces each bucket they land in with a merge of the old bucket and
-// its sorted new k-mers; every other bucket is shared with the parent.
-// Its cost is O(fanout + the k-mers and postings of the touched buckets
-// + the new entries' k-mers), never O(every indexed k-mer).  No memory
+// sorts the new entries' k-mers into fresh buckets as New does, and
+// replaces each bucket they land in that already held k-mers with a
+// merge of the two; every other bucket is shared with the parent.  Its
+// cost is O(fanout + the k-mers and postings of the touched buckets +
+// the new entries' k-mers), never O(every indexed k-mer).  No memory
 // the parent reads is written, so any number of Grows may derive from
 // one Index.  Grow panics when the slots outgrow int32 (New reports
 // that as an error instead).
@@ -207,130 +211,252 @@ func (ix *Index) Grow(entries []string) *Index {
 	if err := checkSlots(ix.n, entries); err != nil {
 		panic(err)
 	}
+	g := newBuilder(ix.k, ix.n, entries)
+	occ, short := g.occurrences()
 	nx := &Index{
 		k:      ix.k,
 		n:      ix.n + len(entries),
 		dir:    make([]*bucket, fanout),
 		kmers:  ix.kmers,
-		always: slices.Clip(ix.always),
+		always: append(slices.Clip(ix.always), short...),
 		stats:  ix.stats,
 	}
 	copy(nx.dir, ix.dir)
-	// Counting sort: size each bucket's run of new occurrences, then
-	// place them, so each bucket sorts only its own run.
-	var start [fanout + 1]int
-	var ws []window
-	for j, e := range entries {
-		if len(e) < ix.k {
-			nx.always = append(nx.always, ix.n+j)
-			continue
-		}
-		ws = ix.windows(ws[:0], e)
-		for _, w := range ws {
-			start[w.bucket+1]++
-		}
-	}
-	for b := 0; b < fanout; b++ {
-		start[b+1] += start[b]
-	}
-	occ := make([]occurrence, start[fanout])
-	next := start
-	for j, e := range entries {
-		ws = ix.windows(ws[:0], e)
-		for _, w := range ws {
-			occ[next[w.bucket]] = occurrence{key: w.key, slot: int32(ix.n + j), off: int32(w.off)}
-			next[w.bucket]++
-		}
-	}
-	g := &grower{k: ix.k, w: min(ix.k, prefixLen), tl: max(ix.k-prefixLen, 0), base: ix.n, entries: entries}
-	for b := 0; b < fanout; b++ {
-		run := occ[start[b]:start[b+1]]
-		if len(run) == 0 {
-			continue
-		}
-		slices.SortFunc(run, g.compare)
-		var added int
-		nx.dir[b], added = g.merge(nx.dir[b], run)
-		nx.kmers += added
-	}
+	nx.kmers += g.fill(nx.dir, g.sortByKmer(occ))
 	return nx
 }
 
-// occurrence is one k-mer window of an entry being added: its packed
+// occurrence is one k-mer window of an entry being indexed: its packed
 // prefix, its entry slot and the window's offset in the entry.
 type occurrence struct {
 	key       uint64
 	slot, off int32
 }
 
-// grower resolves the tails of one Grow's occurrences: the new entries,
-// the slot the first of them takes, and the k-mer geometry.
-type grower struct {
+// builder indexes one batch of entries appended at slot base: it lists
+// their k-mer occurrences, sorts them by k-mer and fills buckets.
+type builder struct {
 	k, w, tl int // seed length, packed prefix bytes, tail bytes
 	base     int
 	entries  []string
 }
 
+func newBuilder(k, base int, entries []string) *builder {
+	return &builder{k: k, w: min(k, prefixLen), tl: max(k-prefixLen, 0), base: base, entries: entries}
+}
+
 // tail returns the bytes of o's k-mer past its packed prefix.
-func (g *grower) tail(o occurrence) string {
+func (g *builder) tail(o occurrence) string {
+	if g.tl == 0 {
+		return ""
+	}
 	return g.entries[int(o.slot)-g.base][int(o.off)+g.w : int(o.off)+g.k]
 }
 
-// compare orders occurrences by k-mer, then slot.
-func (g *grower) compare(a, b occurrence) int {
-	if a.key != b.key {
-		return cmp.Compare(a.key, b.key)
-	}
-	if g.tl > 0 {
-		if c := strings.Compare(g.tail(a), g.tail(b)); c != 0 {
-			return c
-		}
-	}
-	return cmp.Compare(a.slot, b.slot)
-}
-
 // sameKmer reports whether two occurrences are windows of one k-mer.
-func (g *grower) sameKmer(a, b occurrence) bool {
+func (g *builder) sameKmer(a, b occurrence) bool {
 	return a.key == b.key && (g.tl == 0 || g.tail(a) == g.tail(b))
 }
 
-// merge returns a new bucket uniting old (nil when empty) with occ, the
-// bucket's new occurrences sorted by compare, and the number of k-mers
-// occ adds.  The old k-mers between two new ones move as one run of
-// each array.  Every new slot exceeds every slot in old, so appending a
-// k-mer's new slots after its old ones keeps its postings ascending.
-func (g *grower) merge(old *bucket, occ []occurrence) (*bucket, int) {
-	// Drop the repeats of a k-mer within one entry, and count the
-	// distinct new k-mers to size the arrays.
-	kept, kmers := 0, 0
-	for _, o := range occ {
-		if kept > 0 && g.sameKmer(occ[kept-1], o) {
-			if occ[kept-1].slot == o.slot {
-				continue
+// occurrences lists every k-mer window of the entries in slot order,
+// offsets ascending within an entry, and returns the slots of the
+// entries shorter than k (nil when there are none).
+func (g *builder) occurrences() ([]occurrence, []int) {
+	total := 0
+	var short []int
+	for j, e := range g.entries {
+		if len(e) < g.k {
+			short = append(short, g.base+j)
+			continue
+		}
+		total += len(e) - g.k + 1
+	}
+	occ := make([]occurrence, 0, total)
+	mask := ^uint64(0) >> (64 - 8*g.w)
+	for j, e := range g.entries {
+		if len(e) < g.k {
+			continue
+		}
+		slot := int32(g.base + j)
+		var key uint64
+		for i := 0; i < g.w-1; i++ {
+			key = key<<8 | uint64(e[i])
+		}
+		for o := 0; o+g.k <= len(e); o++ {
+			key = (key<<8 | uint64(e[o+g.w-1])) & mask
+			occ = append(occ, occurrence{key: key, slot: slot, off: int32(o)})
+		}
+	}
+	return occ, short
+}
+
+// sortByKmer stable-sorts occ by k-mer with a least-significant-digit
+// radix sort: one counting pass per k-mer byte, from the last byte to
+// the first, skipping a byte every occurrence shares.  A byte inside
+// the packed prefix is read from the key, a tail byte from the entry,
+// so every k takes the same path.  Stability keeps the occurrences of
+// one k-mer in the order occurrences listed them, so the result is
+// grouped by k-mer in byte order with each group's slots ascending.
+func (g *builder) sortByKmer(occ []occurrence) []occurrence {
+	if len(occ) < 2 {
+		return occ
+	}
+	buf := make([]occurrence, len(occ))
+	digits := make([]byte, len(occ))
+	var start [256]int
+	for j := g.k - 1; j >= 0; j-- {
+		clear(start[:])
+		if j < g.w {
+			shift := 8 * uint(g.w-1-j)
+			for i, o := range occ {
+				d := byte(o.key >> shift)
+				digits[i] = d
+				start[d]++
 			}
 		} else {
-			kmers++
+			for i, o := range occ {
+				d := g.entries[int(o.slot)-g.base][int(o.off)+j]
+				digits[i] = d
+				start[d]++
+			}
 		}
-		occ[kept] = o
-		kept++
+		if start[digits[0]] == len(occ) {
+			continue
+		}
+		pos := 0
+		for d, n := range start {
+			start[d] = pos
+			pos += n
+		}
+		for i, o := range occ {
+			d := digits[i]
+			buf[start[d]] = o
+			start[d]++
+		}
+		occ, buf = buf, occ
 	}
-	occ = occ[:kept]
-	if old == nil {
-		old = new(bucket)
+	return occ
+}
+
+// fill adds the k-mers of occ, sorted by sortByKmer, to dir and returns
+// how many of them dir did not hold.  The first walk counts the new
+// k-mers and postings each bucket receives; the second writes every
+// distinct k-mer, dropping its repeats within one entry, into its
+// bucket's windows of arrays shared by the whole batch.  The k-mers
+// arrive in byte order, so each bucket's do too.  A bucket dir left
+// empty takes its fresh bucket as is; one that held k-mers is replaced
+// by a merge of the two.
+//
+//racelint:cowsafe
+func (g *builder) fill(dir []*bucket, occ []occurrence) int {
+	// groups[x] is the bucket of the x-th distinct k-mer.
+	var groups []uint16
+	var cur [fanout]struct{ key, off, post, first int }
+	for i := 0; i < len(occ); {
+		b := bucketOf(occ[i].key, g.tail(occ[i]))
+		groups = append(groups, uint16(b))
+		cur[b].key++
+		cur[b].post++
+		j := i + 1
+		for ; j < len(occ) && g.sameKmer(occ[i], occ[j]); j++ {
+			if occ[j].slot != occ[j-1].slot {
+				cur[b].post++
+			}
+		}
+		i = j
 	}
-	if len(old.slots)+len(occ) > math.MaxInt32 {
-		panic(fmt.Sprintf("index: %d postings in one bucket overflow int32 offsets", len(old.slots)+len(occ)))
+	if len(groups) == 0 {
+		return 0
 	}
-	size := len(old.keys) + kmers
+	// Turn the counts into window starts.  A bucket's offsets take one
+	// more element than its k-mers, the leading zero.
+	keyAt, postAt, touched := 0, 0, 0
+	for b := range cur {
+		c := &cur[b]
+		if c.key == 0 {
+			continue
+		}
+		if c.post > math.MaxInt32 {
+			panic(fmt.Sprintf("index: %d postings in one bucket overflow int32 offsets", c.post))
+		}
+		nk, np := c.key, c.post
+		c.key, c.off, c.post, c.first = keyAt, keyAt+touched+1, postAt, postAt
+		keyAt += nk
+		postAt += np
+		touched++
+	}
+	keys := make([]uint64, keyAt)
+	offs := make([]int32, keyAt+touched)
+	slots := make([]int32, postAt)
+	tails := make([]byte, keyAt*g.tl)
+	for i, x := 0, 0; i < len(occ); x++ {
+		c := &cur[groups[x]]
+		keys[c.key] = occ[i].key
+		copy(tails[c.key*g.tl:], g.tail(occ[i]))
+		slots[c.post] = occ[i].slot
+		c.post++
+		j := i + 1
+		for ; j < len(occ) && g.sameKmer(occ[i], occ[j]); j++ {
+			if occ[j].slot != occ[j-1].slot {
+				slots[c.post] = occ[j].slot
+				c.post++
+			}
+		}
+		offs[c.off] = int32(c.post - c.first)
+		c.key++
+		c.off++
+		i = j
+	}
+	// Cut the windows in bucket order: each ends where its cursors
+	// stopped, and the next starts there.
+	tailStr := string(tails)
+	added := 0
+	keyAt, postAt = 0, 0
+	for b := range cur {
+		c := &cur[b]
+		if c.post == c.first {
+			continue // no new k-mer: untouched
+		}
+		o := keyAt + (c.off - c.key) - 1
+		fresh := bucket{
+			keys:  keys[keyAt:c.key:c.key],
+			tails: tailStr[keyAt*g.tl : c.key*g.tl],
+			offs:  offs[o:c.off:c.off],
+			slots: slots[postAt:c.post:c.post],
+		}
+		if dir[b] == nil {
+			installed := fresh
+			dir[b] = &installed
+			added += len(fresh.keys)
+		} else {
+			var n int
+			dir[b], n = merge(dir[b], &fresh, g.tl)
+			added += n
+		}
+		keyAt, postAt = c.key, c.post
+	}
+	return added
+}
+
+// merge returns a new bucket uniting old with fresh, a bucket of k-mers
+// that all sit in later slots than old's, and the number of k-mers
+// fresh adds.  The old k-mers between two fresh ones move as one run of
+// each array, and a k-mer both hold lists old's slots, then fresh's,
+// which keeps its postings ascending.
+func merge(old, fresh *bucket, tl int) (*bucket, int) {
+	if len(old.slots)+len(fresh.slots) > math.MaxInt32 {
+		panic(fmt.Sprintf("index: %d postings in one bucket overflow int32 offsets", len(old.slots)+len(fresh.slots)))
+	}
+	size := len(old.keys) + len(fresh.keys)
 	keys := make([]uint64, 0, size)
 	offs := make([]int32, 1, size+1)
-	slots := make([]int32, 0, len(old.slots)+len(occ))
+	slots := make([]int32, 0, len(old.slots)+len(fresh.slots))
 	var tails strings.Builder
-	tails.Grow(size * g.tl)
+	tails.Grow(size * tl)
 	// run appends old k-mers [i, end) with their postings.
 	run := func(i, end int) {
 		keys = append(keys, old.keys[i:end]...)
-		tails.WriteString(old.tails[i*g.tl : end*g.tl])
+		tails.WriteString(old.tails[i*tl : end*tl])
 		n, delta := len(offs), int32(len(slots))-old.offs[i]
 		offs = append(offs, old.offs[i+1:end+1]...)
 		for x := n; x < len(offs); x++ {
@@ -339,25 +465,22 @@ func (g *grower) merge(old *bucket, occ []occurrence) (*bucket, int) {
 		slots = append(slots, old.slots[old.offs[i]:old.offs[end]]...)
 	}
 	added, i := 0, 0
-	for j := 0; j < len(occ); {
-		tail := g.tail(occ[j])
-		at := old.search(i, occ[j].key, tail)
+	for j, key := range fresh.keys {
+		tail := fresh.tail(j, tl)
+		at := old.search(i, key, tail)
 		if at > i {
 			run(i, at)
 		}
-		if at < len(old.keys) && old.keys[at] == occ[j].key && old.tail(at, g.tl) == tail {
-			run(at, at+1)
+		keys = append(keys, key)
+		tails.WriteString(tail)
+		if at < len(old.keys) && old.keys[at] == key && old.tail(at, tl) == tail {
+			slots = append(slots, old.postings(at)...)
 			at++
 		} else {
-			keys = append(keys, occ[j].key)
-			tails.WriteString(tail)
-			offs = append(offs, int32(len(slots)))
 			added++
 		}
-		for first := occ[j]; j < len(occ) && g.sameKmer(first, occ[j]); j++ {
-			slots = append(slots, occ[j].slot)
-		}
-		offs[len(offs)-1] = int32(len(slots))
+		slots = append(slots, fresh.postings(j)...)
+		offs = append(offs, int32(len(slots)))
 		i = at
 	}
 	if i < len(old.keys) {
@@ -398,9 +521,10 @@ func (ix *Index) Candidates(query string) []int {
 	}
 	// Binary-search each window's k-mer in its bucket.  A hit packs the
 	// (bucket, position) of an indexed k-mer into one word, so sorting
-	// the hits drops the query's repeated k-mers.  Then gather their
-	// postings plus the short entries, sort and dedupe:
-	// O(hits log hits), never O(slots).
+	// the hits drops the query's repeated k-mers.  Each hit's postings
+	// and the short entries are ascending runs without repeats; gather
+	// them and union them by merging: O(postings · log hits), never
+	// O(slots).
 	var wbuf [32]window
 	var hbuf [32]uint64
 	w := min(ix.k, prefixLen)
@@ -416,17 +540,81 @@ func (ix *Index) Candidates(query string) []int {
 	for _, h := range hits {
 		n += len(ix.dir[h>>32].postings(int(uint32(h))))
 	}
-	cands := make([]int, 0, n)
+	// The runs and the merge scratch sit on the stack unless the lookup
+	// is large; only the union is copied out.
+	var abuf, bbuf [128]int
+	runs, scratch := abuf[:0], bbuf[:]
+	if n > len(abuf) {
+		runs, scratch = make([]int, 0, n), make([]int, n)
+	}
+	var ebuf [33]int
+	ends := ebuf[:0]
 	for _, h := range hits {
 		for _, slot := range ix.dir[h>>32].postings(int(uint32(h))) {
-			cands = append(cands, int(slot))
+			runs = append(runs, int(slot))
 		}
+		ends = append(ends, len(runs))
 	}
-	cands = append(cands, ix.always...)
-	slices.Sort(cands)
-	cands = slices.Compact(cands)
+	if len(ix.always) > 0 {
+		runs = append(runs, ix.always...)
+		ends = append(ends, len(runs))
+	}
+	union := unionRuns(runs, scratch, ends)
+	cands := make([]int, len(union))
+	copy(cands, union)
 	if ix.stats != nil {
 		ix.stats.Candidates.Add(int64(len(cands)))
 	}
 	return cands
+}
+
+// unionRuns unions the ascending runs of a that end at ends, each free
+// of repeats, into one ascending run without repeats: rounds of pairwise
+// merges, ping-ponging between a and scratch, which must be as long.
+// The result aliases a or scratch.
+func unionRuns(a, scratch []int, ends []int) []int {
+	total := len(a)
+	a, scratch = a[:total], scratch[:total]
+	for len(ends) > 1 {
+		out, lo := 0, 0
+		next := ends[:0] // a round writes end r/2 after reading ends r and r+1
+		for r := 0; r < len(ends); r += 2 {
+			mid, hi := ends[r], ends[r]
+			if r+1 < len(ends) {
+				hi = ends[r+1]
+			}
+			out = mergeUnion(scratch, out, a[lo:mid], a[mid:hi])
+			next = append(next, out)
+			lo = hi
+		}
+		ends = next
+		total = out
+		a, scratch = scratch, a
+	}
+	return a[:total:total]
+}
+
+// mergeUnion writes the union of the ascending runs x and y into dst
+// from out on, once per value, and returns where it stopped.
+func mergeUnion(dst []int, out int, x, y []int) int {
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		a, b := x[i], y[j]
+		dst[out] = min(a, b)
+		out++
+		i += b2i(a <= b)
+		j += b2i(b <= a)
+	}
+	out += copy(dst[out:], x[i:])
+	return out + copy(dst[out:], y[j:])
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a SETcc, so
+// the merge step above does not branch on the data.
+func b2i(b bool) int {
+	var x int
+	if b {
+		x = 1
+	}
+	return x
 }

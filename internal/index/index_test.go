@@ -216,11 +216,12 @@ func TestStats(t *testing.T) {
 // TestGrowMatchesFromScratch is the incremental-update property: growing
 // an index batch by batch must leave it bit-identical (k-mers, postings,
 // unfilterable short entries) to a from-scratch New over the same
-// entries, on DNA and on arbitrary bytes, at seed lengths on both sides
-// of the packed prefix.  Every Grow must rebuild only the buckets its
-// k-mers land in and leave its parent untouched (checkGrowShares).  The
-// one-entry lineage is the shape database inserts and WAL replay
-// produce.
+// entries, on DNA and on arbitrary bytes, at seed lengths below, at and
+// above the packed prefix.  New fills empty buckets directly and Grow
+// merges into held ones, so this pins the two paths to one layout.
+// Every Grow must rebuild only the buckets its k-mers land in and leave
+// its parent untouched (checkGrowShares).  The one-entry lineage is the
+// shape database inserts and WAL replay produce.
 func TestGrowMatchesFromScratch(t *testing.T) {
 	mixed := corpora(37, 6, []int{2, 5, 8, 11, 16, 24})
 	lineage := corpora(41, 60, []int{3, 12, 24, 40})
@@ -234,7 +235,7 @@ func TestGrowMatchesFromScratch(t *testing.T) {
 			{"one-entry lineage", lineage[ci], 30, 1},
 		} {
 			all := tc.c.entries
-			for _, k := range []int{3, 4, 6, 9, 12, 20} {
+			for _, k := range []int{3, 4, 6, 7, 8, 9, 12, 20} {
 				ix, err := New(all[:tc.base], k)
 				if err != nil {
 					t.Fatal(err)

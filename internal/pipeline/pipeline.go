@@ -56,9 +56,11 @@
 package pipeline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -546,6 +548,12 @@ func (d *DB) Insert(entries []string) (start int, snap *Snapshot, err error) {
 	return start, ns, nil
 }
 
+// NotLive returns the error Remove reports for a slot that is out of
+// range, already dead, or repeated.
+func NotLive(slot int) error {
+	return fmt.Errorf("pipeline: slot %d is not a live entry", slot)
+}
+
 // Remove tombstones the given live slots in a derived snapshot and
 // publishes it.  The affected length buckets are rewritten without the
 // removed slots (fresh backing arrays), so searches never race a removed
@@ -561,7 +569,7 @@ func (d *DB) Remove(slots []int) (*Snapshot, error) {
 	affected := make(map[int]bool)
 	for _, i := range slots {
 		if i < 0 || i >= len(cur.entries) || !live[i] {
-			return nil, fmt.Errorf("pipeline: slot %d is not a live entry", i)
+			return nil, NotLive(i)
 		}
 		live[i] = false
 		affected[len(cur.entries[i])] = true
@@ -1055,7 +1063,7 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 				}
 			}
 		}
-		sort.Slice(refs, func(a, b int) bool { return refs[a].id < refs[b].id })
+		slices.SortFunc(refs, func(a, b slotRef) int { return cmp.Compare(a.id, b.id) })
 		report.Outcomes = make([]Outcome, 0, len(refs))
 		var all []Result
 		for _, ref := range refs {
@@ -1083,11 +1091,11 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 				PowerDensityWCM2: o.PowerDensityWCM2,
 			})
 		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Score != all[j].Score {
-				return all[i].Score < all[j].Score
+		slices.SortFunc(all, func(a, b Result) int {
+			if c := cmp.Compare(a.Score, b.Score); c != 0 {
+				return c
 			}
-			return all[i].ID < all[j].ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 		report.Matched = len(all)
 		if req.TopK > 0 && len(all) > req.TopK {

@@ -759,6 +759,94 @@ func TestStatsDurability(t *testing.T) {
 	}
 }
 
+// TestStatsRecoveryReport pins the recovery report in /stats: a
+// database opened from a crash image reports, per shard, its snapshot
+// bytes and the journal records it replayed, and a database built in
+// memory reports none.
+func TestStatsRecoveryReport(t *testing.T) {
+	g := seqgen.NewDNA(233)
+	db, err := racelogic.NewDatabase(g.Database(12, 10), racelogic.WithShards(2), racelogic.WithSeedIndex(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	idle := []racelogic.Option{racelogic.WithSnapshotInterval(0), racelogic.WithSnapshotEvery(0)}
+	if err := db.Persist(dir, idle...); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := db.Insert(g.Random(10), g.Random(10), g.Random(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Remove(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	journaled := db.WALRecords()
+	// The crash image: the directory as the running database leaves it.
+	image := t.TempDir()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, f.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := racelogic.Open(image, idle...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	s, err := New(Config{DB: back})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	replayed := int64(0)
+	for _, sh := range st.Shards {
+		rec := sh.Recovery
+		if rec == nil {
+			t.Fatalf("shard %d of a recovered database has no recovery report", sh.Shard)
+		}
+		info, err := os.Stat(filepath.Join(image, fmt.Sprintf("shard-%04d.g0.snap", sh.Shard)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.SnapshotBytes != info.Size() || rec.Skipped != 0 || rec.ReadSeconds <= 0 || rec.IndexSeconds <= 0 || rec.ReplaySeconds <= 0 {
+			t.Errorf("shard %d recovery report %+v: want %d snapshot bytes, no record skipped, every time positive",
+				sh.Shard, *rec, info.Size())
+		}
+		replayed += rec.Replayed
+	}
+	if replayed != journaled || journaled != 3 {
+		t.Errorf("shards replayed %d records, want the %d journaled (a two-shard insert and a remove: 3)", replayed, journaled)
+	}
+
+	for _, sh := range db.ShardStats() {
+		if sh.Recovery != nil {
+			t.Errorf("shard %d of a database built in memory reports a recovery", sh.Shard)
+		}
+	}
+}
+
 // postBatch POSTs an array-form /search body and decodes the array reply.
 func postBatch(t *testing.T, url string, body string) (*http.Response, []SearchResponse) {
 	t.Helper()

@@ -55,11 +55,14 @@
 // A bool is a uvarint holding 0 or 1; any other value is refused.
 // Read accepts format version 3 only and refuses any other version by
 // number: format 2 carried a serialized seed index and no tombstones,
-// and format 1 no shard header.  A length field is untrusted until the
-// trailing checksum is verified, so the reader allocates only the bytes
-// it actually reads.  Snapshot files are written to a temporary sibling
-// and renamed into place, so a crash mid-save never corrupts the
-// previous snapshot.
+// and format 1 no shard header.  Read takes the file whole, decodes the
+// fields from memory in file order — the entries are substrings of one
+// copy of the file — and then checks the checksum over the payload in
+// one pass.  A length field is untrusted until that check, so the
+// decoder refuses any string length or slot count the remaining bytes
+// cannot hold before it allocates anything for it.  Snapshot files are
+// written to a temporary sibling and renamed into place, so a crash
+// mid-save never corrupts the previous snapshot.
 //
 // # Write-ahead log format
 //

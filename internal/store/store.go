@@ -2,14 +2,15 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // magic opens every snapshot file.
@@ -24,8 +25,8 @@ const FormatVersion = 3
 
 // maxStringLen bounds any single decoded string (entry or library
 // name).  The checksum sits at the end of the file, so a length field
-// is untrusted when it is read: the decoder never allocates it up
-// front, it reads the bytes actually present (see decoder.str).
+// is untrusted when it is read: the decoder refuses one the bytes left
+// cannot hold before it slices or allocates anything (see decoder.str).
 const maxStringLen = 1 << 30
 
 // Options is the fingerprint of everything fixed when a database is
@@ -159,63 +160,67 @@ func Write(w io.Writer, s *Snapshot) error {
 	return bw.Flush()
 }
 
-// hashReader feeds every consumed byte through the checksum.  It never
-// reads ahead of the caller, so after the payload is decoded the next
-// bytes on the underlying reader are exactly the trailer.
-type hashReader struct {
-	r *bufio.Reader
-	h hash.Hash32
-}
+// errVarintOverflow is the error binary.ReadUvarint gives a varint
+// longer than 64 bits.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
-func (hr *hashReader) Read(p []byte) (int, error) {
-	n, err := hr.r.Read(p)
-	hr.h.Write(p[:n])
-	return n, err
-}
-
-func (hr *hashReader) ReadByte() (byte, error) {
-	b, err := hr.r.ReadByte()
-	if err == nil {
-		hr.h.Write([]byte{b})
-	}
-	return b, err
-}
-
-// byteReader is what the decoder consumes: varints need byte-at-a-time
-// reads, strings need bulk ones.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// decoder reads serialized fields sequentially, latching the first
-// error so the happy path reads as a flat field list.  It is shared by
-// the snapshot reader and the WAL record decoder.  buf is the scratch
-// every string is read into before it is copied out.
+// decoder reads serialized fields sequentially from one in-memory
+// buffer, latching the first error so the happy path reads as a flat
+// field list.  It is shared by the snapshot reader and the WAL record
+// decoder.  The buffer is a string, so a decoded string field is a
+// substring of it rather than a copy.
 type decoder struct {
-	r   byteReader
+	b   string
+	off int
 	err error
-	buf bytes.Buffer
 }
 
+// left returns the number of bytes not yet consumed.
+func (d *decoder) left() int { return len(d.b) - d.off }
+
+// uvarint decodes one uvarint, failing as binary.ReadUvarint would: EOF
+// when no byte is left, unexpected EOF when the varint is cut short.
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	var x uint64
-	x, d.err = binary.ReadUvarint(d.r)
-	return x
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if d.off == len(d.b) {
+			d.err = io.ErrUnexpectedEOF
+			if i == 0 {
+				d.err = io.EOF
+			}
+			return 0
+		}
+		c := d.b[d.off]
+		d.off++
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				break
+			}
+			return x | uint64(c)<<s
+		}
+		x |= uint64(c&0x7f) << s
+		s += 7
+	}
+	d.err = errVarintOverflow
+	return 0
 }
 
 func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
+	ux := d.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	var x int64
-	x, d.err = binary.ReadVarint(d.r)
 	return x
 }
 
+// str decodes a length-prefixed string.  The length is untrusted until
+// the checksum is verified, so one the remaining bytes cannot hold is
+// refused before anything is sliced or allocated.
 func (d *decoder) str() string {
 	n := d.uvarint()
 	if d.err != nil {
@@ -225,20 +230,13 @@ func (d *decoder) str() string {
 		d.err = fmt.Errorf("implausible string length %d", n)
 		return ""
 	}
-	// n is untrusted until the checksum is verified, so the buffer
-	// grows with the bytes actually read rather than being sized to n:
-	// a short file claiming a huge string runs into EOF after a few
-	// hundred bytes, not after a gigabyte allocation.
-	d.buf.Reset()
-	if _, err := d.buf.ReadFrom(io.LimitReader(d.r, int64(n))); err != nil {
-		d.err = err
-		return ""
-	}
-	if uint64(d.buf.Len()) != n {
+	if n > uint64(d.left()) {
 		d.err = io.ErrUnexpectedEOF
 		return ""
 	}
-	return d.buf.String()
+	s := d.b[d.off : d.off+int(n)]
+	d.off += int(n)
+	return s
 }
 
 func (d *decoder) boolean() bool {
@@ -249,21 +247,37 @@ func (d *decoder) boolean() bool {
 	return x == 1
 }
 
+// minSlotBytes is the fewest bytes one snapshot slot can occupy: a
+// one-byte ID, a one-byte length and a one-byte tombstone flag.
+const minSlotBytes = 3
+
 // Read deserializes a snapshot, verifying the magic, format version,
 // structural invariants (unique IDs below NextID) and the CRC-32
 // trailer.  Any mismatch is an error: a corrupted snapshot must fail to
 // load, not serve wrong search results.
 func Read(r io.Reader) (*Snapshot, error) {
-	hr := &hashReader{r: bufio.NewReader(r), h: crc32.NewIEEE()}
-	d := &decoder{r: hr}
-
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(hr, head); err != nil {
-		return nil, fmt.Errorf("store: reading magic: %w", err)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	if string(head) != magic {
+	return decode(raw)
+}
+
+// decode parses one whole snapshot file.  The fields are decoded in
+// file order and the checksum over every byte before the trailer is
+// computed in one pass once they are, so a corrupted file reports the
+// first field that does not decode, as a streaming reader would.  The
+// entries are substrings of one string copy of raw.
+func decode(raw []byte) (*Snapshot, error) {
+	b := string(raw)
+	d := &decoder{b: b}
+	if len(b) < len(magic) {
+		return nil, fmt.Errorf("store: reading magic: %w", shortRead(len(b)))
+	}
+	if head := b[:len(magic)]; head != magic {
 		return nil, fmt.Errorf("store: bad magic %q: not a racelogic snapshot", head)
 	}
+	d.off = len(magic)
 	format := d.uvarint()
 	if d.err == nil && format != FormatVersion {
 		return nil, fmt.Errorf("store: snapshot format version %d, this build reads %d", format, FormatVersion)
@@ -274,8 +288,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("store: implausible shard header %d of %d", s.Shard, s.ShardCount)
 	}
 	s.Options = Options{
-		Library:    d.str(),
-		Matrix:     d.str(),
+		Library:    strings.Clone(d.str()),
+		Matrix:     strings.Clone(d.str()),
 		GateRegion: int(d.uvarint()),
 		OneHot:     d.boolean(),
 		SeedK:      int(d.uvarint()),
@@ -292,10 +306,20 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if count > 1<<40 {
 		return nil, fmt.Errorf("store: implausible entry count %d", count)
 	}
-	// The checksum sits at the end of the file, so count is untrusted
-	// here: cap the allocation hint, then let a corrupted count run into
-	// EOF or the CRC mismatch instead of an eager multi-GB allocation.
-	seen := make(map[uint64]bool, min(count, 1<<16))
+	// count is untrusted until the checksum is verified: refuse one the
+	// bytes left cannot hold before sizing anything by it.
+	if count > uint64(d.left()/minSlotBytes) {
+		return nil, fmt.Errorf("store: %d slots cannot fit in the %d bytes left: %w", count, d.left(), io.ErrUnexpectedEOF)
+	}
+	if count > 0 {
+		s.IDs = make([]uint64, 0, count)
+		s.Entries = make([]string, 0, count)
+		s.Dead = make([]bool, 0, count)
+	}
+	// IDs are unique.  Slots are appended in ID order except where
+	// concurrent inserts interleaved, so an ascending run needs no set;
+	// the first ID out of order starts one from the IDs before it.
+	var seen map[uint64]bool
 	for i := uint64(0); i < count; i++ {
 		id := d.uvarint()
 		entry := d.str()
@@ -306,10 +330,18 @@ func Read(r io.Reader) (*Snapshot, error) {
 		if id >= s.NextID {
 			return nil, fmt.Errorf("store: entry %d has ID %d ≥ next ID %d", i, id, s.NextID)
 		}
-		if seen[id] {
-			return nil, fmt.Errorf("store: duplicate entry ID %d", id)
+		if seen == nil && i > 0 && id <= s.IDs[i-1] {
+			seen = make(map[uint64]bool, count)
+			for _, prev := range s.IDs {
+				seen[prev] = true
+			}
 		}
-		seen[id] = true
+		if seen != nil {
+			if seen[id] {
+				return nil, fmt.Errorf("store: duplicate entry ID %d", id)
+			}
+			seen[id] = true
+		}
 		if len(entry) == 0 {
 			return nil, fmt.Errorf("store: entry %d (ID %d) is empty", i, id)
 		}
@@ -317,18 +349,27 @@ func Read(r io.Reader) (*Snapshot, error) {
 		s.Entries = append(s.Entries, entry)
 		s.Dead = append(s.Dead, dead)
 	}
-	sum := hr.h.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(hr.r, tail[:]); err != nil {
-		return nil, fmt.Errorf("store: reading checksum: %w", err)
+	end := d.off
+	if len(b)-end < 4 {
+		return nil, fmt.Errorf("store: reading checksum: %w", shortRead(len(b)-end))
 	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != sum {
+	sum := crc32.ChecksumIEEE(raw[:end])
+	if got := binary.LittleEndian.Uint32(raw[end : end+4]); got != sum {
 		return nil, fmt.Errorf("store: checksum mismatch: file %08x, computed %08x — snapshot is corrupted", got, sum)
 	}
-	if _, err := hr.r.ReadByte(); err != io.EOF {
+	if len(b) > end+4 {
 		return nil, fmt.Errorf("store: trailing data after checksum")
 	}
 	return s, nil
+}
+
+// shortRead is the error io.ReadFull gives when n bytes of a field were
+// present but more were needed.
+func shortRead(n int) error {
+	if n == 0 {
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
 }
 
 // WriteFile saves s to path atomically: the snapshot is written to a
@@ -356,14 +397,14 @@ func WriteFile(path string, s *Snapshot) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadFile loads a snapshot from path.
+// ReadFile loads a snapshot from path: the file is read whole and
+// decoded from memory.
 func ReadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s, err := Read(f)
+	s, err := decode(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

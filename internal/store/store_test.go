@@ -293,3 +293,56 @@ func TestReadHostileStringLength(t *testing.T) {
 		t.Errorf("reading the hostile snapshot allocated %d bytes, want under 1 MiB", got)
 	}
 }
+
+// TestReadOutOfOrderIDs pins the duplicate check past the ascending
+// run a snapshot usually holds: unique IDs in any slot order load, and
+// a repeat after the first out-of-order ID is still refused, naming it.
+func TestReadOutOfOrderIDs(t *testing.T) {
+	for _, tc := range []struct {
+		ids  []uint64
+		want string
+	}{
+		{[]uint64{7, 2, 9, 4}, ""},
+		{[]uint64{7, 2, 9, 2}, "duplicate entry ID 2"},
+		{[]uint64{1, 3, 9, 9}, "duplicate entry ID 9"},
+	} {
+		s := &Snapshot{ShardCount: 1, NextID: 10, IDs: tc.ids,
+			Entries: []string{"AC", "GT", "TA", "CA"}, Dead: make([]bool, 4)}
+		var buf bytes.Buffer
+		if err := Write(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(buf.Bytes()))
+		if tc.want == "" {
+			if err != nil || !reflect.DeepEqual(back.IDs, tc.ids) {
+				t.Errorf("IDs %v: got %v, %v", tc.ids, back, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("IDs %v: got %v, want %q", tc.ids, err, tc.want)
+		}
+	}
+}
+
+// BenchmarkRead times ReadFile of one shard snapshot of the
+// mixed-durable shape: 10 000 length-24 DNA entries, every tenth slot
+// tombstoned, the file Open reads per shard.
+func BenchmarkRead(b *testing.B) {
+	entries := seqgen.NewDNA(61).Database(10000, 24)
+	s := &Snapshot{ShardCount: 2, NextID: uint64(2 * len(entries)), Entries: entries,
+		IDs: make([]uint64, len(entries)), Dead: make([]bool, len(entries))}
+	for i := range entries {
+		s.IDs[i] = uint64(2 * i)
+		s.Dead[i] = i%10 == 0
+	}
+	path := filepath.Join(b.TempDir(), "shard.snap")
+	if err := WriteFile(path, s); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -157,13 +157,11 @@ func readRecord(cr *countReader) (Record, bool) {
 // decodeRecord parses a CRC-verified payload; ok is false when the
 // structure is invalid anyway (a corruption the checksum was also fed).
 func decodeRecord(payload []byte) (Record, bool) {
-	br := bytes.NewReader(payload)
-	d := &decoder{r: br}
-	op, err := br.ReadByte()
-	if err != nil {
+	if len(payload) == 0 {
 		return Record{}, false
 	}
-	rec := Record{Op: Op(op), Version: d.varint(), Global: d.varint()}
+	d := &decoder{b: string(payload), off: 1}
+	rec := Record{Op: Op(payload[0]), Version: d.varint(), Global: d.varint()}
 	switch rec.Op {
 	case OpInsert:
 		count := d.uvarint()
@@ -186,7 +184,7 @@ func decodeRecord(payload []byte) (Record, bool) {
 	default:
 		return Record{}, false
 	}
-	if d.err != nil || br.Len() != 0 {
+	if d.err != nil || d.left() != 0 {
 		return Record{}, false
 	}
 	return rec, true

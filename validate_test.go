@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"racelogic/internal/pipeline"
 	"racelogic/internal/store"
 )
 
@@ -77,4 +78,28 @@ func TestOpenRejectsInvalidReplayedInsert(t *testing.T) {
 	// Crash: d is abandoned without Close, so only its journal holds
 	// the record.
 	wantAlphabetError(t, dir)
+}
+
+// TestOpenRejectsRepeatedReplayedRemove pins replay's error for a remove
+// record naming one ID twice, appended past Remove's check: Open fails
+// as a record-by-record replay would, with pipeline.Remove's error for
+// the repeated slot.
+func TestOpenRejectsRepeatedReplayedRemove(t *testing.T) {
+	d, dir := persistedDNA(t)
+	defer d.Close()
+	sh := d.shards[0]
+	sh.mu.Lock()
+	err := sh.jrnl.AppendRemove(sh.p.Version()+1, d.ticket.Add(1), []uint64{1, 1})
+	sh.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Open(dir)
+	if err == nil {
+		back.Close()
+		t.Fatal("Open replayed a remove naming one ID twice")
+	}
+	if want := pipeline.NotLive(1).Error(); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open failed with %v, want the repeated slot's %q", err, want)
+	}
 }
