@@ -46,7 +46,7 @@ func TestReplayedTailBehindCheckpointStamp(t *testing.T) {
 	sh := d.shards[0]
 	sh.mu.Lock()
 	ticketA := d.ticket.Add(1)
-	if err := sh.jrnl.AppendInsert(sh.p.Version()+1, ticketA, []uint64{idA}, []string{entryA}); err != nil {
+	if err := sh.jrnl.AppendInsert(d.state(0).nextSeq(), ticketA, []uint64{idA}, []string{entryA}); err != nil {
 		sh.mu.Unlock()
 		t.Fatal(err)
 	}

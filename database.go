@@ -119,13 +119,14 @@ type Database struct {
 	compaction CompactionPolicy
 }
 
-// shard is one partition: a pipeline DB over the shard's local slots,
-// the writer-side ID table, and the shard's journal.  mu serializes
-// every mutation that touches the shard; searches never take it.
+// shard is one partition's writer side: the ID table and the journal.
+// Its searchable state is the shardstate the view publishes, the only
+// copy: under mu, which serializes every mutation that touches the
+// shard, a mutation derives the next state from the published one and
+// publishes it before it unlocks.  Searches never take mu.
 type shard struct {
 	id       int
 	mu       sync.Mutex
-	p        *pipeline.DB
 	byID     map[uint64]int // ID → local slot; writers only, under mu
 	jrnl     *store.WAL     // nil on a memory-only database; set under mu
 	idxStats *index.Stats   // re-attached to every index a compaction rebuilds
@@ -139,7 +140,8 @@ type shard struct {
 // snapshot's slot space, ids names every slot (tombstoned ones keep
 // their stale ID until compaction), and sorted holds the same resident
 // IDs in ascending order — the order-statistics table global ranks are
-// computed from.
+// computed from.  The snapshot's version is the shard's mutation
+// sequence.
 //
 //racelint:cow
 type shardstate struct {
@@ -148,6 +150,10 @@ type shardstate struct {
 	ids    []uint64 // local slot → stable ID
 	sorted []uint64 // resident IDs (live + tombstoned), ascending
 }
+
+// nextSeq returns the sequence the shard's next mutation journals and is
+// stamped with.
+func (st *shardstate) nextSeq() int64 { return st.snap.Version() + 1 }
 
 // dbview is the atomically published set of shard states plus the
 // global version.  A multi-shard mutation swaps every state it changed
@@ -176,6 +182,18 @@ func (v *dbview) dead() int {
 		n += st.snap.Dead()
 	}
 	return n
+}
+
+// buckets returns the number of distinct live entry lengths across
+// every shard.
+func (v *dbview) buckets() int {
+	set := make(map[int]bool)
+	for _, st := range v.states {
+		for _, m := range st.snap.Lengths() {
+			set[m] = true
+		}
+	}
+	return len(set)
 }
 
 // rank returns the number of resident IDs (live and tombstoned) below
@@ -283,7 +301,7 @@ type shardPart struct {
 // assembleShards builds the Database from per-shard parts — the shared
 // tail of every constructor, including the per-shard recovery path.
 // Every slot's entry is validated, tombstones are restored through the
-// same pipeline Remove a live database runs, and each shard's seed
+// same snapshot Remove a live database runs, and each shard's seed
 // index is built from its slot entries, shards in parallel.
 //
 //racelint:publisher
@@ -325,29 +343,29 @@ func assembleShards(cfg *config, parts []shardPart, nextID uint64, version int64
 	return d, nil
 }
 
-// assembleShard builds one shard and its first state from its part:
-// byID names only the live IDs, sorted every resident one.
+// assembleShard builds one shard and its first state, stamped with the
+// part's sequence, from its part: byID names only the live IDs, sorted
+// every resident one.
 func (d *Database) assembleShard(s int, part shardPart) (*shard, *shardstate, error) {
 	if i, err := d.cfg.checkEntries(part.entries); err != nil {
 		return nil, nil, fmt.Errorf("racelogic: database entry ID %d %w", part.ids[i], err)
 	}
-	p, err := pipeline.NewDBWith(part.entries, d.pools)
+	snap, err := pipeline.NewSnapshot(part.entries, part.seq)
 	if err != nil {
 		return nil, nil, err
 	}
-	sh := &shard{id: s, p: p, byID: make(map[uint64]int, len(part.ids)), idxStats: d.idxStats, recovery: part.recovery}
+	sh := &shard{id: s, byID: make(map[uint64]int, len(part.ids)), idxStats: d.idxStats, recovery: part.recovery}
 	for slot, id := range part.ids {
 		sh.byID[id] = slot
 	}
 	if len(part.dead) > 0 {
-		if _, err := p.Remove(part.dead); err != nil {
+		if snap, err = snap.Remove(part.dead, part.seq); err != nil {
 			return nil, nil, err
 		}
 		for _, slot := range part.dead {
 			delete(sh.byID, part.ids[slot])
 		}
 	}
-	p.SetVersion(part.seq)
 	var idx *index.Index
 	if d.cfg.seedK > 0 {
 		begin := time.Now()
@@ -361,7 +379,7 @@ func (d *Database) assembleShard(s int, part shardPart) (*shard, *shardstate, er
 	}
 	sorted := slices.Clone(part.ids)
 	slices.Sort(sorted)
-	return sh, &shardstate{snap: p.Snapshot(), idx: idx, ids: part.ids, sorted: sorted}, nil
+	return sh, &shardstate{snap: snap, idx: idx, ids: part.ids, sorted: sorted}, nil
 }
 
 // alphabet returns the symbol set the configured engine accepts.
@@ -467,7 +485,8 @@ func appendSorted(sorted, ids []uint64) []uint64 {
 // shard and returns its replacement state.  Caller holds the shard's
 // lock; cur is the shard's current state.
 func (sh *shard) applyInsert(cur *shardstate, ids []uint64, entries []string) (*shardstate, error) {
-	st, start, err := sh.appendSlots(cur, ids, entries)
+	start := cur.snap.Slots()
+	st, err := appendSlots(cur, ids, entries, cur.nextSeq())
 	if err != nil {
 		return nil, err
 	}
@@ -477,20 +496,20 @@ func (sh *shard) applyInsert(cur *shardstate, ids []uint64, entries []string) (*
 	return st, nil
 }
 
-// appendSlots appends entries with their IDs as new slots of the
-// shard — one pipeline Insert and one seed-index Grow, however many
-// entries — and returns the replacement state and the first new slot.
+// appendSlots derives the state that appends entries with their IDs as
+// new slots of a shard, the first at cur.snap.Slots() — one snapshot
+// Insert stamped version and one seed-index Grow, however many entries.
 // It leaves byID to the caller.
-func (sh *shard) appendSlots(cur *shardstate, ids []uint64, entries []string) (*shardstate, int, error) {
-	start, snap, err := sh.p.Insert(entries)
+func appendSlots(cur *shardstate, ids []uint64, entries []string, version int64) (*shardstate, error) {
+	snap, err := cur.snap.Insert(entries, version)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	idx := cur.idx
 	if idx != nil {
 		idx = idx.Grow(entries)
 	}
-	return &shardstate{snap: snap, idx: idx, ids: append(cur.ids, ids...), sorted: appendSorted(cur.sorted, ids)}, start, nil
+	return &shardstate{snap: snap, idx: idx, ids: append(cur.ids, ids...), sorted: appendSorted(cur.sorted, ids)}, nil
 }
 
 // applyRemove tombstones the given IDs (all pre-validated as live in
@@ -505,7 +524,7 @@ func (sh *shard) applyRemove(cur *shardstate, ids []uint64) (*shardstate, error)
 		}
 		slots[i] = slot
 	}
-	snap, err := sh.p.Remove(slots)
+	snap, err := cur.snap.Remove(slots, cur.nextSeq())
 	if err != nil {
 		return nil, err
 	}
@@ -519,7 +538,7 @@ func (sh *shard) applyRemove(cur *shardstate, ids []uint64) (*shardstate, error)
 // state, or cur unchanged when there is nothing to reclaim.  Caller
 // holds the shard's lock.
 func (sh *shard) applyCompact(cur *shardstate) (*shardstate, error) {
-	remap, snap := sh.p.Compact()
+	remap, snap := cur.snap.Compact(cur.nextSeq())
 	if remap == nil {
 		return cur, nil
 	}
@@ -549,15 +568,16 @@ func (sh *shard) applyCompact(cur *shardstate) (*shardstate, error) {
 // shard's lock is held (other writers cannot touch this shard).
 func (d *Database) state(s int) *shardstate { return d.view.Load().states[s] }
 
-// journalShards appends one record per touched shard, rolling all of
-// them back on the first failure so a failed mutation leaves neither
-// memory nor disk changed.  It returns the journals it appended to, for
-// ack, and full: whether an append carried a shard's journal across
-// another multiple of the byte cap (WithWALSegmentBytes), the trigger
-// signalSnapshotter checkpoints on.
+// journalShards appends one record per touched shard, at the sequence
+// the shard's next mutation takes, rolling all of them back on the first
+// failure so a failed mutation leaves neither memory nor disk changed.
+// Caller holds every touched shard's lock.  It returns the journals it
+// appended to, for ack, and full: whether an append carried a shard's
+// journal across another multiple of the byte cap (WithWALSegmentBytes),
+// the trigger signalSnapshotter checkpoints on.
 //
 //racelint:journal
-func (d *Database) journalShards(touched []int, appendRec func(sh *shard) error) ([]*store.WAL, bool, error) {
+func (d *Database) journalShards(touched []int, appendRec func(sh *shard, seq int64) error) ([]*store.WAL, bool, error) {
 	var appended []*store.WAL
 	full := false
 	walCap := d.walCap.Load()
@@ -567,7 +587,7 @@ func (d *Database) journalShards(touched []int, appendRec func(sh *shard) error)
 			return nil, false, nil // memory-only: no shard journals anything
 		}
 		before := sh.jrnl.Size()
-		if err := appendRec(sh); err != nil {
+		if err := appendRec(sh, d.state(s).nextSeq()); err != nil {
 			for _, w := range appended {
 				_ = w.DropLast()
 			}
@@ -658,8 +678,8 @@ func (d *Database) Insert(entries ...string) ([]uint64, error) {
 		return nil, ErrClosed
 	}
 	t := d.ticket.Add(1)
-	appended, full, err := d.journalShards(touched, func(sh *shard) error {
-		return sh.jrnl.AppendInsert(sh.p.Version()+1, t, partIDs[sh.id], partEntries[sh.id])
+	appended, full, err := d.journalShards(touched, func(sh *shard, seq int64) error {
+		return sh.jrnl.AppendInsert(seq, t, partIDs[sh.id], partEntries[sh.id])
 	})
 	if err != nil {
 		unlock()
@@ -779,8 +799,8 @@ func (d *Database) Remove(ids ...uint64) error {
 		}
 	}
 	t := d.ticket.Add(1)
-	appended, full, err := d.journalShards(touched, func(sh *shard) error {
-		return sh.jrnl.AppendRemove(sh.p.Version()+1, t, partIDs[sh.id])
+	appended, full, err := d.journalShards(touched, func(sh *shard, seq int64) error {
+		return sh.jrnl.AppendRemove(seq, t, partIDs[sh.id])
 	})
 	if err != nil {
 		unlock()
@@ -883,8 +903,8 @@ func (d *Database) compactAll(needRemap bool) (*CompactStats, error) {
 		}
 	}
 	t := d.ticket.Add(1)
-	appended, full, err := d.journalShards(touched, func(sh *shard) error {
-		return sh.jrnl.AppendCompact(sh.p.Version()+1, t)
+	appended, full, err := d.journalShards(touched, func(sh *shard, seq int64) error {
+		return sh.jrnl.AppendCompact(seq, t)
 	})
 	if err != nil {
 		unlock()
@@ -954,15 +974,7 @@ func (d *Database) Len() int { return d.view.Load().live() }
 
 // Buckets returns the number of distinct live entry lengths across
 // every shard.
-func (d *Database) Buckets() int {
-	set := make(map[int]bool)
-	for _, st := range d.view.Load().states {
-		for _, m := range st.snap.Lengths() {
-			set[m] = true
-		}
-	}
-	return len(set)
-}
+func (d *Database) Buckets() int { return d.view.Load().buckets() }
 
 // Version returns the mutation counter: 0 for a fresh database,
 // incremented by every Insert, Remove, and compaction, and preserved
@@ -1060,7 +1072,7 @@ func (d *Database) shardScans(v *dbview, query string, cfg *config, tr *obs.Trac
 	known := d.memo.get(newMemoKey(query, cfg.threshold))
 	scans := make([]pipeline.ShardScan, len(d.shards))
 	for s, st := range v.states {
-		sc := pipeline.ShardScan{DB: d.shards[s].p, Snap: st.snap, IDs: st.ids, Known: known}
+		sc := pipeline.ShardScan{Snap: st.snap, IDs: st.ids, Known: known}
 		if filtered && st.idx != nil {
 			cands := st.idx.Candidates(query)
 			// Postings may still name tombstoned slots (removal leaves
@@ -1177,7 +1189,7 @@ func (d *Database) searchQueries(ctx context.Context, queries []string, cfg *con
 		scanSets[u] = d.shardScans(v, query, cfg, tr)
 	}
 	endSeed()
-	reps, err := pipeline.MultiSearchBatch(scanSets, distinct, pipeline.Request{
+	reps, err := pipeline.MultiSearchBatch(d.pools, scanSets, distinct, pipeline.Request{
 		Threshold: cfg.threshold,
 		Workers:   cfg.workers,
 		TopK:      cfg.topK,

@@ -596,7 +596,7 @@ type replayBatch struct {
 func (sh *shard) replay(cfg *config, st *shardstate, recs []store.Record, covered int64) (*shardstate, replayed, error) {
 	var out replayed
 	var b replayBatch
-	cur := sh.p.Version()
+	cur := st.snap.Version()
 	for _, rec := range recs {
 		if rec.Version <= covered {
 			out.skipped++
@@ -621,8 +621,10 @@ func (sh *shard) replay(cfg *config, st *shardstate, recs []store.Record, covere
 		case store.OpRemove:
 			err = sh.replayRemove(&b, rec.IDs)
 		case store.OpCompact:
+			// flush leaves st at cur, so the compaction takes the next
+			// sequence, rec.Version.
 			var next *shardstate
-			if st, err = sh.flush(st, &b, cur); err == nil {
+			if st, err = flush(st, &b, cur); err == nil {
 				next, err = sh.applyCompact(st)
 			}
 			if err == nil && next == st {
@@ -639,14 +641,14 @@ func (sh *shard) replay(cfg *config, st *shardstate, recs []store.Record, covere
 		out.records++
 		out.global = max(out.global, rec.Global)
 	}
-	st, err := sh.flush(st, &b, cur)
+	st, err := flush(st, &b, cur)
 	return st, out, err
 }
 
 // replayRemove resolves one journaled remove against byID and adds the
 // slots to the batch, failing as Database.Remove's apply step would: an
 // ID that names no live entry wraps ErrUnknownID, and an ID the record
-// names twice fails as pipeline.Remove fails a repeated slot.
+// names twice fails as a snapshot Remove fails a repeated slot.
 func (sh *shard) replayRemove(b *replayBatch, ids []uint64) error {
 	first := len(b.dead)
 	for _, id := range ids {
@@ -665,25 +667,25 @@ func (sh *shard) replayRemove(b *replayBatch, ids []uint64) error {
 	return nil
 }
 
-// flush applies a batch to st — its inserts as one pipeline Insert and
-// one seed-index Grow, then its removes as one pipeline Remove — empties
-// the batch and stamps the shard with version, the sequence of the last
-// record the batch took.
-func (sh *shard) flush(st *shardstate, b *replayBatch, version int64) (*shardstate, error) {
+// flush applies a batch to st and empties it: its inserts as one
+// snapshot Insert and one seed-index Grow, then its removes as one
+// snapshot Remove, each stamped version, the sequence of the last record
+// the batch took.  The Remove runs even when the batch removes nothing,
+// so the state always ends at version: a record that inserts or removes
+// no entry still advances the sequence.
+func flush(st *shardstate, b *replayBatch, version int64) (*shardstate, error) {
 	if len(b.ids) > 0 {
 		var err error
-		if st, _, err = sh.appendSlots(st, b.ids, b.entries); err != nil {
+		if st, err = appendSlots(st, b.ids, b.entries, version); err != nil {
 			return nil, err
 		}
 	}
-	if len(b.dead) > 0 {
-		if _, err := sh.p.Remove(b.dead); err != nil {
-			return nil, err
-		}
+	snap, err := st.snap.Remove(b.dead, version)
+	if err != nil {
+		return nil, err
 	}
 	*b = replayBatch{}
-	sh.p.SetVersion(version)
-	return &shardstate{snap: sh.p.Snapshot(), idx: st.idx, ids: st.ids, sorted: st.sorted}, nil
+	return &shardstate{snap: snap, idx: st.idx, ids: st.ids, sorted: st.sorted}, nil
 }
 
 // closeShardJournals closes every open journal (the error-path cleanup
@@ -909,12 +911,14 @@ func (d *Database) checkpoint() error {
 
 // truncateCoveredJournals resets each shard's journal if no mutation
 // has landed on the shard since the given view was captured (its
-// records are all covered by the newest snapshot set).
+// records are all covered by the newest snapshot set).  Every mutation
+// publishes before it releases the shard lock, so under that lock the
+// shard's published state is the captured one exactly when none landed.
 func (d *Database) truncateCoveredJournals(v *dbview) error {
 	var firstErr error
 	for s, sh := range d.shards {
 		sh.mu.Lock()
-		if sh.jrnl != nil && sh.p.Version() == v.states[s].snap.Version() && sh.jrnl.Records() > 0 {
+		if sh.jrnl != nil && d.state(s) == v.states[s] && sh.jrnl.Records() > 0 {
 			if err := sh.jrnl.Reset(); err != nil && firstErr == nil {
 				firstErr = err
 			}

@@ -2,6 +2,8 @@ package racelogic_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -162,4 +164,115 @@ func TestGoldenAlignments(t *testing.T) {
 		}
 		goldenCompare(t, "alignments", cases)
 	}
+}
+
+// layoutFile is one file of a durable directory as the layout golden
+// records it.
+type layoutFile struct {
+	Name   string
+	Size   int
+	SHA256 string
+}
+
+// layoutOf returns every regular file of dir, by name, with its size
+// and SHA-256.
+func layoutOf(t *testing.T, dir string) []layoutFile {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []layoutFile
+	for _, e := range ents {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		out = append(out, layoutFile{Name: e.Name(), Size: len(raw), SHA256: hex.EncodeToString(sum[:])})
+	}
+	return out
+}
+
+// TestGoldenDurableLayout pins the bytes a durable database writes.  A
+// fixed history runs on two shards with a seed index: inserts, removes,
+// a checkpoint, a compaction and a journal tail after it.  The golden
+// records every file of its crash image (the directory while the
+// database still runs), then every file of that image after Open
+// replays it and Close checkpoints it.  So a moved journal sequence, a
+// changed snapshot byte or a different file set fails the test.
+func TestGoldenDurableLayout(t *testing.T) {
+	idle := []racelogic.Option{racelogic.WithSnapshotInterval(0), racelogic.WithSnapshotEvery(0)}
+	d, err := racelogic.NewDatabase(goldenEntries(), racelogic.WithShards(2), racelogic.WithSeedIndex(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := d.Persist(dir, idle...); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	gen := seqgen.NewDNA(402)
+	insert := func(lengths ...int) []uint64 {
+		t.Helper()
+		entries := make([]string, len(lengths))
+		for i, n := range lengths {
+			entries[i] = gen.Random(n)
+		}
+		ids, err := d.Insert(entries...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	remove := func(ids ...uint64) {
+		t.Helper()
+		if err := d.Remove(ids...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := insert(9)
+	b := insert(6, 8, 11, 7)
+	remove(2, a[0], b[1])
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	remove(b[2])
+	if _, err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	c := insert(10, 5)
+	remove(c[0])
+	if d.Tombstones() != 1 || d.WALRecords() == 0 {
+		t.Fatalf("history ran off script: %d tombstones, %d journal records", d.Tombstones(), d.WALRecords())
+	}
+
+	var layout struct{ CrashImage, Reopened []layoutFile }
+	layout.CrashImage = layoutOf(t, dir)
+	image := t.TempDir()
+	for _, f := range layout.CrashImage {
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, f.Name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	back, err := racelogic.Open(image, idle...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Version() != d.Version() || back.Len() != d.Len() || back.Tombstones() != 1 {
+		t.Fatalf("recovered version %d, %d live, %d tombstones; ran at %d with %d live",
+			back.Version(), back.Len(), back.Tombstones(), d.Version(), d.Len())
+	}
+	if err := back.Close(); err != nil {
+		t.Fatal(err)
+	}
+	layout.Reopened = layoutOf(t, image)
+	goldenCompare(t, "durable_layout", layout)
 }

@@ -503,7 +503,7 @@ func (ix *Index) Kmers() int { return ix.kmers }
 // query shorter than k has no seeds to look up, so every entry is a
 // candidate.  The result is never nil: an empty candidate set is an
 // empty slice, distinct from the nil "scan everything" convention of
-// pipeline.Request.
+// pipeline.ShardScan.Candidates.
 func (ix *Index) Candidates(query string) []int {
 	if ix.stats != nil {
 		ix.stats.Lookups.Add(1)

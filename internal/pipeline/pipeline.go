@@ -10,29 +10,27 @@
 // bucket's entries back to back — the array is built (and its netlist
 // compiled) once, then reset between races, instead of rebuilt per pair.
 //
-// The pipeline is persistent: a DB shards the database once at
-// construction and keeps compiled engines pooled per shape across
-// queries, so the many-queries-one-database workload pays construction
-// cost only on first contact with each (query length, entry length)
-// shape.  The pools live in a Pools value that any number of DBs may
-// share — the partitioned database keeps one DB per shard but one Pools
-// for all of them, so a shape warmed by any shard serves every shard.
-// An engine is a *race.Array, whichever fabric built it (plain,
-// clock-gated, or generalized), so every engine races the same way.
-// Engines are not concurrency-safe, so the pools hand one engine to
-// each in-flight chunk and take it back afterwards — DB.Search is safe
-// for concurrent callers.  One-shot callers (the public racelogic.Search)
-// simply build a DB, run one query, and drop it.
+// The pipeline is persistent: compiled engines stay pooled per shape in
+// a Pools value across queries, so the many-queries-one-database
+// workload pays construction cost only on first contact with each
+// (query length, entry length) shape.  The partitioned database keeps
+// one Pools for all of its shards, so a shape warmed by any shard serves
+// every shard.  An engine is a *race.Array, whichever fabric built it
+// (plain, clock-gated, or generalized), so every engine races the same
+// way.  Engines are not concurrency-safe, so the pools hand one engine
+// to each in-flight chunk and take it back afterwards, which makes a
+// search safe for concurrent callers.
 //
-// The pipeline is also mutable: the sharded state lives in an immutable
-// Snapshot behind an atomic pointer, and Insert/Remove derive a new
+// The database itself is an immutable Snapshot.  NewSnapshot shards a
+// collection once, and Insert, Remove and Compact derive the next
 // snapshot copy-on-write — shard maps are copied by header, slices are
 // shared and only ever appended past every older snapshot's length — so
 // an in-flight search keeps racing the exact version it loaded while
-// mutations publish new versions beside it.  Remove tombstones slots
-// instead of renumbering them; Compact rebuilds densely once tombstones
-// are worth reclaiming.  Engine pools are keyed by shape alone, so every
-// snapshot version shares the same warm pools.
+// its owner publishes newer ones beside it.  The derivations neither
+// lock nor publish: the caller orders them (see Snapshot).
+// Remove tombstones slots instead of renumbering them; Compact rebuilds
+// densely once tombstones are worth reclaiming.  Engine pools are keyed
+// by shape alone, so every snapshot version shares the same warm pools.
 //
 // MultiSearchBatch is the one scatter-race-fold: the (query, entry)
 // pairs of every query and every partition shard are grouped by engine
@@ -46,7 +44,7 @@
 // deterministic top-K report with per-result hardware metrics, so a
 // partitioned database returns reports byte-identical (modulo
 // EnginesBuilt) to an unpartitioned one.  A single query is a batch of
-// one: MultiSearch and DB.Search are thin adapters over it.
+// one.
 //
 // An outcome is a pure function of (query, entry, threshold) on one
 // fabric and library, so a caller that kept a query's earlier outcomes
@@ -79,7 +77,7 @@ import (
 // use of one.
 type Factory func(n, m int) (*race.Array, error)
 
-// Request parameterizes one query against a persistent DB.
+// Request parameterizes one search batch.
 type Request struct {
 	// Threshold is the Section 6 similarity threshold; negative disables
 	// pre-filtering.
@@ -88,12 +86,6 @@ type Request struct {
 	Workers int
 	// TopK truncates the ranked results; ≤ 0 keeps every match.
 	TopK int
-	// Candidates restricts DB.Search's scan to these entry indices
-	// (ascending, as produced by a seed index).  Nil means scan the whole
-	// database; an empty non-nil slice races nothing.  MultiSearch and
-	// MultiSearchBatch take their candidates per shard instead
-	// (ShardScan.Candidates) and ignore this field.
-	Candidates []int
 	// Trace, when non-nil, receives the search's plan/race/merge spans
 	// and per-shard race dimensions; a multi-query batch sums each
 	// shard's dimensions over its queries.  Untraced searches pay one
@@ -104,12 +96,10 @@ type Request struct {
 // Result is one database entry that survived the race (and, when a
 // threshold is set, the pre-filter), priced under the search library.
 type Result struct {
-	// Index is the entry's position in the database slice — for
-	// MultiSearch, its slot within its own shard.
+	// Index is the entry's slot within its own shard's snapshot.
 	Index int
-	// ID is the entry's rank key: the caller-assigned global ID under
-	// MultiSearch (ShardScan.IDs), the slot index itself otherwise.
-	// Ties in Score break by ascending ID.
+	// ID is the entry's rank key, the caller-assigned global ID
+	// ShardScan.IDs gives its slot.  Ties in Score break by ascending ID.
 	ID uint64
 	// Sequence is the entry itself.
 	Sequence string
@@ -191,7 +181,7 @@ type poolKey struct{ n, m int }
 
 // enginePool is the free list of idle compiled engines of one shape.
 // Checked-out engines are exclusively owned by one chunk until released,
-// which is what makes DB.Search safe for concurrent callers even though
+// which is what makes a search safe for concurrent callers even though
 // the engines themselves are not.
 type enginePool struct {
 	mu   sync.Mutex
@@ -210,10 +200,10 @@ type enginePool struct {
 const DefaultMaxIdleEngines = 128
 
 // Pools owns the compiled-engine free lists, keyed by (query length,
-// entry length) shape.  A Pools is safe for concurrent use and may be
-// shared by any number of DBs — the sharded database runs one DB per
-// partition over a single Pools, so EnginesBuilt counts arrays for the
-// whole database no matter how it is partitioned.
+// entry length) shape.  A Pools is safe for concurrent use and may serve
+// any number of snapshots — the sharded database races every partition
+// on a single Pools, so EnginesBuilt counts arrays for the whole
+// database no matter how it is partitioned.
 type Pools struct {
 	factory Factory
 	lib     *tech.Library
@@ -272,11 +262,8 @@ func NewPools(factory Factory, lib *tech.Library) (*Pools, error) {
 	return p, nil
 }
 
-// Library returns the standard-cell library pricing the engines.
-func (p *Pools) Library() *tech.Library { return p.lib }
-
 // EnginesBuilt returns the number of engines constructed over the
-// Pools' lifetime, across all searches, shapes, and sharing DBs.
+// Pools' lifetime, across all searches and shapes.
 func (p *Pools) EnginesBuilt() int64 { return p.built.Load() }
 
 // SetMaxIdleEngines overrides the park limit (default
@@ -382,12 +369,21 @@ func (p *Pools) release(key poolKey, eng *race.Array) {
 }
 
 // Snapshot is one immutable version of the length-sharded database.  A
-// search loads the current snapshot once and races it to completion, so
-// every report is internally consistent no matter how many mutations
-// publish newer versions mid-flight.  Snapshots address entries by slot:
+// search races the snapshot it was given to completion, so every report
+// is internally consistent no matter how many newer versions are derived
+// and published mid-flight.  Snapshots address entries by slot:
 // a slot is assigned at insert and keeps its entry until a Remove
 // tombstones it and a later Compact reclaims it (renumbering the
 // survivors).
+//
+// NewSnapshot starts a lineage, and Insert, Remove and Compact each
+// derive the next snapshot, stamped with the version the caller passes.
+// A derived snapshot shares backing arrays with the one it derives from,
+// and Insert appends past their lengths, so a lineage's history must
+// stay linear: two derivations from one snapshot would write the same
+// array cells.  Derive only from a lineage's newest snapshot, under the
+// lock that orders its derivations.  Any older snapshot stays valid to
+// search.
 //
 //racelint:cow
 type Snapshot struct {
@@ -399,7 +395,8 @@ type Snapshot struct {
 	buckets map[int][]int // entry length -> ascending live slot indices
 }
 
-// Version is the mutation counter value this snapshot was published at.
+// Version is the sequence this snapshot's constructor or derivation
+// stamped it with.
 func (s *Snapshot) Version() int64 { return s.version }
 
 // Len returns the number of live entries.
@@ -418,9 +415,6 @@ func (s *Snapshot) Live(i int) bool { return i >= 0 && i < len(s.live) && s.live
 // slot keeps its entry until Compact reclaims it.
 func (s *Snapshot) Entry(i int) string { return s.entries[i] }
 
-// Buckets returns the number of distinct live entry lengths.
-func (s *Snapshot) Buckets() int { return len(s.buckets) }
-
 // Lengths returns the distinct live entry lengths, in first-appearance
 // order.  The caller owns the returned slice.
 func (s *Snapshot) Lengths() []int { return append([]int(nil), s.lengths...) }
@@ -430,40 +424,14 @@ func (s *Snapshot) Lengths() []int { return append([]int(nil), s.lengths...) }
 // snapshot's own backing array, so callers must not modify it.
 func (s *Snapshot) Entries() []string { return s.entries }
 
-// DB is a persistent, concurrency-safe search pipeline: the database is
-// sharded into length buckets held in a copy-on-write Snapshot, and
-// compiled engines are pooled per (query length, entry length) shape
-// across queries and snapshot versions.
-type DB struct {
-	pools *Pools
-
-	snap atomic.Pointer[Snapshot]
-	wmu  sync.Mutex // serializes Insert/Remove/Compact/SetVersion
-}
-
-// NewDB validates and shards entries once, for many searches, with a
-// private engine-pool set.  Factory is required; a nil library selects
-// tech.AMIS().  Empty entries are an error: the arrays need at least a
-// 1×1 edit graph.
-func NewDB(entries []string, factory Factory, lib *tech.Library) (*DB, error) {
-	pools, err := NewPools(factory, lib)
-	if err != nil {
-		return nil, err
-	}
-	return NewDBWith(entries, pools)
-}
-
-// NewDBWith builds a DB over a shared engine-pool set — the partition
-// constructor: every shard of one database passes the same Pools so
-// compiled engines are reused across shards.
+// NewSnapshot validates and shards entries once, for many searches, into
+// the first snapshot of a lineage, stamped version.  Empty entries are
+// an error: the arrays need at least a 1×1 edit graph.
 //
 //racelint:cowsafe
-func NewDBWith(entries []string, pools *Pools) (*DB, error) {
-	if pools == nil {
-		return nil, fmt.Errorf("pipeline: engine pools are required")
-	}
-	d := &DB{pools: pools}
+func NewSnapshot(entries []string, version int64) (*Snapshot, error) {
 	s := &Snapshot{
+		version: version,
 		entries: entries,
 		live:    make([]bool, len(entries)),
 		liveN:   len(entries),
@@ -479,61 +447,33 @@ func NewDBWith(entries []string, pools *Pools) (*DB, error) {
 		}
 		s.buckets[len(entry)] = append(s.buckets[len(entry)], i)
 	}
-	d.snap.Store(s)
-	return d, nil
+	return s, nil
 }
 
-// Pools returns the engine-pool set this DB races on.
-func (d *DB) Pools() *Pools { return d.pools }
-
-// Snapshot returns the current database version.  The returned snapshot
-// is immutable and remains searchable via SearchAt after newer versions
-// are published.
-func (d *DB) Snapshot() *Snapshot { return d.snap.Load() }
-
-// Version returns the current snapshot's mutation counter.
-func (d *DB) Version() int64 { return d.snap.Load().version }
-
-// SetVersion republishes the current snapshot stamped with version v —
-// the restore path for a database deserialized from disk, which must
-// resume its persisted mutation counter rather than restart at zero.
-//
-//racelint:cowsafe
-func (d *DB) SetVersion(v int64) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	ns := *d.snap.Load()
-	ns.version = v
-	d.snap.Store(&ns)
-}
-
-// Insert appends entries as new slots of a copy-on-write derived
-// snapshot and publishes it.  It returns the first new slot index and
-// the published snapshot.  Shared state is never mutated in place: the
+// Insert derives the snapshot stamped version that appends entries as
+// new slots, the first at s.Slots().  Nothing is mutated in place: the
 // bucket map is copied by header, and slices are only appended past
-// every older snapshot's length, so concurrent SearchAt callers keep an
-// intact view.  Empty entries are rejected before anything is published.
+// every older snapshot's length, so searches of s and of its ancestors
+// keep an intact view while the lineage stays linear (see Snapshot).
+// Empty entries are rejected, and nothing is derived.
 //
 //racelint:cowsafe
-func (d *DB) Insert(entries []string) (start int, snap *Snapshot, err error) {
+func (s *Snapshot) Insert(entries []string, version int64) (*Snapshot, error) {
 	for i, entry := range entries {
 		if len(entry) == 0 {
-			return 0, nil, fmt.Errorf("pipeline: inserted entry %d is empty", i)
+			return nil, fmt.Errorf("pipeline: inserted entry %d is empty", i)
 		}
 	}
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	cur := d.snap.Load()
-	start = len(cur.entries)
+	start := len(s.entries)
 	ns := &Snapshot{
-		version: cur.version + 1,
-		entries: append(cur.entries, entries...),
-		live:    cur.live,
-		liveN:   cur.liveN + len(entries),
-		lengths: cur.lengths,
-		buckets: make(map[int][]int, len(cur.buckets)+1),
+		version: version,
+		entries: append(s.entries, entries...),
+		live:    s.live,
+		liveN:   s.liveN + len(entries),
+		lengths: s.lengths,
+		buckets: make(map[int][]int, len(s.buckets)+1),
 	}
-	for m, idx := range cur.buckets {
+	for m, idx := range s.buckets {
 		ns.buckets[m] = idx
 	}
 	for j, entry := range entries {
@@ -544,8 +484,7 @@ func (d *DB) Insert(entries []string) (start int, snap *Snapshot, err error) {
 		}
 		ns.buckets[m] = append(ns.buckets[m], start+j)
 	}
-	d.snap.Store(ns)
-	return start, ns, nil
+	return ns, nil
 }
 
 // NotLive returns the error Remove reports for a slot that is out of
@@ -554,28 +493,25 @@ func NotLive(slot int) error {
 	return fmt.Errorf("pipeline: slot %d is not a live entry", slot)
 }
 
-// Remove tombstones the given live slots in a derived snapshot and
-// publishes it.  The affected length buckets are rewritten without the
+// Remove derives the snapshot stamped version that tombstones the given
+// live slots.  The affected length buckets are rewritten without the
 // removed slots (fresh backing arrays), so searches never race a removed
 // entry; the slots themselves are reclaimed only by Compact.  A slot
-// that is out of range, already dead, or repeated is an error, reported
-// before anything is published — Remove is all-or-nothing.
-func (d *DB) Remove(slots []int) (*Snapshot, error) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	cur := d.snap.Load()
-	live := make([]bool, len(cur.live))
-	copy(live, cur.live)
+// that is out of range, already dead, or repeated is an error, and
+// nothing is derived — Remove is all-or-nothing.
+func (s *Snapshot) Remove(slots []int, version int64) (*Snapshot, error) {
+	live := make([]bool, len(s.live))
+	copy(live, s.live)
 	affected := make(map[int]bool)
 	for _, i := range slots {
-		if i < 0 || i >= len(cur.entries) || !live[i] {
+		if i < 0 || i >= len(s.entries) || !live[i] {
 			return nil, NotLive(i)
 		}
 		live[i] = false
-		affected[len(cur.entries[i])] = true
+		affected[len(s.entries[i])] = true
 	}
-	buckets := make(map[int][]int, len(cur.buckets))
-	for m, idx := range cur.buckets {
+	buckets := make(map[int][]int, len(s.buckets))
+	for m, idx := range s.buckets {
 		buckets[m] = idx
 	}
 	emptied := false
@@ -594,52 +530,47 @@ func (d *DB) Remove(slots []int) (*Snapshot, error) {
 			buckets[m] = kept
 		}
 	}
-	lengths := cur.lengths
+	lengths := s.lengths
 	if emptied {
 		lengths = make([]int, 0, len(buckets))
-		for _, m := range cur.lengths {
+		for _, m := range s.lengths {
 			if _, ok := buckets[m]; ok {
 				lengths = append(lengths, m)
 			}
 		}
 	}
-	ns := &Snapshot{
-		version: cur.version + 1,
-		entries: cur.entries,
+	return &Snapshot{
+		version: version,
+		entries: s.entries,
 		live:    live,
-		liveN:   cur.liveN - len(slots),
+		liveN:   s.liveN - len(slots),
 		lengths: lengths,
 		buckets: buckets,
-	}
-	d.snap.Store(ns)
-	return ns, nil
+	}, nil
 }
 
-// Compact rebuilds the current snapshot densely, dropping tombstoned
-// slots and renumbering the survivors in slot order.  It returns the
-// old-slot→new-slot remap (-1 for dropped slots) and the published
-// snapshot; when there is nothing to reclaim it returns a nil remap and
-// the current snapshot unchanged.  Callers holding slot-derived state (a
-// seed index, an ID table) must rebuild it through the remap.
+// Compact derives the snapshot stamped version that rebuilds s densely,
+// dropping tombstoned slots and renumbering the survivors in slot order.
+// It returns the old-slot→new-slot remap (-1 for dropped slots) and the
+// derived snapshot; when there is nothing to reclaim it returns a nil
+// remap and s itself.  Callers holding slot-derived state (a seed index,
+// an ID table) must rebuild it through the remap.
 //
 //racelint:cowsafe
-func (d *DB) Compact() (remap []int, snap *Snapshot) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	cur := d.snap.Load()
-	if cur.liveN == len(cur.entries) {
-		return nil, cur
+func (s *Snapshot) Compact(version int64) (remap []int, ns *Snapshot) {
+	if s.liveN == len(s.entries) {
+		return nil, s
 	}
-	remap = make([]int, len(cur.entries))
-	ns := &Snapshot{
-		version: cur.version + 1,
-		entries: make([]string, 0, cur.liveN),
-		live:    make([]bool, cur.liveN),
-		liveN:   cur.liveN,
+	remap = make([]int, len(s.entries))
+	ns = &Snapshot{
+		version: version,
+		entries: make([]string, 0, s.liveN),
+		live:    make([]bool, s.liveN),
+		liveN:   s.liveN,
 		buckets: make(map[int][]int),
 	}
-	for i, entry := range cur.entries {
-		if !cur.live[i] {
+	for i, entry := range s.entries {
+		if !s.live[i] {
 			remap[i] = -1
 			continue
 		}
@@ -652,28 +583,8 @@ func (d *DB) Compact() (remap []int, snap *Snapshot) {
 		}
 		ns.buckets[len(entry)] = append(ns.buckets[len(entry)], slot)
 	}
-	d.snap.Store(ns)
 	return remap, ns
 }
-
-// Len returns the number of live database entries.
-func (d *DB) Len() int { return d.snap.Load().Len() }
-
-// Buckets returns the number of distinct live entry lengths.
-func (d *DB) Buckets() int { return d.snap.Load().Buckets() }
-
-// EnginesBuilt returns the number of engines constructed by the DB's
-// pool set over its lifetime, across all searches and shapes (and all
-// DBs sharing the pools).
-func (d *DB) EnginesBuilt() int64 { return d.pools.EnginesBuilt() }
-
-// SetMaxIdleEngines overrides the pool set's park limit; see
-// Pools.SetMaxIdleEngines.
-func (d *DB) SetMaxIdleEngines(n int) { d.pools.SetMaxIdleEngines(n) }
-
-// PooledEngines returns the number of idle compiled engines currently
-// parked in the pool set.
-func (d *DB) PooledEngines() int { return d.pools.PooledEngines() }
 
 // entrySlots is the collector state, one outcome per scan position.
 // Known outcomes are written at plan time, and every other position is
@@ -735,49 +646,25 @@ func resolveScan(s *Snapshot, candidates []int) (*scanPlan, error) {
 	return p, nil
 }
 
-// Search scores query against the current snapshot.  See SearchAt.
-func (d *DB) Search(query string, req Request) (*Report, error) {
-	return d.SearchAt(d.snap.Load(), query, req)
-}
-
-// SearchAt scores query against one immutable snapshot (or its
-// Candidates subset) and returns the ranked report.  It is safe for
-// concurrent callers: all per-search state is local and engines are
-// checked out of the pools for exclusive use.  Because the snapshot is
-// loaded once and never changes, a search overlapping Insert/Remove
-// sees either all of a mutation or none of it.  An empty query is an
-// error, as is a candidate slot that is out of range or tombstoned; an
-// empty database or empty candidate set yields an empty report.
-func (d *DB) SearchAt(s *Snapshot, query string, req Request) (*Report, error) {
-	return MultiSearch([]ShardScan{{DB: d, Snap: s, Candidates: req.Candidates}}, query, req)
-}
-
 // ShardScan names one partition's contribution to a search: the
-// shard's DB (for its engine pools), the immutable snapshot to race,
-// the candidate subset (nil scans the whole shard), and the slot→ID
+// immutable snapshot to race, the candidate subset, and the slot→ID
 // table that positions the shard's entries in the global order.
 type ShardScan struct {
-	DB         *DB
-	Snap       *Snapshot
+	Snap *Snapshot
+	// Candidates restricts the scan to these slots (ascending, as a seed
+	// index produces them).  Nil scans every live slot; an empty non-nil
+	// slice races nothing.  A candidate slot that is out of range or
+	// tombstoned fails the query.
 	Candidates []int
-	// IDs maps the snapshot's slots to their global rank keys; nil
-	// defaults to the slot indices themselves (the single-shard case).
-	// IDs must be unique across every shard of one query's scan, and
-	// must cover the snapshot's slot span.
+	// IDs maps the snapshot's slots to their global rank keys.  IDs must
+	// be unique across every shard of one query's scan, and must cover
+	// the snapshot's slot span.
 	IDs []uint64
 	// Known holds outcomes of this query already scored under the
 	// request's threshold, ascending by ID; it may name entries of other
 	// shards or entries no longer scanned.  A scanned entry whose ID it
 	// holds is not raced.
 	Known []Outcome
-}
-
-// slotID returns the rank key of snapshot slot i.
-func (sc *ShardScan) slotID(i int) uint64 {
-	if sc.IDs == nil {
-		return uint64(i)
-	}
-	return sc.IDs[i]
 }
 
 // known returns the outcome Known holds for id, if any.
@@ -795,22 +682,6 @@ func (sc *ShardScan) known(id uint64) (Outcome, bool) {
 type slotRef struct {
 	shard, si, slot int
 	id              uint64
-}
-
-// MultiSearch scores query against N partition shards and merges the
-// shard outcomes into a single report — the scatter-gather search, run
-// as a batch of one through MultiSearchBatch.  Failures return the
-// single-query error itself, not a *QueryError.
-func MultiSearch(shards []ShardScan, query string, req Request) (*Report, error) {
-	reps, err := MultiSearchBatch([][]ShardScan{shards}, []string{query}, req)
-	var qe *QueryError
-	if errors.As(err, &qe) {
-		return nil, qe.Err
-	}
-	if err != nil {
-		return nil, err
-	}
-	return reps[0], nil
 }
 
 // outcome prices one finished race of the entry with rank key id.
@@ -862,8 +733,11 @@ type pairChunk struct {
 // MultiSearchBatch scores query qi against its own shard scans
 // (shardSets[qi] — same partition layout for every query, but each
 // query may carry its own seed-index candidate subsets) with one shared
-// worker pool and returns one report per query, index-aligned with
-// queries.  Entries whose outcome the scan already knows
+// worker pool, on engines checked out of pools, and returns one report
+// per query, index-aligned with queries.  It is safe for concurrent
+// callers: all per-search state is local, and each engine is checked
+// out for exclusive use.  An empty query is an error; an empty scan
+// yields an empty report.  Entries whose outcome the scan already knows
 // (ShardScan.Known) are written straight into the fold; only the rest
 // are raced, and a batch with nothing left to race starts no workers.
 // Same-shape (query, entry) pairs are coalesced across queries and
@@ -880,11 +754,9 @@ type pairChunk struct {
 // per-query attribution would be scheduling-dependent), and Memoized.
 // A failure anywhere fails the whole batch with a *QueryError naming
 // the lowest (query, rank-key) pair, exactly as sequential calls would
-// first hit it.  All shards of every query must share one Pools (the
-// racelogic layer guarantees this).  Request.Trace receives the batch's
-// spans; a chunk's checkout and race time go to the shard of its first
-// pair.
-func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([]*Report, error) {
+// first hit it.  Request.Trace receives the batch's spans; a chunk's
+// checkout and race time go to the shard of its first pair.
+func MultiSearchBatch(pools *Pools, shardSets [][]ShardScan, queries []string, req Request) ([]*Report, error) {
 	if len(shardSets) != len(queries) {
 		return nil, fmt.Errorf("pipeline: %d shard sets for %d queries", len(shardSets), len(queries))
 	}
@@ -969,7 +841,7 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 					shapeOrder = append(shapeOrder, key)
 				}
 				for _, pos := range plan.buckets[m] {
-					if o, ok := sc.known(sc.slotID(plan.slot(pos))); ok {
+					if o, ok := sc.known(sc.IDs[plan.slot(pos)]); ok {
 						slots[qi][si][pos] = o
 						reports[qi].Memoized++
 						if sums != nil {
@@ -998,9 +870,9 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 	}
 	endSpan()
 
+	// Each chunk owns its slot of both slices, as it owns its pairs'.
+	chunkBuilt := make([]bool, len(chunks))
 	chunkErrs := make([]*pairError, len(chunks))
-	var builds atomic.Int64
-	pools := shardSets[0][0].DB.pools
 	endSpan = tr.StartSpan("race")
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -1009,7 +881,7 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 		go func() {
 			defer wg.Done()
 			for ci := range jobs {
-				chunkErrs[ci] = pools.runPairChunk(shardSets, plans, queries, chunks[ci], req.Threshold, slots, &builds, tr)
+				chunkBuilt[ci], chunkErrs[ci] = pools.runPairChunk(shardSets, plans, queries, chunks[ci], req.Threshold, slots, tr)
 			}
 		}()
 	}
@@ -1040,7 +912,12 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 			sums[c.pairs[0].shard].chunks++
 		}
 	}
-	enginesBuilt := int(builds.Load())
+	enginesBuilt := 0
+	for _, built := range chunkBuilt {
+		if built {
+			enginesBuilt++
+		}
+	}
 	lib := pools.lib
 	refs := make([]slotRef, 0, totalPairs)
 	for qi, report := range reports {
@@ -1053,13 +930,13 @@ func MultiSearchBatch(shardSets [][]ShardScan, queries []string, req Request) ([
 			}
 			if plan.scan != nil {
 				for pos, slot := range plan.scan {
-					refs = append(refs, slotRef{shard: si, si: pos, slot: slot, id: sc.slotID(slot)})
+					refs = append(refs, slotRef{shard: si, si: pos, slot: slot, id: sc.IDs[slot]})
 				}
 				continue
 			}
 			for slot := 0; slot < plan.slotSpan; slot++ {
 				if sc.Snap.Live(slot) {
-					refs = append(refs, slotRef{shard: si, si: slot, slot: slot, id: sc.slotID(slot)})
+					refs = append(refs, slotRef{shard: si, si: slot, slot: slot, id: sc.IDs[slot]})
 				}
 			}
 		}
@@ -1132,9 +1009,10 @@ type pairError struct {
 // runPairChunk checks one engine out of the chunk's shape pool and
 // races every (query, entry) pair of the chunk on it in lane packs,
 // charging the checkout and race time to the shard of the chunk's first
-// pair.  It stops at the first failing pack.
+// pair.  It reports whether the checkout built the engine, and stops at
+// the first failing pack.
 func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queries []string, c pairChunk,
-	threshold int64, slots [][]entrySlots, builds *atomic.Int64, tr *obs.Trace) *pairError {
+	threshold int64, slots [][]entrySlots, tr *obs.Trace) (bool, *pairError) {
 
 	// resolve maps a pair to its snapshot slot (the entry index).
 	resolve := func(pr batchPair) int { return plans[pr.query][pr.shard].slot(pr.si) }
@@ -1142,10 +1020,7 @@ func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queri
 	first := c.pairs[0]
 	eng, area, built, err := p.acquireObserved(key, first.shard, tr)
 	if err != nil {
-		return &pairError{err, first.query, shardSets[first.query][first.shard].slotID(resolve(first))}
-	}
-	if built {
-		builds.Add(1)
+		return false, &pairError{err, first.query, shardSets[first.query][first.shard].IDs[resolve(first)]}
 	}
 	defer p.release(key, eng)
 	if tr != nil {
@@ -1181,15 +1056,15 @@ func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queri
 				err = le.Err
 			}
 			pr := pack[lane]
-			return &pairError{err, pr.query, shardSets[pr.query][pr.shard].slotID(resolve(pr))}
+			return built, &pairError{err, pr.query, shardSets[pr.query][pr.shard].IDs[resolve(pr)]}
 		}
 		if obsFn != nil && width > 1 {
 			(*obsFn)(len(pack), width)
 		}
 		for k, pr := range pack {
-			id := shardSets[pr.query][pr.shard].slotID(resolve(pr))
+			id := shardSets[pr.query][pr.shard].IDs[resolve(pr)]
 			slots[pr.query][pr.shard][pr.si] = p.outcome(id, results[k], area)
 		}
 	}
-	return nil
+	return built, nil
 }

@@ -14,14 +14,78 @@ import (
 
 func dnaFactory(n, m int) (*race.Array, error) { return race.NewArray(n, m) }
 
-// oneShot builds a throwaway DB and runs a single query — the shape of
-// the public racelogic.Search wrapper.
-func oneShot(query string, db []string, req Request) (*Report, error) {
-	d, err := NewDB(db, dnaFactory, nil)
+// testDB is one unpartitioned database: a snapshot lineage whose newest
+// snapshot is snap, raced on pools.  Tests derive the next snapshot with
+// Insert, Remove and Compact and store it in snap, as one shard of the
+// partitioned database does under its lock.
+type testDB struct {
+	pools *Pools
+	snap  *Snapshot
+}
+
+// newDB shards entries into a version-0 snapshot over a private
+// engine-pool set.
+func newDB(entries []string, factory Factory) (*testDB, error) {
+	pools, err := NewPools(factory, nil)
 	if err != nil {
 		return nil, err
 	}
-	return d.Search(query, req)
+	return newDBWith(entries, pools)
+}
+
+// newDBWith shards entries into a version-0 snapshot over a shared
+// engine-pool set.
+func newDBWith(entries []string, pools *Pools) (*testDB, error) {
+	snap, err := NewSnapshot(entries, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &testDB{pools: pools, snap: snap}, nil
+}
+
+// identityIDs ranks each of n slots by its own index: the rank keys of
+// an unpartitioned database.
+func identityIDs(n int) []uint64 {
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	return ids
+}
+
+// search races query against every live slot of the newest snapshot.
+func (d *testDB) search(query string, req Request) (*Report, error) {
+	return d.searchAt(d.snap, query, req, nil)
+}
+
+// searchAt races query against snapshot s, restricted to cands unless
+// cands is nil, with every slot ranked by its own index.
+func (d *testDB) searchAt(s *Snapshot, query string, req Request, cands []int) (*Report, error) {
+	return multiSearch(d.pools, []ShardScan{{Snap: s, Candidates: cands, IDs: identityIDs(s.Slots())}}, query, req)
+}
+
+// multiSearch races query against the shard scans as a batch of one and
+// returns the query's own error, not the *QueryError wrapping it.
+func multiSearch(pools *Pools, scans []ShardScan, query string, req Request) (*Report, error) {
+	reps, err := MultiSearchBatch(pools, [][]ShardScan{scans}, []string{query}, req)
+	var qe *QueryError
+	if errors.As(err, &qe) {
+		return nil, qe.Err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
+}
+
+// oneShot builds a throwaway database and runs a single query — the
+// shape of the public racelogic.Search wrapper.
+func oneShot(query string, db []string, req Request) (*Report, error) {
+	d, err := newDB(db, dnaFactory)
+	if err != nil {
+		return nil, err
+	}
+	return d.search(query, req)
 }
 
 func TestSearchEmptyDatabase(t *testing.T) {
@@ -187,35 +251,35 @@ func TestSearchDeterministicTopK(t *testing.T) {
 	}
 }
 
-// TestDBWarmPools pins the persistent-DB contract: the second search of
-// the same shape builds nothing, the pools report parked engines, and
+// TestDBWarmPools pins the persistent-pools contract: the second search
+// of the same shape builds nothing, the pools report parked engines, and
 // the warm report is identical to the cold one apart from EnginesBuilt.
 func TestDBWarmPools(t *testing.T) {
 	g := seqgen.NewDNA(17)
 	db := g.Database(12, 8)
-	d, err := NewDB(db, dnaFactory, nil)
+	d, err := newDB(db, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != 12 || d.Buckets() != 1 {
-		t.Fatalf("Len=%d Buckets=%d, want 12 and 1", d.Len(), d.Buckets())
+	if d.snap.Len() != 12 || len(d.snap.Lengths()) != 1 {
+		t.Fatalf("Len=%d Lengths=%v, want 12 and one length", d.snap.Len(), d.snap.Lengths())
 	}
 	// Workers: 1 keeps EnginesBuilt exact: at wider pools a warm search
 	// may legitimately compile an extra engine when its peak same-shape
 	// concurrency exceeds what the cold search left parked.
 	query := g.Random(8)
-	cold, err := d.Search(query, Request{Threshold: -1, Workers: 1})
+	cold, err := d.search(query, Request{Threshold: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.EnginesBuilt == 0 || d.EnginesBuilt() == 0 {
-		t.Fatalf("cold search must build engines, report %+v, total %d", cold, d.EnginesBuilt())
+	if cold.EnginesBuilt == 0 || d.pools.EnginesBuilt() == 0 {
+		t.Fatalf("cold search must build engines, report %+v, total %d", cold, d.pools.EnginesBuilt())
 	}
-	if d.PooledEngines() != int(d.EnginesBuilt()) {
+	if d.pools.PooledEngines() != int(d.pools.EnginesBuilt()) {
 		t.Errorf("all %d built engines must be parked after the search, pooled %d",
-			d.EnginesBuilt(), d.PooledEngines())
+			d.pools.EnginesBuilt(), d.pools.PooledEngines())
 	}
-	warm, err := d.Search(query, Request{Threshold: -1, Workers: 1})
+	warm, err := d.search(query, Request{Threshold: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +291,11 @@ func TestDBWarmPools(t *testing.T) {
 		t.Errorf("warm report differs from cold:\n got %+v\nwant %+v", warm, cold)
 	}
 	// A different query length is a different shape: more builds.
-	before := d.EnginesBuilt()
-	if _, err := d.Search(g.Random(6), Request{Threshold: -1, Workers: 1}); err != nil {
+	before := d.pools.EnginesBuilt()
+	if _, err := d.search(g.Random(6), Request{Threshold: -1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if d.EnginesBuilt() == before {
+	if d.pools.EnginesBuilt() == before {
 		t.Error("a new query length must compile a new engine shape")
 	}
 }
@@ -242,20 +306,20 @@ func TestDBWarmPools(t *testing.T) {
 func TestDBCandidates(t *testing.T) {
 	g := seqgen.NewDNA(18)
 	db := g.Database(10, 7)
-	d, err := NewDB(db, dnaFactory, nil)
+	d, err := newDB(db, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	query := g.Random(7)
 	cands := []int{1, 4, 7}
-	rep, err := d.Search(query, Request{Threshold: -1, Candidates: cands})
+	rep, err := d.searchAt(d.snap, query, Request{Threshold: -1}, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Scanned != len(cands) || rep.Matched != len(cands) {
 		t.Errorf("scanned %d matched %d, want %d each", rep.Scanned, rep.Matched, len(cands))
 	}
-	full, err := d.Search(query, Request{Threshold: -1})
+	full, err := d.search(query, Request{Threshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,17 +343,17 @@ func TestDBCandidates(t *testing.T) {
 		}
 	}
 	// Empty (non-nil) candidate set races nothing; nil scans everything.
-	empty, err := d.Search(query, Request{Threshold: -1, Candidates: []int{}})
+	empty, err := d.searchAt(d.snap, query, Request{Threshold: -1}, []int{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if empty.Scanned != 0 || len(empty.Results) != 0 || empty.Results == nil {
 		t.Errorf("empty candidates: %+v, want zero scanned and empty non-nil results", empty)
 	}
-	if _, err := d.Search(query, Request{Threshold: -1, Candidates: []int{10}}); err == nil {
+	if _, err := d.searchAt(d.snap, query, Request{Threshold: -1}, []int{10}); err == nil {
 		t.Error("out-of-range candidate index must error")
 	}
-	if _, err := d.Search(query, Request{Threshold: -1, Candidates: []int{-1}}); err == nil {
+	if _, err := d.searchAt(d.snap, query, Request{Threshold: -1}, []int{-1}); err == nil {
 		t.Error("negative candidate index must error")
 	}
 }
@@ -299,24 +363,24 @@ func TestDBCandidates(t *testing.T) {
 // memory monotonically.
 func TestDBIdleCap(t *testing.T) {
 	g := seqgen.NewDNA(19)
-	d, err := NewDB(g.Database(6, 6), dnaFactory, nil)
+	d, err := newDB(g.Database(6, 6), dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetMaxIdleEngines(2)
+	d.pools.SetMaxIdleEngines(2)
 	for _, n := range []int{3, 4, 5, 6, 7} {
-		if _, err := d.Search(g.Random(n), Request{Threshold: -1, Workers: 1}); err != nil {
+		if _, err := d.search(g.Random(n), Request{Threshold: -1, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := d.PooledEngines(); got > 2 {
+	if got := d.pools.PooledEngines(); got > 2 {
 		t.Errorf("pooled %d engines, cap is 2", got)
 	}
-	if d.EnginesBuilt() != 5 {
-		t.Errorf("built %d engines, want 5 (one per distinct query length)", d.EnginesBuilt())
+	if d.pools.EnginesBuilt() != 5 {
+		t.Errorf("built %d engines, want 5 (one per distinct query length)", d.pools.EnginesBuilt())
 	}
 	// The parked shapes still serve warm searches.
-	rep, err := d.Search(g.Random(3), Request{Threshold: -1, Workers: 1})
+	rep, err := d.search(g.Random(3), Request{Threshold: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,18 +389,20 @@ func TestDBIdleCap(t *testing.T) {
 	}
 }
 
+// TestNewDBErrors pins the constructors' errors — NewPools without a
+// factory, NewSnapshot with an empty entry — and an empty query's.
 func TestNewDBErrors(t *testing.T) {
-	if _, err := NewDB([]string{"ACGT"}, nil, nil); err == nil {
+	if _, err := NewPools(nil, nil); err == nil {
 		t.Error("nil factory must error")
 	}
-	if _, err := NewDB([]string{"ACGT", ""}, dnaFactory, nil); err == nil {
+	if _, err := NewSnapshot([]string{"ACGT", ""}, 0); err == nil {
 		t.Error("empty entry must error")
 	}
-	d, err := NewDB(nil, dnaFactory, nil)
+	d, err := newDB(nil, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Search("", Request{Threshold: -1}); err == nil {
+	if _, err := d.search("", Request{Threshold: -1}); err == nil {
 		t.Error("empty query must error")
 	}
 }
@@ -370,26 +436,27 @@ func TestSearchEngineReuseMatchesFreshEngines(t *testing.T) {
 	}
 }
 
-// TestDBInsertRemove drives the copy-on-write mutation path: inserts
-// appear in the next search, removes disappear, the version counter
-// ticks once per mutation, and bucket bookkeeping follows.
+// TestDBInsertRemove drives the copy-on-write derivations: inserts
+// appear in the next search, removes disappear, each derivation carries
+// the version it is given, and bucket bookkeeping follows.
 func TestDBInsertRemove(t *testing.T) {
-	d, err := NewDB([]string{"ACGT", "TTTT"}, dnaFactory, nil)
+	d, err := newDB([]string{"ACGT", "TTTT"}, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Version() != 0 || d.Len() != 2 || d.Buckets() != 1 {
-		t.Fatalf("fresh DB: version=%d len=%d buckets=%d", d.Version(), d.Len(), d.Buckets())
+	if d.snap.Version() != 0 || d.snap.Len() != 2 || len(d.snap.Lengths()) != 1 {
+		t.Fatalf("fresh snapshot: version=%d len=%d lengths=%v", d.snap.Version(), d.snap.Len(), d.snap.Lengths())
 	}
-	start, snap, err := d.Insert([]string{"ACGA", "GG"})
+	snap, err := d.snap.Insert([]string{"ACGA", "GG"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if start != 2 || snap.Len() != 4 || snap.Version() != 1 || snap.Buckets() != 2 {
-		t.Fatalf("after insert: start=%d len=%d version=%d buckets=%d",
-			start, snap.Len(), snap.Version(), snap.Buckets())
+	if snap.Entry(2) != "ACGA" || snap.Len() != 4 || snap.Version() != 1 || len(snap.Lengths()) != 2 {
+		t.Fatalf("after insert: slot 2=%q len=%d version=%d lengths=%v",
+			snap.Entry(2), snap.Len(), snap.Version(), snap.Lengths())
 	}
-	rep, err := d.Search("ACGT", Request{Threshold: -1, Workers: 1})
+	d.snap = snap
+	rep, err := d.search("ACGT", Request{Threshold: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,14 +472,15 @@ func TestDBInsertRemove(t *testing.T) {
 	}
 
 	// Remove the only length-2 entry: its bucket must vanish.
-	snap, err = d.Remove([]int{3})
+	snap, err = d.snap.Remove([]int{3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Len() != 3 || snap.Dead() != 1 || snap.Buckets() != 1 || snap.Version() != 2 {
-		t.Fatalf("after remove: %+v len=%d dead=%d buckets=%d", snap, snap.Len(), snap.Dead(), snap.Buckets())
+	if snap.Len() != 3 || snap.Dead() != 1 || len(snap.Lengths()) != 1 || snap.Version() != 2 {
+		t.Fatalf("after remove: %+v len=%d dead=%d lengths=%v", snap, snap.Len(), snap.Dead(), snap.Lengths())
 	}
-	rep, err = d.Search("ACGT", Request{Threshold: -1, Workers: 1})
+	d.snap = snap
+	rep, err = d.search("ACGT", Request{Threshold: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,66 +495,66 @@ func TestDBInsertRemove(t *testing.T) {
 
 	// Tombstoned or out-of-range slots are rejected all-or-nothing: the
 	// valid slot 0 in the same batch must stay live.
-	if _, err := d.Remove([]int{0, 3}); err == nil {
+	if _, err := d.snap.Remove([]int{0, 3}, 3); err == nil {
 		t.Error("removing a dead slot must error")
 	}
-	if _, err := d.Remove([]int{0, 0}); err == nil {
+	if _, err := d.snap.Remove([]int{0, 0}, 3); err == nil {
 		t.Error("removing a slot twice in one call must error")
 	}
-	if _, err := d.Remove([]int{99}); err == nil {
+	if _, err := d.snap.Remove([]int{99}, 3); err == nil {
 		t.Error("removing an out-of-range slot must error")
 	}
-	if d.Len() != 3 || d.Version() != 2 {
-		t.Errorf("failed removes must not mutate: len=%d version=%d", d.Len(), d.Version())
+	if d.snap.Len() != 3 || !d.snap.Live(0) || d.snap.Version() != 2 {
+		t.Errorf("failed removes must not mutate: len=%d slot 0 live=%v version=%d", d.snap.Len(), d.snap.Live(0), d.snap.Version())
 	}
 	// A tombstoned candidate slot is an error, not a silent resurrection.
-	if _, err := d.Search("ACGT", Request{Threshold: -1, Candidates: []int{3}}); err == nil {
+	if _, err := d.searchAt(d.snap, "ACGT", Request{Threshold: -1}, []int{3}); err == nil {
 		t.Error("tombstoned candidate slot must error")
 	}
-	if _, _, err := d.Insert([]string{"ACGT", ""}); err == nil {
+	if _, err := d.snap.Insert([]string{"ACGT", ""}, 3); err == nil {
 		t.Error("inserting an empty entry must error")
 	}
 }
 
 // TestDBSnapshotIsolation pins the copy-on-write contract directly: a
-// snapshot loaded before a burst of mutations must keep returning its
-// original contents via SearchAt, bit-identical, after the mutations.
+// snapshot searched before a burst of derivations must keep returning
+// its original contents, bit-identical, after them.
 func TestDBSnapshotIsolation(t *testing.T) {
 	g := seqgen.NewDNA(23)
 	db := g.Database(10, 8)
-	d, err := NewDB(db, dnaFactory, nil)
+	d, err := newDB(db, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	query := g.Random(8)
-	old := d.Snapshot()
-	before, err := d.SearchAt(old, query, Request{Threshold: -1, Workers: 1})
+	old := d.snap
+	before, err := d.searchAt(old, query, Request{Threshold: -1, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Insert(g.Database(5, 8)); err != nil {
+	if d.snap, err = d.snap.Insert(g.Database(5, 8), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Remove([]int{0, 3, 7}); err != nil {
+	if d.snap, err = d.snap.Remove([]int{0, 3, 7}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, snap := d.Compact(); snap.Len() != 12 {
-		t.Fatalf("compacted to %d entries, want 12", snap.Len())
+	if _, d.snap = d.snap.Compact(3); d.snap.Len() != 12 {
+		t.Fatalf("compacted to %d entries, want 12", d.snap.Len())
 	}
-	after, err := d.SearchAt(old, query, Request{Threshold: -1, Workers: 1})
+	after, err := d.searchAt(old, query, Request{Threshold: -1, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before.EnginesBuilt, after.EnginesBuilt = 0, 0
 	if !reflect.DeepEqual(before, after) {
-		t.Errorf("old snapshot changed under mutation:\n got %+v\nwant %+v", after, before)
+		t.Errorf("old snapshot changed under derivation:\n got %+v\nwant %+v", after, before)
 	}
-	now, err := d.Search(query, Request{Threshold: -1, Workers: 1})
+	now, err := d.search(query, Request{Threshold: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if now.Scanned != 12 {
-		t.Errorf("current snapshot raced %d entries, want 12", now.Scanned)
+		t.Errorf("newest snapshot raced %d entries, want 12", now.Scanned)
 	}
 }
 
@@ -496,19 +564,19 @@ func TestDBSnapshotIsolation(t *testing.T) {
 func TestDBCompact(t *testing.T) {
 	g := seqgen.NewDNA(29)
 	db := g.Database(8, 6)
-	d, err := NewDB(db, dnaFactory, nil)
+	d, err := newDB(db, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	query := g.Random(6)
-	if _, err := d.Remove([]int{1, 4, 6}); err != nil {
+	if d.snap, err = d.snap.Remove([]int{1, 4, 6}, 1); err != nil {
 		t.Fatal(err)
 	}
-	before, err := d.Search(query, Request{Threshold: -1, Workers: 1})
+	before, err := d.search(query, Request{Threshold: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	remap, snap := d.Compact()
+	remap, snap := d.snap.Compact(2)
 	if snap.Len() != 5 || snap.Dead() != 0 || snap.Slots() != 5 {
 		t.Fatalf("compacted snapshot: len=%d dead=%d slots=%d", snap.Len(), snap.Dead(), snap.Slots())
 	}
@@ -516,11 +584,12 @@ func TestDBCompact(t *testing.T) {
 	if !reflect.DeepEqual(remap, want) {
 		t.Errorf("remap = %v, want %v", remap, want)
 	}
+	d.snap = snap
 	// Compacting a dense snapshot is a no-op.
-	if again, s2 := d.Compact(); again != nil || s2 != snap {
+	if again, s2 := d.snap.Compact(3); again != nil || s2 != snap {
 		t.Error("second Compact must return nil remap and the same snapshot")
 	}
-	after, err := d.Search(query, Request{Threshold: -1, Workers: 1})
+	after, err := d.search(query, Request{Threshold: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,28 +607,34 @@ func TestDBCompact(t *testing.T) {
 	}
 }
 
-// TestDBSetVersion pins the restore path: the counter resumes where the
-// persisted database left off and keeps incrementing from there.
-func TestDBSetVersion(t *testing.T) {
-	d, err := NewDB([]string{"ACGT"}, dnaFactory, nil)
+// TestSnapshotDerivationVersion pins the restore path: a snapshot built
+// at a persisted sequence carries it, and each derivation carries
+// exactly the version it is given, however far from zero.
+func TestSnapshotDerivationVersion(t *testing.T) {
+	snap, err := NewSnapshot([]string{"ACGT", "TTTT"}, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetVersion(41)
-	if d.Version() != 41 {
-		t.Fatalf("Version = %d, want 41", d.Version())
+	if snap.Version() != 41 {
+		t.Fatalf("Version = %d, want 41", snap.Version())
 	}
-	if _, snap, err := d.Insert([]string{"TTTT"}); err != nil || snap.Version() != 42 {
-		t.Fatalf("insert after SetVersion: %v, version %d", err, snap.Version())
+	if snap, err = snap.Insert([]string{"TTTT"}, 42); err != nil || snap.Version() != 42 {
+		t.Fatalf("insert at 42: %v, version %d", err, snap.Version())
+	}
+	if snap, err = snap.Remove([]int{0}, 43); err != nil || snap.Version() != 43 {
+		t.Fatalf("remove at 43: %v, version %d", err, snap.Version())
+	}
+	if _, snap = snap.Compact(44); snap.Version() != 44 {
+		t.Fatalf("compact at 44: version %d", snap.Version())
 	}
 }
 
 // TestMultiSearchMatchesSingle is the scatter-gather equivalence at the
-// pipeline level: entries partitioned across several shard DBs (sharing
-// one Pools), with slot→ID tables mapping them back to their global
-// positions, must produce a report byte-identical modulo EnginesBuilt
-// to the unpartitioned DB — including the floating-point energy total
-// and the (Score, ID) ranking.
+// pipeline level: entries partitioned across several shard snapshots
+// (raced on one Pools), with slot→ID tables mapping them back to their
+// global positions, must produce a report byte-identical modulo
+// EnginesBuilt to the unpartitioned database — including the
+// floating-point energy total and the (Score, ID) ranking.
 func TestMultiSearchMatchesSingle(t *testing.T) {
 	g := seqgen.NewDNA(31)
 	var db []string
@@ -567,12 +642,12 @@ func TestMultiSearchMatchesSingle(t *testing.T) {
 		db = append(db, g.Database(12, n)...)
 	}
 	query := g.Random(8)
-	single, err := NewDB(db, dnaFactory, nil)
+	single, err := newDB(db, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := Request{Threshold: 14, TopK: 9, Workers: 3}
-	want, err := single.Search(query, req)
+	want, err := single.search(query, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,22 +657,7 @@ func TestMultiSearchMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shardEntries := make([][]string, parts)
-		shardIDs := make([][]uint64, parts)
-		for i, e := range db {
-			s := i % parts
-			shardEntries[s] = append(shardEntries[s], e)
-			shardIDs[s] = append(shardIDs[s], uint64(i))
-		}
-		scans := make([]ShardScan, parts)
-		for s := 0; s < parts; s++ {
-			d, err := NewDBWith(shardEntries[s], pools)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scans[s] = ShardScan{DB: d, Snap: d.Snapshot(), IDs: shardIDs[s]}
-		}
-		got, err := MultiSearch(scans, query, req)
+		got, err := multiSearch(pools, batchShards(t, db, parts), query, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -657,11 +717,11 @@ func lanesDB(g *seqgen.Generator) []string {
 func TestLanesSearchMatchesCycle(t *testing.T) {
 	db := lanesDB(seqgen.NewDNA(33))
 	query := seqgen.NewDNA(34).Random(7)
-	lanesD, err := NewDB(db, lanesFactory, nil)
+	lanesD, err := newDB(db, lanesFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refD, err := NewDB(db, dnaFactory, nil)
+	refD, err := newDB(db, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,11 +731,11 @@ func TestLanesSearchMatchesCycle(t *testing.T) {
 		{Threshold: 6, TopK: 4, Workers: 2},
 		{Threshold: -1, Workers: 4},
 	} {
-		want, err := refD.Search(query, req)
+		want, err := refD.search(query, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := lanesD.Search(query, req)
+		got, err := lanesD.search(query, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -706,11 +766,11 @@ func TestLanesPackFill(t *testing.T) {
 		mu.Unlock()
 	})
 	db := lanesDB(seqgen.NewDNA(33))
-	d, err := NewDBWith(db, pools)
+	d, err := newDBWith(db, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Search("ACGTACG", Request{Threshold: -1, Workers: 1}); err != nil {
+	if _, err := d.search("ACGTACG", Request{Threshold: -1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	want := [][2]int{{64, 64}, {6, 64}, {5, 64}, {1, 64}}
@@ -719,8 +779,8 @@ func TestLanesPackFill(t *testing.T) {
 	}
 	for _, parts := range []int{2, 3} {
 		fills = nil
-		scans := batchShards(t, db, parts, pools)
-		if _, err := MultiSearch(scans, "ACGTACG", Request{Threshold: -1, Workers: 1}); err != nil {
+		scans := batchShards(t, db, parts)
+		if _, err := multiSearch(pools, scans, "ACGTACG", Request{Threshold: -1, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fills, want) {
@@ -729,14 +789,14 @@ func TestLanesPackFill(t *testing.T) {
 	}
 	// A scalar-backend pool races packs of one and must never report
 	// them.
-	scalar, err := NewDB([]string{"ACGT", "TTTT"}, dnaFactory, nil)
+	scalar, err := newDB([]string{"ACGT", "TTTT"}, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar.Pools().SetLaneObserver(func(filled, width int) {
+	scalar.pools.SetLaneObserver(func(filled, width int) {
 		t.Errorf("observer fired on scalar pools: (%d, %d)", filled, width)
 	})
-	if _, err := scalar.Search("ACGT", Request{Threshold: -1, Workers: 1}); err != nil {
+	if _, err := scalar.search("ACGT", Request{Threshold: -1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -779,11 +839,11 @@ func TestLanesPackFill(t *testing.T) {
 			widest = max(widest, filled)
 			mu.Unlock()
 		})
-		d, err := NewDBWith(c.db, pools)
+		d, err := newDBWith(c.db, pools)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Search(c.query, Request{Threshold: -1, Workers: 1}); err != nil {
+		if _, err := d.search(c.query, Request{Threshold: -1, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if widest < 2 {
@@ -801,11 +861,11 @@ func TestLanesErrorAttribution(t *testing.T) {
 	db[7] = "ACGTXA" // decode failure mid-pack
 	query := g.Random(6)
 	want, werr := oneShot(query, db, Request{Threshold: -1, Workers: 1})
-	lanesD, err := NewDB(db, lanesFactory, nil)
+	lanesD, err := newDB(db, lanesFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gerr := lanesD.Search(query, Request{Threshold: -1, Workers: 1})
+	got, gerr := lanesD.search(query, Request{Threshold: -1, Workers: 1})
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("error disagreement: cycle %v, lanes %v", werr, gerr)
 	}
@@ -862,11 +922,11 @@ func TestLanesPackCarvingWidths(t *testing.T) {
 			fills = append(fills, [2]int{filled, w})
 			mu.Unlock()
 		})
-		d, err := NewDBWith(db, pools)
+		d, err := newDBWith(db, pools)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Search("ACGTACGT", Request{Threshold: -1, Workers: 1}); err != nil {
+		if _, err := d.search("ACGTACGT", Request{Threshold: -1, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fills, want[width]) {
@@ -882,12 +942,12 @@ func TestLanesPackCarvingWidths(t *testing.T) {
 func TestLanesSearchMatchesCycleWidths(t *testing.T) {
 	db := lanesDB(seqgen.NewDNA(33))
 	query := seqgen.NewDNA(34).Random(7)
-	refD, err := NewDB(db, dnaFactory, nil)
+	refD, err := newDB(db, dnaFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, width := range []int{128, 256} {
-		lanesD, err := NewDB(db, widthFactory(width), nil)
+		lanesD, err := newDB(db, widthFactory(width))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -895,11 +955,11 @@ func TestLanesSearchMatchesCycleWidths(t *testing.T) {
 			{Threshold: -1, Workers: 1},
 			{Threshold: 6, TopK: 4, Workers: 2},
 		} {
-			want, err := refD.Search(query, req)
+			want, err := refD.search(query, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := lanesD.Search(query, req)
+			got, err := lanesD.search(query, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -912,9 +972,9 @@ func TestLanesSearchMatchesCycleWidths(t *testing.T) {
 	}
 }
 
-// batchShards partitions db into parts shards sharing one Pools and
-// returns the scan set (full coverage, global IDs = corpus positions).
-func batchShards(t *testing.T, db []string, parts int, pools *Pools) []ShardScan {
+// batchShards partitions db into parts shard snapshots and returns the
+// scan set (full coverage, global IDs = corpus positions).
+func batchShards(t *testing.T, db []string, parts int) []ShardScan {
 	t.Helper()
 	shardEntries := make([][]string, parts)
 	shardIDs := make([][]uint64, parts)
@@ -925,19 +985,19 @@ func batchShards(t *testing.T, db []string, parts int, pools *Pools) []ShardScan
 	}
 	scans := make([]ShardScan, parts)
 	for s := 0; s < parts; s++ {
-		d, err := NewDBWith(shardEntries[s], pools)
+		snap, err := NewSnapshot(shardEntries[s], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scans[s] = ShardScan{DB: d, Snap: d.Snapshot(), IDs: shardIDs[s]}
+		scans[s] = ShardScan{Snap: snap, IDs: shardIDs[s]}
 	}
 	return scans
 }
 
 // TestMultiSearchBatchMatchesSequential pins the cross-query contract:
-// every report of a batch must be byte-identical to the sequential
-// MultiSearch call for that query — across lane widths, shard counts,
-// and worker counts — except EnginesBuilt, which counts the batch.
+// every report of a batch must be byte-identical to a batch of that
+// query alone — across lane widths, shard counts, and worker counts —
+// except EnginesBuilt, which counts the batch.
 func TestMultiSearchBatchMatchesSequential(t *testing.T) {
 	g := seqgen.NewDNA(37)
 	var db []string
@@ -952,13 +1012,13 @@ func TestMultiSearchBatchMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				scans := batchShards(t, db, parts, pools)
+				scans := batchShards(t, db, parts)
 				req := Request{Threshold: 16, TopK: 7, Workers: workers}
 				sets := make([][]ShardScan, len(queries))
 				for qi := range queries {
 					sets[qi] = scans
 				}
-				got, err := MultiSearchBatch(sets, queries, req)
+				got, err := MultiSearchBatch(pools, sets, queries, req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -966,7 +1026,7 @@ func TestMultiSearchBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("%d reports for %d queries", len(got), len(queries))
 				}
 				for qi, q := range queries {
-					want, err := MultiSearch(scans, q, req)
+					want, err := multiSearch(pools, scans, q, req)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -1000,7 +1060,7 @@ func TestMultiSearchBatchKnownOutcomes(t *testing.T) {
 	}
 	packs := 0
 	pools.SetLaneObserver(func(filled, width int) { packs++ })
-	scans := batchShards(t, db, 3, pools)
+	scans := batchShards(t, db, 3)
 	req := Request{Threshold: 12, TopK: 5, Workers: 1}
 	sets := func(known func(qi int) []Outcome) [][]ShardScan {
 		out := make([][]ShardScan, len(queries))
@@ -1012,7 +1072,7 @@ func TestMultiSearchBatchKnownOutcomes(t *testing.T) {
 		}
 		return out
 	}
-	cold, err := MultiSearchBatch(sets(func(int) []Outcome { return nil }), queries, req)
+	cold, err := MultiSearchBatch(pools, sets(func(int) []Outcome { return nil }), queries, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1040,7 +1100,7 @@ func TestMultiSearchBatchKnownOutcomes(t *testing.T) {
 			}
 			return k
 		}
-		warm, err := MultiSearchBatch(sets(known), queries, req)
+		warm, err := MultiSearchBatch(pools, sets(known), queries, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1082,17 +1142,17 @@ func TestMultiSearchBatchErrorAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDBWith(db, pools)
+	snap, err := NewSnapshot(db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := d.Snapshot()
+	ids := identityIDs(len(db))
 	sets := [][]ShardScan{
-		{{DB: d, Snap: snap, Candidates: clean}},
-		{{DB: d, Snap: snap}},
-		{{DB: d, Snap: snap}},
+		{{Snap: snap, Candidates: clean, IDs: ids}},
+		{{Snap: snap, IDs: ids}},
+		{{Snap: snap, IDs: ids}},
 	}
-	_, err = MultiSearchBatch(sets, queries, Request{Threshold: -1, Workers: 1})
+	_, err = MultiSearchBatch(pools, sets, queries, Request{Threshold: -1, Workers: 1})
 	if err == nil {
 		t.Fatal("corrupt entry must fail the batch")
 	}

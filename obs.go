@@ -266,18 +266,12 @@ type DatabaseStats struct {
 // numbers must agree with each other (the /stats endpoint).
 func (d *Database) Stats() DatabaseStats {
 	v := d.view.Load()
-	set := make(map[int]bool)
-	for _, st := range v.states {
-		for _, m := range st.snap.Lengths() {
-			set[m] = true
-		}
-	}
 	memoQueries, memoOutcomes := d.memo.size()
 	return DatabaseStats{
 		Entries:      v.live(),
 		Version:      v.version,
 		Tombstones:   v.dead(),
-		Buckets:      len(set),
+		Buckets:      v.buckets(),
 		Shards:       d.shardStatsAt(v),
 		MemoQueries:  memoQueries,
 		MemoOutcomes: memoOutcomes,

@@ -70,7 +70,7 @@ func TestOpenRejectsInvalidReplayedInsert(t *testing.T) {
 	defer d.Close()
 	sh := d.shards[0]
 	sh.mu.Lock()
-	err := sh.jrnl.AppendInsert(sh.p.Version()+1, d.ticket.Add(1), []uint64{d.nextID.Add(1) - 1}, []string{"ACGTXXXX"})
+	err := sh.jrnl.AppendInsert(d.state(0).nextSeq(), d.ticket.Add(1), []uint64{d.nextID.Add(1) - 1}, []string{"ACGTXXXX"})
 	sh.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -82,14 +82,14 @@ func TestOpenRejectsInvalidReplayedInsert(t *testing.T) {
 
 // TestOpenRejectsRepeatedReplayedRemove pins replay's error for a remove
 // record naming one ID twice, appended past Remove's check: Open fails
-// as a record-by-record replay would, with pipeline.Remove's error for
+// as a record-by-record replay would, with a snapshot Remove's error for
 // the repeated slot.
 func TestOpenRejectsRepeatedReplayedRemove(t *testing.T) {
 	d, dir := persistedDNA(t)
 	defer d.Close()
 	sh := d.shards[0]
 	sh.mu.Lock()
-	err := sh.jrnl.AppendRemove(sh.p.Version()+1, d.ticket.Add(1), []uint64{1, 1})
+	err := sh.jrnl.AppendRemove(d.state(0).nextSeq(), d.ticket.Add(1), []uint64{1, 1})
 	sh.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
