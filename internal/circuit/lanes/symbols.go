@@ -26,16 +26,19 @@ type SymbolPlan struct {
 	rows, cols       int           // group counts
 	rowBits, colBits int           // pins per row group and per column group
 	gates            []planGate    // every gate the load can move, for lane 0's per-net Toggles
+	gateOf           []int32       // net → 1 + index in gates of the gate driving it, or 0
 	tables           [][]uint8     // distinct toggle tables
 	classes          []planClass   // per toggle class, its groups' tables summed by multiplicity
 }
 
-// planGate is one gate the load can move: its index, the row and
-// column groups it reads, and its toggle table.
+// planGate is one gate the load can move: its settle position, the row
+// and column groups it reads, its toggle table, and whether a
+// flip-flop reads its net.
 type planGate struct {
-	gate     int32
+	pos      int32
 	row, col int32
 	table    int32
+	latched  bool
 }
 
 // planClass is the load's price in one toggle class: table[a<<colBits|b]
@@ -87,11 +90,12 @@ func (s *Sim) PlanSymbolLoad(rows, cols [][]circuit.Net) (*SymbolPlan, error) {
 	if len(rows) == 0 || len(cols) == 0 {
 		return nil, fmt.Errorf("lanes: symbol plan has %d row and %d column groups, needs at least one of each", len(rows), len(cols))
 	}
-	p := &SymbolPlan{nl: s.nl, rows: len(rows), cols: len(cols), rowBits: len(rows[0]), colBits: len(cols[0])}
+	st := s.st
+	p := &SymbolPlan{nl: st.nl, rows: len(rows), cols: len(cols), rowBits: len(rows[0]), colBits: len(cols[0])}
 	if p.rowBits == 0 || p.colBits == 0 || p.rowBits+p.colBits > maxTableBits {
 		return nil, fmt.Errorf("lanes: symbol groups of %d row and %d column pins, want 1 or more each and at most %d together", p.rowBits, p.colBits, maxTableBits)
 	}
-	nn := s.nl.NumNets()
+	nn := st.nl.NumNets()
 	rowOf := make([]int32, nn)
 	colOf := make([]int32, nn)
 	for i := range rowOf {
@@ -103,7 +107,7 @@ func (s *Sim) PlanSymbolLoad(rows, cols [][]circuit.Net) (*SymbolPlan, error) {
 				return fmt.Errorf("lanes: %s group %d has %d pins, group 0 has %d", side, g, len(pins), len(groups[0]))
 			}
 			for _, pin := range pins {
-				if gi := int(pin) - 2; gi < 0 || gi >= len(s.kinds) || s.kinds[gi] != circuit.KindInput {
+				if gi := int(pin) - 2; gi < 0 || gi >= len(st.kinds) || st.kinds[gi] != circuit.KindInput {
 					return fmt.Errorf("lanes: %s group %d pin %d is not an input", side, g, pin)
 				}
 				if rowOf[pin] != noGroup || colOf[pin] != noGroup {
@@ -127,54 +131,46 @@ func (s *Sim) PlanSymbolLoad(rows, cols [][]circuit.Net) (*SymbolPlan, error) {
 	// pin k of every row group holds bit k of a, pin k of every column
 	// group bit k of b.  After each pin the gates whose inputs moved
 	// settle in level order, and every changed lane counts one toggle, as
-	// the per-pin path would: counts[gi*combos+l] is gate gi's count in
-	// lane l.  cone collects every gate evaluated, by level.
+	// the per-pin path would: counts[pos*combos+l] is the count of the gate
+	// at settle position pos in lane l.  inCone marks every gate evaluated.
 	combos := 1 << (p.rowBits + p.colBits)
-	vals := make([]uint64, nn)
+	// shell evaluates gates on its one-word copy of the baseline.
+	shell := &kernel[[1]uint64]{structure: *st, vals: make([][1]uint64, nn)}
+	vals := shell.vals
 	for net := range vals {
-		vals[net] = s.baseVals[net*s.words]
+		vals[net][0] = s.k.baseWord(circuit.Net(net))
 	}
-	shell := &Sim{kinds: s.kinds, ins: s.ins, words: 1, vals: vals} // evaluates gates on vals
-	cone := make([][]int32, len(s.buckets))
-	inCone := make([]bool, len(s.kinds))
-	counts := make([]uint8, len(s.kinds)*combos)
-	buckets := make([][]int32, len(s.buckets))
-	queued := make([]bool, len(s.kinds))
-	enqueue := func(net circuit.Net) {
-		for _, gi := range s.comb[net] {
-			if !queued[gi] {
-				queued[gi] = true
-				buckets[s.level[gi]] = append(buckets[s.level[gi]], gi)
-			}
+	inCone := make([]bool, len(st.gates))
+	counts := make([]uint8, len(st.gates)*combos)
+	dirty := make([]uint64, (len(st.gates)+63)/64)
+	mark := func(net circuit.Net) {
+		for _, pos := range st.nets[net].comb {
+			dirty[pos>>6] |= 1 << uint(pos&63)
 		}
 	}
-	out := make([]uint64, 1)
 	drive := func(pin circuit.Net, shift int) {
 		var pattern uint64
 		for l := 0; l < combos; l++ {
 			pattern |= uint64(l>>shift&1) << uint(l)
 		}
-		vals[pin] = pattern
-		enqueue(pin)
-		for lvl, b := range buckets {
-			for _, gi := range b {
-				queued[gi] = false
-				if !inCone[gi] {
-					inCone[gi] = true
-					cone[lvl] = append(cone[lvl], gi)
-				}
-				shell.eval(gi, out)
-				net := circuit.Net(gi + 2)
-				if diff := out[0] ^ vals[net]; diff != 0 {
-					vals[net] = out[0]
-					row := counts[int(gi)*combos:]
+		vals[pin][0] = pattern
+		mark(pin)
+		for i := range dirty {
+			for dirty[i] != 0 {
+				pos := i<<6 | bits.TrailingZeros64(dirty[i])
+				dirty[i] &= dirty[i] - 1
+				inCone[pos] = true
+				g := &st.gates[pos]
+				out := shell.eval(g)
+				if diff := out[0] ^ vals[g.out][0]; diff != 0 {
+					vals[g.out] = out
+					row := counts[pos*combos:]
 					for m := diff; m != 0; m &= m - 1 {
 						row[bits.TrailingZeros64(m)]++
 					}
-					enqueue(net)
+					mark(g.out)
 				}
 			}
-			buckets[lvl] = b[:0]
 		}
 	}
 	for _, pins := range rows {
@@ -189,8 +185,8 @@ func (s *Sim) PlanSymbolLoad(rows, cols [][]circuit.Net) (*SymbolPlan, error) {
 	}
 
 	// Keep the gates that can move, checking the three rules, and group
-	// them by (toggle class, table).  Level order classifies every gate's
-	// inputs before the gate.
+	// them by (toggle class, table).  Settle order is level order, so it
+	// classifies every gate's inputs before the gate.
 	type groupKey struct{ class, table int32 }
 	type group struct {
 		first  circuit.Net
@@ -200,10 +196,13 @@ func (s *Sim) PlanSymbolLoad(rows, cols [][]circuit.Net) (*SymbolPlan, error) {
 	groupID := make(map[groupKey]int)
 	var groups []group
 	var keys []groupKey
-	for _, gi := range slices.Concat(cone...) {
-		net := circuit.Net(gi + 2)
+	for pos, g := range st.gates {
+		if !inCone[pos] {
+			continue
+		}
+		net := g.out
 		r, c := int32(noGroup), int32(noGroup)
-		for _, in := range s.ins[gi] {
+		for _, in := range st.ins[net-2] {
 			r = mergeGroup(r, rowOf[in])
 			c = mergeGroup(c, colOf[in])
 		}
@@ -215,17 +214,17 @@ func (s *Sim) PlanSymbolLoad(rows, cols [][]circuit.Net) (*SymbolPlan, error) {
 			if r != manyGroups {
 				side = "column"
 			}
-			return nil, fmt.Errorf("lanes: %v gate on net %d reads more than one %s group", s.kinds[gi], net, side)
+			return nil, fmt.Errorf("lanes: %v gate on net %d reads more than one %s group", g.kind, net, side)
 		}
-		t := counts[int(gi)*combos : int(gi+1)*combos]
+		t := counts[pos*combos : (pos+1)*combos]
 		if !slices.ContainsFunc(t, func(n uint8) bool { return n != 0 }) {
 			continue
 		}
 		if r == noGroup || c == noGroup {
-			return nil, fmt.Errorf("lanes: %v gate on net %d moves with one symbol side's pins only", s.kinds[gi], net)
+			return nil, fmt.Errorf("lanes: %v gate on net %d moves with one symbol side's pins only", g.kind, net)
 		}
-		if s.baseVals[int(net)*s.words] == 0 {
-			return nil, fmt.Errorf("lanes: %v gate on net %d moves during the symbol load but is low at baseline", s.kinds[gi], net)
+		if s.k.baseWord(net) == 0 {
+			return nil, fmt.Errorf("lanes: %v gate on net %d moves during the symbol load but is low at baseline", g.kind, net)
 		}
 		rowOf[net], colOf[net] = r, c
 		id, ok := tableID[string(t)]
@@ -234,16 +233,20 @@ func (s *Sim) PlanSymbolLoad(rows, cols [][]circuit.Net) (*SymbolPlan, error) {
 			tableID[string(t)] = id
 			p.tables = append(p.tables, slices.Clone(t))
 		}
-		p.gates = append(p.gates, planGate{gate: gi, row: r, col: c, table: id})
-		k := groupKey{class: s.classOf[net], table: id}
-		g, ok := groupID[k]
+		p.gates = append(p.gates, planGate{pos: int32(pos), row: r, col: c, table: id, latched: len(st.nets[net].ffs) != 0})
+		if p.gateOf == nil {
+			p.gateOf = make([]int32, nn)
+		}
+		p.gateOf[net] = int32(len(p.gates))
+		k := groupKey{class: st.nets[net].class, table: id}
+		gr, ok := groupID[k]
 		if !ok {
-			g = len(groups)
-			groupID[k] = g
+			gr = len(groups)
+			groupID[k] = gr
 			groups = append(groups, group{first: net, covers: make([]int32, p.rows*p.cols)})
 			keys = append(keys, k)
 		}
-		groups[g].covers[int(r)*p.cols+int(c)]++
+		groups[gr].covers[int(r)*p.cols+int(c)]++
 	}
 
 	// Every group must cover every cell pair equally often; its tables
@@ -254,7 +257,7 @@ func (s *Sim) PlanSymbolLoad(rows, cols [][]circuit.Net) (*SymbolPlan, error) {
 		for cell, n := range grp.covers {
 			if n != k {
 				return nil, fmt.Errorf("lanes: the gates sharing the toggle class and table of the %v gate on net %d cover row %d, column %d %d times and row 0, column 0 %d times, not every cell pair equally",
-					s.kinds[grp.first-2], grp.first, cell/p.cols, cell%p.cols, n, k)
+					st.kinds[grp.first-2], grp.first, cell/p.cols, cell%p.cols, n, k)
 			}
 		}
 		i, ok := classAt[keys[g].class]
@@ -275,96 +278,84 @@ func (s *Sim) PlanSymbolLoad(rows, cols [][]circuit.Net) (*SymbolPlan, error) {
 // active mask are ignored) and leaves every observable — values,
 // arrivals, per-lane activity and lane 0's per-net Toggles — exactly as
 // driving the same pins one by one with SetInputWords would.  The pins
-// are accounted as SetInputWords accounts them, but the cone settles once
-// after the last pin, in level order and unaccounted (flip-flops reading
-// a cone net are re-armed), and each accounted lane's cone toggles are
-// added from the plan's tables: Σ_{a,b} hp[a]·hq[b]·T(a,b) per toggle
-// class, where hp and hq count how often each row-group and column-group
-// value occurs in the lane.  The plan's gates are the only ones the pins
-// can move, so the settle evaluates them alone.  LoadSymbols must be the
-// first drive after Reset (or Compile) and SetActiveLanes, and panics
-// otherwise.
+// are accounted as SetInputWords accounts them, but their comb fan-out
+// is not queued: the cone settles once after the last pin, in level
+// order and unaccounted (flip-flops reading a cone net join the pending
+// edge), and each accounted lane's cone toggles are added from the
+// plan's tables: Σ_{a,b} hp[a]·hq[b]·T(a,b) per toggle class, where hp
+// and hq count how often each row-group and column-group value occurs in
+// the lane.  The plan's gates are the only ones the pins can move, so
+// the settle evaluates them alone.  LoadSymbols must be the first drive
+// after Reset (or Compile) and SetActiveLanes, and panics otherwise.
 func (s *Sim) LoadSymbols(p *SymbolPlan, slabs []uint64) {
-	if p.nl != s.nl {
+	if p.nl != s.st.nl {
 		panic("lanes: LoadSymbols with a plan for another netlist")
 	}
-	if s.driven {
+	if len(slabs) != len(p.pins)*s.words {
+		panic(fmt.Sprintf("lanes: LoadSymbols given %d words for %d pins of %d words", len(slabs), len(p.pins), s.words))
+	}
+	s.k.loadSymbols(p, slabs)
+}
+
+func (k *kernel[S]) loadSymbols(p *SymbolPlan, slabs []uint64) {
+	if k.driven {
 		panic("lanes: LoadSymbols after another drive or step; call Reset first")
 	}
-	W := s.words
-	if len(slabs) != len(p.pins)*W {
-		panic(fmt.Sprintf("lanes: LoadSymbols given %d words for %d pins of %d words", len(slabs), len(p.pins), W))
-	}
-	s.driven = true
+	k.drive()
 	// Every pin is still at its baseline 0, so any set bit is a change.
-	buf := s.inBuf
-	for k, pin := range p.pins {
-		src := slabs[k*W : k*W+W]
+	W := len(k.account)
+	for i, pin := range p.pins {
+		var v S
 		var set uint64
-		for w := range buf {
-			buf[w] = src[w] & s.account[w]
-			set |= buf[w]
+		for w := 0; w < len(v); w++ {
+			v[w] = slabs[i*W+w] & k.account[w]
+			set |= v[w]
 		}
 		if set != 0 {
-			s.setWords(pin, buf)
+			k.commit(pin, v, false)
 		}
 	}
 	// Settle the cone once, unaccounted, in level order.  A cone net that
 	// only comb gates read is written in place; one a flip-flop reads
-	// commits through setWords, which re-arms it.  Everything the commits
-	// queued on the wave is a plan gate, settled here, or a gate that
-	// cannot move, so the wave is dropped unevaluated.
-	acc := s.loadAcc
-	copy(acc, s.account)
-	clear(s.account)
-	out := s.evalBuf
-	for _, g := range p.gates {
-		s.eval(g.gate, out)
-		net := circuit.Net(g.gate + 2)
-		base := int(net) * W
-		cur := s.vals[base : base+W : base+W]
-		if len(s.dOf[net]) == 0 && len(s.eOf[net]) == 0 {
-			copy(cur, out)
-			continue
-		}
-		for w := range out {
-			if out[w] != cur[w] {
-				s.setWords(net, out)
-				break
-			}
+	// commits, which arms the flip-flop.
+	acc := k.account
+	var none S
+	k.account = none
+	k.work.Evals += uint64(len(p.gates))
+	for _, pg := range p.gates {
+		g := &k.gates[pg.pos]
+		out := k.eval(g)
+		if !pg.latched {
+			k.vals[g.out] = out
+		} else if out != k.vals[g.out] {
+			k.commit(g.out, out, false)
 		}
 	}
-	copy(s.account, acc)
-	for lvl, b := range s.buckets {
-		for _, gi := range b {
-			s.queued[gi] = false
-		}
-		s.buckets[lvl] = b[:0]
-	}
-	s.pending = 0
-	s.addLoadToggles(p, slabs)
+	k.account = acc
+	k.addLoadToggles(p, slabs)
 }
 
 // addLoadToggles credits every accounted lane with the cone toggles of
-// its symbol load, from the lane's row and column value histograms, and
-// lane 0's per-net counters with its own cells' table entries.
-func (s *Sim) addLoadToggles(p *SymbolPlan, slabs []uint64) {
-	W := s.words
+// its symbol load, from the lane's row and column value histograms.
+// Lane 0's per-net counts are left to Toggles, which adds the table
+// entry of the net's gate at lane 0's symbol values when it is read.
+func (k *kernel[S]) addLoadToggles(p *SymbolPlan, slabs []uint64) {
+	W := len(k.account)
 	na, nb := 1<<p.rowBits, 1<<p.colBits
-	if need := WordBits * (na + nb); len(s.loadHist) < need {
-		s.loadHist = make([]uint32, need)
+	if need := WordBits * (na + nb); len(k.loadHist) < need {
+		k.loadHist = make([]uint32, need)
 	}
-	if s.spill == nil {
-		s.spill = make([]uint64, len(s.classes)*s.width)
+	if k.spill == nil {
+		k.spill = make([]uint64, len(k.classes)*k.width)
 	}
 	rowWords := p.rows * p.rowBits * W
 	for w := 0; w < W; w++ {
-		acc := s.account[w]
+		acc := k.account[w]
 		if acc == 0 {
 			continue
 		}
-		hp := s.loadHist[:WordBits*na]
-		hq := s.loadHist[WordBits*na : WordBits*(na+nb)]
+		hp := k.loadHist[:WordBits*na]
+		hq := k.loadHist[WordBits*na : WordBits*(na+nb)]
 		clear(hp)
 		clear(hq)
 		tally(hp, slabs[:rowWords], p.rowBits, w, W, acc)
@@ -386,18 +377,19 @@ func (s *Sim) addLoadToggles(p *SymbolPlan, slabs []uint64) {
 					}
 					sum += uint64(ca) * rs
 				}
-				s.spill[int(pc.class)*s.width+w<<6+l] += sum
+				k.spill[int(pc.class)*k.width+w<<6+l] += sum
 			}
 		}
 	}
-	if s.account[0]&1 == 0 {
+	if k.account[0]&1 == 0 {
 		return
 	}
 	// Lane 0's group values, row groups first.
-	if len(s.loadVal0) < p.rows+p.cols {
-		s.loadVal0 = make([]uint8, p.rows+p.cols)
+	k.load0 = p
+	if len(k.loadVal0) < p.rows+p.cols {
+		k.loadVal0 = make([]uint8, p.rows+p.cols)
 	}
-	v0 := s.loadVal0[:p.rows+p.cols]
+	v0 := k.loadVal0[:p.rows+p.cols]
 	pin := 0
 	for g := range v0 {
 		width := p.rowBits
@@ -405,16 +397,28 @@ func (s *Sim) addLoadToggles(p *SymbolPlan, slabs []uint64) {
 			width = p.colBits
 		}
 		var v uint8
-		for k := 0; k < width; k++ {
-			v |= uint8(slabs[pin*W]&1) << uint(k)
+		for b := 0; b < width; b++ {
+			v |= uint8(slabs[pin*W]&1) << uint(b)
 			pin++
 		}
 		v0[g] = v
 	}
-	for _, g := range p.gates {
-		ab := int(v0[g.row])<<uint(p.colBits) | int(v0[p.rows+int(g.col)])
-		s.toggles0[g.gate+2] += uint64(p.tables[g.table][ab])
+}
+
+// toggles returns lane 0's toggle count of a net: its first rise, if
+// lane 0 has logged one, its other committed transitions, and, after a
+// load that accounted lane 0, the load's toggles of the plan gate
+// driving the net.
+func (k *kernel[S]) toggles(net circuit.Net) uint64 {
+	n := k.toggles0[net] + (k.seen[net][0]&^k.baseVals[net][0])&1
+	if p := k.load0; p != nil && p.gateOf != nil {
+		if i := p.gateOf[net]; i > 0 {
+			g := &p.gates[i-1]
+			ab := int(k.loadVal0[g.row])<<uint(p.colBits) | int(k.loadVal0[p.rows+int(g.col)])
+			n += uint64(p.tables[g.table][ab])
+		}
 	}
+	return n
 }
 
 // tally adds to hist[l*2^width+v], for every lane l of acc in slab word

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"racelogic"
+	"racelogic/internal/circuit"
+	"racelogic/internal/circuit/lanes"
 	"racelogic/internal/oracle"
 	"racelogic/internal/race"
 	"racelogic/internal/score"
@@ -677,4 +679,160 @@ func FuzzSymbolLoadEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestLaneArmingCases pins the lanes engine's pending-edge arming rule
+// on fixed netlists, at 64 and 256 lanes, lane by lane against the
+// cycle-accurate reference (CheckLaneEquivalence), and checks on the
+// reference that each case exercises the behavior it names.  Lanes 0,
+// 2, 4 and 6 of the eight checked candidates are driven, the rest stay
+// idle.
+func TestLaneArmingCases(t *testing.T) {
+	const driven = 0x55 // candidates 0, 2, 4, 6
+	type armCase struct {
+		name   string
+		build  func(nl *circuit.Netlist) (inputs []circuit.Net, probe circuit.Net)
+		script []oracle.LaneOp
+		// want is the probe's arrival in a driven candidate.
+		want temporal.Time
+	}
+	set := func(input int, word uint64) oracle.LaneOp { return oracle.LaneOp{Kind: 0, Input: input, Word: word} }
+	step := oracle.LaneOp{Kind: 1}
+	for _, tc := range []armCase{
+		{
+			// D moves while the enable is low: the slot joins the pending
+			// edge, flips nothing and drops off, then rejoins when the
+			// enable rises and flips on the first edge after it.
+			name: "DFFE flips on the first edge after its enable rises",
+			build: func(nl *circuit.Netlist) ([]circuit.Net, circuit.Net) {
+				d, en := nl.Input("d"), nl.Input("en")
+				return []circuit.Net{d, en}, nl.DFFE(d, en)
+			},
+			script: []oracle.LaneOp{set(0, driven), step, step, step, set(1, driven), step, step},
+			want:   4,
+		},
+		{
+			name: "a delay chain advances one stage per edge",
+			build: func(nl *circuit.Netlist) ([]circuit.Net, circuit.Net) {
+				in := nl.Input("in")
+				return []circuit.Net{in}, nl.DelayChain(in, 5)
+			},
+			script: []oracle.LaneOp{step, set(0, driven), step, step, step, step, step, step},
+			want:   6,
+		},
+		{
+			// D rises and falls back within one cycle: the slot is pending
+			// at the edge but has nothing to flip.  Its D rises again two
+			// cycles later and the flip lands on the next edge.
+			name: "a D that rises and falls back before an edge does not flip",
+			build: func(nl *circuit.Netlist) ([]circuit.Net, circuit.Net) {
+				d := nl.Input("d")
+				return []circuit.Net{d}, nl.DFF(d)
+			},
+			script: []oracle.LaneOp{set(0, driven), set(0, 0), step, step, set(0, driven), step, step},
+			want:   3,
+		},
+	} {
+		for _, words := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%d lanes", tc.name, words*64), func(t *testing.T) {
+				nl := circuit.New()
+				inputs, probe := tc.build(nl)
+				if err := oracle.CheckLaneEquivalence(nl, inputs, tc.script, 8, words); err != nil {
+					t.Fatal(err)
+				}
+				ref, err := nl.Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, op := range tc.script {
+					if op.Kind == 0 {
+						ref.SetInput(inputs[op.Input], op.Word&1 != 0)
+					} else {
+						ref.Step()
+					}
+				}
+				if got := ref.Arrival(probe); got != tc.want {
+					t.Fatalf("reference probe arrives at %v, want %v: the case no longer exercises its rule", got, tc.want)
+				}
+			})
+		}
+	}
+
+	// Lanes frozen mid-pack keep their stop-cycle activity: a gated
+	// counter races each lane to its own target, so the lanes freeze at
+	// different cycles while the pack keeps stepping, and every lane's
+	// stop cycle, arrivals and Activity must equal a solo race's.
+	for _, words := range []int{1, 4} {
+		t.Run(fmt.Sprintf("frozen lanes keep their stop-cycle activity/%d lanes", words*64), func(t *testing.T) {
+			const bits, maxCycles = 4, 20
+			build := func() (*circuit.Netlist, circuit.Net, []circuit.Net, circuit.Net) {
+				nl := circuit.New()
+				en := nl.Input("en")
+				tpins := make([]circuit.Net, bits)
+				for i := range tpins {
+					tpins[i] = nl.Input(fmt.Sprintf("t%d", i))
+				}
+				q := nl.SatCounter(bits, en)
+				match := []circuit.Net{en}
+				for i := range q {
+					match = append(match, nl.Xnor(q[i], tpins[i]))
+				}
+				// A DFFE gated by the match keeps an enable net moving as
+				// lanes finish.
+				hit := nl.And(match...)
+				return nl, en, tpins, nl.Or(hit, nl.DFFE(hit, hit))
+			}
+			nl, en, tpins, out := build()
+			ls, err := lanes.CompileWords(nl, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			width := words * lanes.WordBits
+			targets := map[int]uint64{0: 3, 1: 9, 17: 1, 40: 15, width - 1: 6, width / 2: 0}
+			mask := make([]uint64, words)
+			for l := range targets {
+				mask[l>>6] |= 1 << uint(l&63)
+			}
+			ls.SetActiveLanes(mask)
+			ws := make([]uint64, words)
+			for i, pin := range tpins {
+				clear(ws)
+				for l, target := range targets {
+					if target>>uint(i)&1 != 0 {
+						ws[l>>6] |= 1 << uint(l&63)
+					}
+				}
+				ls.SetInputWords(pin, ws)
+			}
+			ls.SetInputWords(en, mask)
+			ls.RaceUntil(out, maxCycles)
+			stops := map[int]bool{}
+			for l, target := range targets {
+				ref, err := nl.Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, pin := range tpins {
+					ref.SetInput(pin, target>>uint(i)&1 != 0)
+				}
+				ref.SetInput(en, true)
+				ref.RunUntil(out, maxCycles)
+				stops[ref.Cycle()] = true
+				if got := ls.LaneCycle(l); got != ref.Cycle() {
+					t.Fatalf("lane %d (target %d): stopped at cycle %d, reference at %d", l, target, got, ref.Cycle())
+				}
+				for n := 0; n < nl.NumNets(); n++ {
+					if got, want := ls.LaneArrival(circuit.Net(n), l), ref.Arrival(circuit.Net(n)); got != want {
+						t.Fatalf("lane %d net %d: arrival %v, reference %v", l, n, got, want)
+					}
+				}
+				if got, want := ls.LaneActivity(l), ref.Activity(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("lane %d (target %d): activity\n got %+v\nwant %+v", l, target, got, want)
+				}
+			}
+			if len(stops) < 4 {
+				t.Fatalf("lanes stopped at only %d distinct cycles, want lanes frozen mid-pack", len(stops))
+			}
+		})
+	}
 }

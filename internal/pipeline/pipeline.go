@@ -920,6 +920,11 @@ func MultiSearchBatch(pools *Pools, shardSets [][]ShardScan, queries []string, r
 	}
 	lib := pools.lib
 	refs := make([]slotRef, 0, totalPairs)
+	keep := totalPairs
+	if req.TopK > 0 {
+		keep = min(req.TopK, totalPairs)
+	}
+	best := make([]rankRef, 0, keep)
 	for qi, report := range reports {
 		report.EnginesBuilt = enginesBuilt
 		refs = refs[:0]
@@ -942,8 +947,8 @@ func MultiSearchBatch(pools *Pools, shardSets [][]ShardScan, queries []string, r
 		}
 		slices.SortFunc(refs, func(a, b slotRef) int { return cmp.Compare(a.id, b.id) })
 		report.Outcomes = make([]Outcome, 0, len(refs))
-		var all []Result
-		for _, ref := range refs {
+		best = best[:0]
+		for i, ref := range refs {
 			o := slots[qi][ref.shard][ref.si]
 			report.TotalCycles += o.Cycles
 			report.TotalEnergyJ += o.EnergyJ
@@ -956,7 +961,15 @@ func MultiSearchBatch(pools *Pools, shardSets [][]ShardScan, queries []string, r
 				report.Rejected++
 				continue
 			}
-			all = append(all, Result{
+			report.Matched++
+			best = keepBest(best, rankRef{score: o.Score, id: ref.id, ref: int32(i)}, req.TopK)
+		}
+		slices.SortFunc(best, cmpRank)
+		report.Results = make([]Result, len(best))
+		for k, b := range best {
+			ref := refs[b.ref]
+			o := &report.Outcomes[b.ref]
+			report.Results[k] = Result{
 				Index:            ref.slot,
 				ID:               ref.id,
 				Sequence:         shardSets[qi][ref.shard].Snap.entries[ref.slot],
@@ -966,22 +979,8 @@ func MultiSearchBatch(pools *Pools, shardSets [][]ShardScan, queries []string, r
 				EnergyJ:          o.EnergyJ,
 				AreaUM2:          o.AreaUM2,
 				PowerDensityWCM2: o.PowerDensityWCM2,
-			})
-		}
-		slices.SortFunc(all, func(a, b Result) int {
-			if c := cmp.Compare(a.Score, b.Score); c != 0 {
-				return c
 			}
-			return cmp.Compare(a.ID, b.ID)
-		})
-		report.Matched = len(all)
-		if req.TopK > 0 && len(all) > req.TopK {
-			all = all[:req.TopK]
 		}
-		if all == nil {
-			all = []Result{}
-		}
-		report.Results = all
 	}
 	endSpan()
 	for si, sum := range sums {
@@ -989,6 +988,59 @@ func MultiSearchBatch(pools *Pools, shardSets [][]ShardScan, queries []string, r
 		tr.AddShardMemoized(si, sum.memoized)
 	}
 	return reports, nil
+}
+
+// rankRef is one accepted entry's rank key, (score, id), and the index
+// of its ref in the fold's ID-ordered walk.
+type rankRef struct {
+	score int64
+	id    uint64
+	ref   int32
+}
+
+func cmpRank(a, b rankRef) int {
+	if c := cmp.Compare(a.score, b.score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// keepBest adds r to best, which holds the k lowest rank keys seen so
+// far: as a max-heap on (score, id) once k > 0 of them are held, the
+// worst kept at best[0], so an entry that cannot rank is dropped with
+// one compare.  k ≤ 0 keeps every key, and best is then only sorted.
+func keepBest(best []rankRef, r rankRef, k int) []rankRef {
+	if k <= 0 || len(best) < k {
+		best = append(best, r)
+		if k > 0 {
+			for i := len(best) - 1; i > 0; {
+				up := (i - 1) / 2
+				if cmpRank(best[up], best[i]) >= 0 {
+					break
+				}
+				best[up], best[i] = best[i], best[up]
+				i = up
+			}
+		}
+		return best
+	}
+	if cmpRank(r, best[0]) >= 0 {
+		return best
+	}
+	best[0] = r
+	for i := 0; ; {
+		hi := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(best) && cmpRank(best[c], best[hi]) > 0 {
+				hi = c
+			}
+		}
+		if hi == i {
+			return best
+		}
+		best[hi], best[i] = best[i], best[hi]
+		i = hi
+	}
 }
 
 // shardSums is one shard's deterministic trace dimensions, summed over

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -1169,5 +1171,34 @@ func TestMultiSearchBatchErrorAttribution(t *testing.T) {
 	}
 	if qe.Err.Error() != werr.Error() {
 		t.Fatalf("error text differs:\nscalar: %v\nbatch:  %v", werr, qe.Err)
+	}
+}
+
+// TestKeepBest checks the fold's top-K selection against a full sort of
+// rank keys with many tied scores, at every K from none to more than
+// all.
+func TestKeepBest(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		refs := make([]rankRef, rng.Intn(40))
+		for i, id := range rng.Perm(len(refs)) {
+			refs[i] = rankRef{score: int64(rng.Intn(6)), id: uint64(id), ref: int32(i)}
+		}
+		want := slices.Clone(refs)
+		slices.SortFunc(want, cmpRank)
+		for k := 0; k <= len(refs)+1; k++ {
+			var best []rankRef
+			for _, r := range refs {
+				best = keepBest(best, r, k)
+			}
+			slices.SortFunc(best, cmpRank)
+			n := len(want)
+			if k > 0 {
+				n = min(k, n)
+			}
+			if !slices.Equal(best, want[:n]) {
+				t.Fatalf("trial %d k %d: kept %v, want %v", trial, k, best, want[:n])
+			}
+		}
 	}
 }

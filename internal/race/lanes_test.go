@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"racelogic/internal/circuit/lanes"
 	"racelogic/internal/score"
 	"racelogic/internal/seqgen"
 )
@@ -92,13 +93,17 @@ func TestLanePackSymbolLoad(t *testing.T) {
 }
 
 // BenchmarkAlignLanesMulti races lane packs through every fabric: 24×24
-// DNA packs of the three shapes the loadbench workloads send — a partial
-// 64-lane pack of one query's 36 seed candidates (mixed-durable), a full
-// 64-lane pack of four queries, and a full 256-lane pack of 16 queries
-// times 16 entries (batch-lanes) — plus a full 64-lane pack of four
-// queries on a 24×24 array clock-gated in 4×4 regions and on a 12×12
-// generalized BLOSUM62 array, whose packs load symbols pin by pin.
-// Every lane races to the end, as a full scan does.
+// DNA packs of the shapes the loadbench workloads send — a one-lane
+// pack, a partial 64-lane pack of one query's 36 seed candidates
+// (mixed-durable), a full 64-lane pack of four queries, and a full
+// 256-lane pack of 16 queries times 16 entries (batch-lanes) — plus a
+// full 64-lane pack of four queries on a 24×24 array clock-gated in 4×4
+// regions and on a 12×12 generalized BLOSUM62 array, whose packs load
+// symbols pin by pin.  The 24x24-cycle and 24x24-event cases race the
+// same pair as the one-lane pack alone on the scalar backends.  Every
+// lane races to the end, as a full scan does.  The lanes cases report
+// the kernel's work counters per pack (lanes.WorkCounters) and the
+// nanoseconds per net commit.
 func BenchmarkAlignLanesMulti(b *testing.B) {
 	prepared, err := score.BLOSUM62().PrepareForRace()
 	if err != nil {
@@ -122,22 +127,28 @@ func BenchmarkAlignLanesMulti(b *testing.B) {
 		name                string
 		build               func(n, m int) (*Array, error)
 		gen                 *seqgen.Generator
+		backend             Backend
 		n, width, fill, nqs int
 	}{
-		{"24x24", NewArray, seqgen.NewDNA(7), 24, 64, 36, 1},
-		{"24x24", NewArray, seqgen.NewDNA(7), 24, 64, 64, 4},
-		{"24x24", NewArray, seqgen.NewDNA(7), 24, 256, 256, 16},
-		{"24x24-gated4", gated, seqgen.NewDNA(7), 24, 64, 64, 4},
-		{"12x12-blosum62", blosum, seqgen.NewProtein(7), 12, 64, 64, 4},
+		{"24x24", NewArray, seqgen.NewDNA(7), BackendLanes, 24, 64, 1, 1},
+		{"24x24", NewArray, seqgen.NewDNA(7), BackendLanes, 24, 64, 36, 1},
+		{"24x24", NewArray, seqgen.NewDNA(7), BackendLanes, 24, 64, 64, 4},
+		{"24x24", NewArray, seqgen.NewDNA(7), BackendLanes, 24, 256, 256, 16},
+		{"24x24-gated4", gated, seqgen.NewDNA(7), BackendLanes, 24, 64, 64, 4},
+		{"12x12-blosum62", blosum, seqgen.NewProtein(7), BackendLanes, 12, 64, 64, 4},
+		{"24x24-cycle", NewArray, seqgen.NewDNA(7), BackendCycle, 24, 1, 1, 1},
+		{"24x24-event", NewArray, seqgen.NewDNA(7), BackendEvent, 24, 1, 1, 1},
 	} {
 		b.Run(fmt.Sprintf("%s/%dof%d", tc.name, tc.fill, tc.width), func(b *testing.B) {
 			a, err := tc.build(tc.n, tc.n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			a.SetBackend(BackendLanes)
-			if err := a.SetLaneWidth(tc.width); err != nil {
-				b.Fatal(err)
+			a.SetBackend(tc.backend)
+			if tc.backend == BackendLanes {
+				if err := a.SetLaneWidth(tc.width); err != nil {
+					b.Fatal(err)
+				}
 			}
 			queries := make([]string, tc.nqs)
 			for i := range queries {
@@ -153,12 +164,37 @@ func BenchmarkAlignLanesMulti(b *testing.B) {
 			if _, err := a.AlignLanesMulti(ps, qs, -1); err != nil {
 				b.Fatal(err)
 			}
+			ls, _ := a.sim.(*lanes.Sim)
+			var before lanes.WorkCounters
+			if ls != nil {
+				before = ls.Counters()
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := a.AlignLanesMulti(ps, qs, -1); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			if ls != nil {
+				reportWork(b, before, ls.Counters())
+			}
 		})
+	}
+}
+
+// reportWork reports the kernel work of the timed packs, per pack, and
+// the wall time per net commit.
+func reportWork(b *testing.B, before, after lanes.WorkCounters) {
+	per := func(x, y uint64) float64 { return float64(y-x) / float64(b.N) }
+	b.ReportMetric(per(before.Edges, after.Edges), "edges/op")
+	b.ReportMetric(per(before.SlotsExamined, after.SlotsExamined), "examined/op")
+	b.ReportMetric(per(before.SlotsFlipped, after.SlotsFlipped), "flipped/op")
+	b.ReportMetric(per(before.Commits, after.Commits), "commits/op")
+	b.ReportMetric(per(before.Words, after.Words), "words/op")
+	b.ReportMetric(per(before.Evals, after.Evals), "evals/op")
+	b.ReportMetric(per(before.Rises, after.Rises), "rises/op")
+	if commits := after.Commits - before.Commits; commits > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(commits), "ns/commit")
 	}
 }

@@ -482,3 +482,37 @@ func TestMemoConcurrentSearchesAndMutations(t *testing.T) {
 		t.Fatal("no search was memo-served")
 	}
 }
+
+// TestMemoServedSearchAllocs bounds what a search the outcome memo
+// answers in full allocates.  Its fold ranks 200 matches by (Score, ID)
+// and builds a Result only for each one it returns, so the count does
+// not grow with the matches and is the same at every TopK.
+func TestMemoServedSearchAllocs(t *testing.T) {
+	const maxAllocs = 28
+	entries := seqgen.NewDNA(13).Database(200, 12)
+	for _, topK := range []int{0, 5} {
+		d, err := NewDatabase(entries, WithShards(2), WithWorkers(2), WithBackend(BackendLanes), WithTopK(topK))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := entries[5]
+		if _, err := d.Search(q); err != nil {
+			t.Fatal(err)
+		}
+		var searchErr error
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := d.Search(q); err != nil {
+				searchErr = err
+			}
+		})
+		if searchErr != nil {
+			t.Fatal(searchErr)
+		}
+		if _, scanned, memo := tracedMemo(t, d, q); memo != scanned || scanned != len(entries) {
+			t.Fatalf("top %d: %d of %d scanned entries memo-served, want all %d", topK, memo, scanned, len(entries))
+		}
+		if allocs > maxAllocs {
+			t.Errorf("top %d: a memo-served search allocates %.0f times, want at most %d", topK, allocs, maxAllocs)
+		}
+	}
+}

@@ -14,9 +14,17 @@
 # differential suite proves the backends agree bit for bit; this script
 # guards the reason the fast backends exist at all.
 #
+# Each sample round also times single races and one-word lane packs from
+# internal/race's BenchmarkAlignLanesMulti (0.2 s a sub-benchmark): one
+# 24×24 DNA pair raced alone on the cycle and event backends, and 24×24
+# lanes packs of 1, 36 and 64 lanes in one 64-lane word.  The JSON
+# reports the one-word pack medians and the one-lane pack's time over
+# the event backend's single race, the ratio a lanes engine must bring
+# to 1 or below before it can replace event.  They carry no floor.
+#
 # Every ratio is computed from per-sub-benchmark medians of five
-# samples.  The test binary is built once and run five times, each run
-# timing all five sub-benchmarks in turn, so the samples interleave and
+# samples.  The test binaries are built once and run five times, each
+# run timing every sub-benchmark in turn, so the samples interleave and
 # a slow moment of the host lands in one sample of every backend rather
 # than in all samples of one.  (go test -count would run each
 # sub-benchmark's samples back to back.)
@@ -31,36 +39,49 @@ MIN_SPEEDUP_EVENT="${MIN_SPEEDUP_EVENT:-${MIN_SPEEDUP:-1.5}}"
 MIN_SPEEDUP_LANES="${MIN_SPEEDUP_LANES:-8}"
 MIN_SPEEDUP_W128="${MIN_SPEEDUP_W128:-0.95}"
 MIN_SPEEDUP_W256="${MIN_SPEEDUP_W256:-0.95}"
+PACK_BENCHTIME=0.2s
 JSON_OUT="${JSON_OUT:-BENCH_backends.json}"
 
 bindir="$(mktemp -d)"
 trap 'rm -rf "$bindir"' EXIT
 go test -c -o "$bindir/bench.test" .
+go test -c -o "$bindir/race.test" ./internal/race
 out=""
 for ((i = 1; i <= SAMPLES; i++)); do
     round="$("$bindir/bench.test" -test.run=NONE -test.bench='BenchmarkBackendFullScan' -test.benchtime="$BENCHTIME")"
+    round+=$'\n'"$("$bindir/race.test" -test.run=NONE \
+        -test.bench='BenchmarkAlignLanesMulti/^24x24(-cycle|-event)?$/^(1|36|64)of(1|64)$' \
+        -test.benchtime="$PACK_BENCHTIME")"
     echo "$round"
     out+="$round"$'\n'
 done
 
-# median NAME prints the median ns/op of sub-benchmark NAME over all
-# samples, or nothing unless exactly SAMPLES were parsed.  The name is
-# anchored, with an optional "-<GOMAXPROCS>" suffix (Go appends it only
-# when GOMAXPROCS > 1), so "lanes" never also matches lanes128/256.
+# median NAME [BENCH] prints the median ns/op of sub-benchmark NAME of
+# BENCH (default BenchmarkBackendFullScan) over all samples, or nothing
+# unless exactly SAMPLES were parsed.  The name is anchored, with an
+# optional "-<GOMAXPROCS>" suffix (Go appends it only when GOMAXPROCS >
+# 1), so "lanes" never also matches lanes128/256.
 median() {
     echo "$out" |
-        awk -v re="^BenchmarkBackendFullScan/$1(-[0-9]+)?\$" '$1 ~ re {print $3}' |
+        awk -v re="^${2:-BenchmarkBackendFullScan}/$1(-[0-9]+)?\$" '$1 ~ re {print $3}' |
         sort -g |
         awk -v n="$SAMPLES" '{v[NR] = $1} END {if (NR == n) print v[int((n + 1) / 2)]}'
 }
+pack() { median "$1" BenchmarkAlignLanesMulti; }
 cycle_ns="$(median cycle)"
 event_ns="$(median event)"
 lanes_ns="$(median lanes)"
 lanes128_ns="$(median lanes128)"
 lanes256_ns="$(median lanes256)"
+race_cycle_ns="$(pack 24x24-cycle/1of1)"
+race_event_ns="$(pack 24x24-event/1of1)"
+pack1_ns="$(pack 24x24/1of64)"
+pack36_ns="$(pack 24x24/36of64)"
+pack64_ns="$(pack 24x24/64of64)"
 
 if [[ -z "$cycle_ns" || -z "$event_ns" || -z "$lanes_ns" ||
-      -z "$lanes128_ns" || -z "$lanes256_ns" ]]; then
+      -z "$lanes128_ns" || -z "$lanes256_ns" || -z "$race_cycle_ns" ||
+      -z "$race_event_ns" || -z "$pack1_ns" || -z "$pack36_ns" || -z "$pack64_ns" ]]; then
     echo "benchcompare: could not parse benchmark output" >&2
     exit 1
 fi
@@ -74,6 +95,9 @@ lanes256_speedup="$(ratio "$cycle_ns" "$lanes256_ns")"
 # floor asserts raising -lanewidth never costs per-candidate throughput.
 w128_vs_64="$(ratio "$lanes_ns" "$lanes128_ns")"
 w256_vs_64="$(ratio "$lanes_ns" "$lanes256_ns")"
+# A one-lane lanes pack over the event backend's single race of the same
+# pair: below 1 the lanes engine races one pair faster than event does.
+lanes1_vs_event="$(ratio "$pack1_ns" "$race_event_ns")"
 
 cat > "$JSON_OUT" <<EOF
 {
@@ -92,13 +116,29 @@ cat > "$JSON_OUT" <<EOF
     "256": {"ns_per_op": $lanes256_ns, "speedup": $lanes256_speedup, "vs_width64": $w256_vs_64}
   },
   "floors": {"event": $MIN_SPEEDUP_EVENT, "lanes": $MIN_SPEEDUP_LANES,
-             "width128_vs_64": $MIN_SPEEDUP_W128, "width256_vs_64": $MIN_SPEEDUP_W256}
+             "width128_vs_64": $MIN_SPEEDUP_W128, "width256_vs_64": $MIN_SPEEDUP_W256},
+  "single_race": {
+    "benchmark": "BenchmarkAlignLanesMulti",
+    "benchtime": "$PACK_BENCHTIME",
+    "shape": "24x24 DNA",
+    "cycle_ns_per_op": $race_cycle_ns,
+    "event_ns_per_op": $race_event_ns,
+    "lanes_1of64_ns_per_op": $pack1_ns,
+    "lanes_1of64_vs_event": $lanes1_vs_event
+  },
+  "one_word_packs": {
+    "1of64":  {"ns_per_op": $pack1_ns},
+    "36of64": {"ns_per_op": $pack36_ns},
+    "64of64": {"ns_per_op": $pack64_ns}
+  }
 }
 EOF
 echo "benchcompare: wrote $JSON_OUT"
 echo "benchcompare: medians of $SAMPLES interleaved samples"
 echo "benchcompare: event ${event_speedup}x, lanes ${lanes_speedup}x over cycle (${cycle_ns} ns/op)"
 echo "benchcompare: lane width 128 ${w128_vs_64}x, 256 ${w256_vs_64}x vs width 64"
+echo "benchcompare: 24x24 single race: cycle ${race_cycle_ns}, event ${race_event_ns}, one-lane lanes pack ${pack1_ns} ns/op (${lanes1_vs_event}x event; no floor)"
+echo "benchcompare: one-word packs: 1of64 ${pack1_ns}, 36of64 ${pack36_ns}, 64of64 ${pack64_ns} ns/op"
 
 fail=0
 check() { # name speedup floor message
