@@ -298,13 +298,16 @@ func searchBench10k() (query string, db []string) {
 // BenchmarkDatabaseSearchWarm10k measures the persistent subsystem on a
 // 10k-entry database: engines pre-compiled and pooled, k-mer seed index
 // skipping the entries that share no 8-mer with the query.  Compare
-// against BenchmarkSearchOneShot10k for the amortization headline.
+// against BenchmarkSearchOneShot10k for the amortization headline.  The
+// database's memo stores nothing, so every repeat races its candidates
+// rather than serving them from the outcome memo.
 func BenchmarkDatabaseSearchWarm10k(b *testing.B) {
 	query, db := searchBench10k()
 	d, err := NewDatabase(db, WithSeedIndex(8))
 	if err != nil {
 		b.Fatal(err)
 	}
+	d.memo = newOutcomeMemo(0)
 	if _, err := d.Search(query); err != nil { // warm the pools
 		b.Fatal(err)
 	}
@@ -320,13 +323,15 @@ func BenchmarkDatabaseSearchWarm10k(b *testing.B) {
 }
 
 // BenchmarkDatabaseSearchWarmFullScan10k isolates the engine-pooling win
-// from the index win: the warm database races all 10k entries.
+// from the index win: the warm database races all 10k entries, its memo
+// storing nothing.
 func BenchmarkDatabaseSearchWarmFullScan10k(b *testing.B) {
 	query, db := searchBench10k()
 	d, err := NewDatabase(db)
 	if err != nil {
 		b.Fatal(err)
 	}
+	d.memo = newOutcomeMemo(0)
 	if _, err := d.Search(query); err != nil { // warm the pools
 		b.Fatal(err)
 	}
@@ -359,7 +364,7 @@ func BenchmarkSearchOneShot10k(b *testing.B) {
 // on each simulation backend, then on the lanes backend again at the
 // wider 128- and 256-lane pack widths.  The sub-benchmarks are the
 // input to scripts/benchcompare.sh, the CI guard that fails when the
-// event or lanes backend stops clearing its speedup floor over the
+// lanes backend stops clearing its speedup floor over the
 // cycle-accurate reference, or when a wider pack gets slower per
 // candidate than the 64-lane default.  Each database keeps a memo that
 // stores nothing, so every search races all 400 entries rather than
@@ -386,7 +391,7 @@ func BenchmarkBackendFullScan(b *testing.B) {
 			b.ReportMetric(float64(rep.TotalCycles), "cycles")
 		}
 	}
-	for _, backend := range []Backend{BackendCycle, BackendEvent, BackendLanes} {
+	for _, backend := range []Backend{BackendCycle, BackendLanes} {
 		b.Run(backend.String(), func(b *testing.B) {
 			scan(b, WithBackend(backend))
 		})

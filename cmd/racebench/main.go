@@ -40,7 +40,7 @@ func main() {
 	nsFlag := flag.String("ns", "", "comma-separated N sweep (default: the paper's 5..100 grid)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of aligned tables")
-	backendName := flag.String("backend", "cycle", "simulation engine: cycle (reference), event (fast), or lanes (batched)")
+	backendName := flag.String("backend", "cycle", "simulation engine: cycle (reference) or lanes (fast); event: alias of lanes")
 	laneWidth := flag.Int("lanewidth", 0, "lanes backend pack width: 64, 128, 256, or 512 (0 = default 64)")
 	n9c := flag.Int("n9c", 30, "string length for the Fig. 9c scatter")
 	flag.Parse()

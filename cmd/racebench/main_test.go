@@ -79,7 +79,7 @@ func TestRunJSONMode(t *testing.T) {
 }
 
 // TestRunBackendsAgree pins the -backend contract: a sweep regenerated
-// on the fast engines is byte-identical to the reference run.
+// on the lanes engine is byte-identical to the reference run.
 func TestRunBackendsAgree(t *testing.T) {
 	lib := tech.AMIS()
 	render := func() string {
@@ -90,17 +90,11 @@ func TestRunBackendsAgree(t *testing.T) {
 		return b.String()
 	}
 	want := render()
-	for _, name := range []string{"event", "lanes"} {
-		backend, err := racelogic.ParseBackend(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eval.SetBackend(backend); err != nil {
-			t.Fatal(err)
-		}
-		if got := render(); got != want {
-			t.Errorf("backend %s: figure differs from reference:\n%s\nvs\n%s", name, got, want)
-		}
+	if err := eval.SetBackend(racelogic.BackendLanes); err != nil {
+		t.Fatal(err)
+	}
+	if got := render(); got != want {
+		t.Errorf("lanes: figure differs from reference:\n%s\nvs\n%s", got, want)
 	}
 	if err := eval.SetBackend(racelogic.BackendCycle); err != nil {
 		t.Fatal(err)

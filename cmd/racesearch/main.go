@@ -53,7 +53,7 @@ func main() {
 	gate := flag.Int("gate", 0, "Section 4.3 clock-gating region size (0 = ungated; DNA only)")
 	seedK := flag.Int("seedk", 0, "k-mer seed index length (0 = race every entry)")
 	shards := flag.Int("shards", 0, "database shard count (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", "cycle", "simulation engine: cycle (reference), event (fast), or lanes (batched)")
+	backendName := flag.String("backend", "cycle", "simulation engine: cycle (reference) or lanes (fast); event: alias of lanes")
 	laneWidth := flag.Int("lanewidth", 0, "lanes backend pack width: 64, 128, 256, or 512 (0 = default 64)")
 	flag.Parse()
 	backend, err := racelogic.ParseBackend(*backendName)

@@ -169,13 +169,13 @@ func TestResolveDatabaseSnapshot(t *testing.T) {
 	if err := built.Close(); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := resolveDatabase(snap, "", nil, "AMIS", "", 0, 0, 0, racelogic.BackendEvent, 0)
+	opened, err := resolveDatabase(snap, "", nil, "AMIS", "", 0, 0, 0, racelogic.BackendLanes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer opened.Close()
-	if opened.Len() != built.Len() || opened.SeedK() != 4 || opened.Backend() != racelogic.BackendEvent {
-		t.Fatalf("reopened len=%d seedk=%d backend %v, want %d, 4 and event",
+	if opened.Len() != built.Len() || opened.SeedK() != 4 || opened.Backend() != racelogic.BackendLanes {
+		t.Fatalf("reopened len=%d seedk=%d backend %v, want %d, 4 and lanes",
 			opened.Len(), opened.SeedK(), opened.Backend(), built.Len())
 	}
 	got, err := opened.Search("ACGTACGT")

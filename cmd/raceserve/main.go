@@ -35,8 +35,8 @@
 //	-cache N             LRU report-cache capacity (0 = off)
 //	-top K               default top-K when a request omits top_k
 //	-backend NAME        simulation engine: cycle (the cycle-accurate
-//	                     reference), event (the event-driven fast path),
-//	                     or lanes (bit-parallel candidate packing);
+//	                     reference) or lanes (bit-parallel candidate
+//	                     packing; "event" is an alias of lanes);
 //	                     identical reports, fewer wall-clock seconds.
 //	                     A runtime choice — valid with -wal state from
 //	                     any backend
@@ -158,7 +158,7 @@ func main() {
 	flag.IntVar(&o.shards, "shards", 0, "database shard count (0 = GOMAXPROCS); with -wal, reshards a recovered directory in place")
 	flag.IntVar(&o.cache, "cache", 128, "LRU report-cache capacity (0 = off)")
 	flag.IntVar(&o.top, "top", 10, "default top-K when a request omits top_k")
-	backendName := flag.String("backend", "cycle", "simulation engine: cycle (reference), event (fast), or lanes (batched)")
+	backendName := flag.String("backend", "cycle", "simulation engine: cycle (reference) or lanes (fast); event: alias of lanes")
 	flag.IntVar(&o.laneWidth, "lanewidth", 0, "lanes backend pack width: 64, 128, 256, or 512 (0 = default 64)")
 	flag.StringVar(&o.walDir, "wal", "", "durable state directory: write-ahead log + background snapshots, crash-safe")
 	flag.DurationVar(&o.snapInterval, "snapshot-interval", racelogic.DefaultSnapshotInterval,

@@ -176,22 +176,27 @@ func TestWALFlagConflicts(t *testing.T) {
 }
 
 // TestBackendFlag pins the -backend plumbing end to end: the gauge in
-// GET /stats names the engine the database runs on, and a server on the
-// event backend answers /search byte-for-byte like the cycle reference
-// (modulo the per-request timing fields).
+// GET /stats names the engine the database runs on (lanes for its alias
+// event), and a server on lanes answers /search byte-for-byte like the
+// cycle reference (modulo the per-request timing fields).
 func TestBackendFlag(t *testing.T) {
 	base := options{gen: 15, genLen: 8, seed: 11, lib: "AMIS", cache: 0, top: 5}
 
-	responses := map[racelogic.Backend]server.SearchResponse{}
-	for _, backend := range []racelogic.Backend{racelogic.BackendCycle, racelogic.BackendEvent} {
+	var responses []server.SearchResponse
+	for _, c := range []struct{ set, backend racelogic.Backend }{
+		{racelogic.BackendCycle, racelogic.BackendCycle},
+		{racelogic.BackendLanes, racelogic.BackendLanes},
+		{racelogic.BackendEvent, racelogic.BackendLanes},
+	} {
+		backend := c.backend
 		o := base
-		o.backend = backend
+		o.backend = c.set
 		srv, db, err := buildServer(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if db.Backend() != backend {
-			t.Fatalf("database backend %v, want %v", db.Backend(), backend)
+			t.Fatalf("-backend %v: database backend %v, want %v", c.set, db.Backend(), backend)
 		}
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
@@ -223,17 +228,16 @@ func TestBackendFlag(t *testing.T) {
 		}
 		resp.Body.Close()
 		sr.ElapsedUS, sr.Cached, sr.EnginesBuilt = 0, false, 0
-		responses[backend] = sr
-	}
-	if !reflect.DeepEqual(responses[racelogic.BackendCycle], responses[racelogic.BackendEvent]) {
-		t.Fatalf("backends answered differently:\ncycle: %+v\nevent: %+v",
-			responses[racelogic.BackendCycle], responses[racelogic.BackendEvent])
+		responses = append(responses, sr)
+		if !reflect.DeepEqual(responses[0], sr) {
+			t.Fatalf("-backend %v answered differently from cycle:\ncycle: %+v\ngot:   %+v", c.set, responses[0], sr)
+		}
 	}
 }
 
 // TestBackendWithWarmStarts pins that -backend composes with the warm
 // path: a durable -wal directory written by the cycle backend and
-// reopened on the event one.
+// reopened on lanes.
 func TestBackendWithWarmStarts(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "state")
 	durable := options{gen: 10, genLen: 8, seed: 13, lib: "AMIS", top: 5, walDir: walDir}
@@ -245,13 +249,13 @@ func TestBackendWithWarmStarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopened := durable
-	reopened.backend = racelogic.BackendEvent
+	reopened.backend = racelogic.BackendLanes
 	_, rdb, err := buildServer(reopened)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rdb.Close()
-	if rdb.Backend() != racelogic.BackendEvent || rdb.Len() != ddb.Len() {
-		t.Fatalf("wal warm start: backend %v len %d, want event and %d", rdb.Backend(), rdb.Len(), ddb.Len())
+	if rdb.Backend() != racelogic.BackendLanes || rdb.Len() != ddb.Len() {
+		t.Fatalf("wal warm start: backend %v len %d, want lanes and %d", rdb.Backend(), rdb.Len(), ddb.Len())
 	}
 }

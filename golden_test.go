@@ -89,7 +89,7 @@ func TestGoldenSearchReports(t *testing.T) {
 		{"protein", protein, []string{protein[3], "WARD", "MKVLA"}, []racelogic.Option{racelogic.WithMatrix("BLOSUM62"), racelogic.WithThreshold(64)}},
 	}
 	for _, v := range variants {
-		for _, backend := range []racelogic.Backend{racelogic.BackendCycle, racelogic.BackendEvent, racelogic.BackendLanes} {
+		for _, backend := range []racelogic.Backend{racelogic.BackendCycle, racelogic.BackendLanes} {
 			if *update && backend != racelogic.BackendCycle {
 				continue // golden files are written from the reference backend
 			}
@@ -135,7 +135,7 @@ func TestGoldenAlignments(t *testing.T) {
 		{"WYV", "WYV"},
 	}
 
-	for _, backend := range []racelogic.Backend{racelogic.BackendCycle, racelogic.BackendEvent, racelogic.BackendLanes} {
+	for _, backend := range []racelogic.Backend{racelogic.BackendCycle, racelogic.BackendLanes} {
 		if *update && backend != racelogic.BackendCycle {
 			continue
 		}

@@ -13,7 +13,7 @@ import (
 
 // agreeAcrossDomains races one DAG in all three simulation domains —
 // the continuous-time analog model (this package), the cycle-accurate
-// synchronous simulator, and the event-driven synchronous backend — and
+// synchronous simulator, and the lanes synchronous backend — and
 // requires identical arrival times everywhere.  With nominal delays the
 // analog domain quantizes exactly onto cycles, so the three must agree
 // node for node, and the two synchronous backends must also agree on
@@ -37,23 +37,23 @@ func agreeAcrossDomains(t *testing.T, g *dag.Graph, gateType race.GateType, kind
 		t.Fatal(err)
 	}
 
-	ev, err := race.FromDAG(g, gateType)
+	ln, err := race.FromDAG(g, gateType)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.SetBackend(race.BackendEvent)
-	eres, err := ev.Solve(watch...)
+	ln.SetBackend(race.BackendLanes)
+	lres, err := ln.Solve(watch...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cres.Cycles != eres.Cycles {
-		t.Fatalf("%v: cycle count %d (cycle) vs %d (event)", gateType, cres.Cycles, eres.Cycles)
+	if cres.Cycles != lres.Cycles {
+		t.Fatalf("%v: cycle count %d (cycle) vs %d (lanes)", gateType, cres.Cycles, lres.Cycles)
 	}
-	if !reflect.DeepEqual(cres.Arrival, eres.Arrival) {
-		t.Fatalf("%v: arrivals differ between backends:\ncycle: %v\nevent: %v", gateType, cres.Arrival, eres.Arrival)
+	if !reflect.DeepEqual(cres.Arrival, lres.Arrival) {
+		t.Fatalf("%v: arrivals differ between backends:\ncycle: %v\nlanes: %v", gateType, cres.Arrival, lres.Arrival)
 	}
-	if !reflect.DeepEqual(cres.Activity, eres.Activity) {
-		t.Fatalf("%v: activity differs between backends:\ncycle: %+v\nevent: %+v", gateType, cres.Activity, eres.Activity)
+	if !reflect.DeepEqual(cres.Activity, lres.Activity) {
+		t.Fatalf("%v: activity differs between backends:\ncycle: %+v\nlanes: %+v", gateType, cres.Activity, lres.Activity)
 	}
 
 	ac, _, err := FromDAG(g, kind)

@@ -4,7 +4,7 @@ import "racelogic/internal/temporal"
 
 // Backend is the simulation contract a compiled netlist runs under.  The
 // cycle-accurate Simulator is the reference implementation; the
-// event-driven engine in circuit/event is the fast one, proven
+// bit-parallel engine in circuit/lanes is the fast one, proven
 // arrival- and activity-identical by the internal/oracle differential
 // suite.  Everything the race arrays and the energy model consume —
 // per-net first-arrival times, cumulative toggle counts, the clocked

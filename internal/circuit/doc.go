@@ -19,12 +19,13 @@
 // Simulation is abstracted behind the Backend interface, which two
 // engines implement: the Simulator in this package — the cycle-accurate
 // reference, settling the whole netlist every clock edge exactly as the
-// paper's Verilog/Modelsim loop did — and the event-driven engine in
-// the circuit/event subpackage, which propagates only actual net
-// changes and fast-forwards over quiescent stretches.  The two are
-// contractually byte-identical in every observable (values, arrival
-// times, toggle counts, clocked-cycle counts, the Activity report); the
-// differential harness in internal/oracle enforces that contract with
-// property tests and fuzzing, keeping this Simulator as the oracle and
-// the event engine as the fast path.
+// paper's Verilog/Modelsim loop did — and the bit-parallel engine in
+// the circuit/lanes subpackage, which propagates only actual net
+// changes, fast-forwards over quiescent stretches, and races up to 512
+// candidates in one pass.  The two are contractually byte-identical in
+// every observable (values, arrival times, toggle counts, clocked-cycle
+// counts, the Activity report); the differential harness in
+// internal/oracle enforces that contract with property tests and
+// fuzzing, keeping this Simulator as the oracle and the lanes engine as
+// the fast path.
 package circuit

@@ -7,13 +7,13 @@
 // One combinational settle wave evaluates AND/OR/XOR/MUX word-slice-wise
 // for all W·64 lanes simultaneously — the software analogue of tiling
 // W·64 copies of the paper's edit-graph array and clocking them off one
-// wavefront.  The event structure is the same as circuit/event (settle
-// waves that evaluate only gates whose inputs moved, in level order,
-// within a cycle; a set of flip-flops to clock across cycles), but a
-// wave visit costs W word operations instead of one boolean per lane,
-// so the per-candidate price of gate evaluation, wave bookkeeping, and
-// clocking divides by the pack width.  A wave is a bitset over the comb
-// gates numbered level by level, scanned upward.
+// wavefront.  The engine is event-driven: within a cycle, settle waves
+// evaluate only gates whose inputs moved, in level order; across
+// cycles, only the flip-flops pending an edge are clocked.  A wave visit
+// costs W word operations, so the per-candidate price of gate
+// evaluation, wave bookkeeping, and clocking divides by the pack width;
+// a single pair races as a pack of one.  A wave is a bitset over the
+// comb gates numbered level by level, scanned upward.
 //
 // The kernel is written once, as a generic type over the slab
 // [W]uint64, and instantiated for each of the four widths, so every

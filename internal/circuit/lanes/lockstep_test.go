@@ -1,4 +1,4 @@
-package event_test
+package lanes_test
 
 import (
 	"errors"
@@ -7,17 +7,18 @@ import (
 	"testing"
 
 	"racelogic/internal/circuit"
-	"racelogic/internal/circuit/event"
+	"racelogic/internal/circuit/lanes"
 )
 
-// pair runs the reference cycle-accurate simulator and the event engine
-// in lockstep over the same netlist and asserts observable equality
+// pair runs the reference cycle-accurate simulator and the lanes engine
+// in lockstep over the same netlist, every lane driven alike through
+// the scalar circuit.Backend contract, and asserts observable equality
 // after every mutation.
 type pair struct {
 	t   *testing.T
 	nl  *circuit.Netlist
 	ref *circuit.Simulator
-	ev  *event.Sim
+	ln  circuit.Backend
 }
 
 func newPair(t *testing.T, nl *circuit.Netlist) *pair {
@@ -26,63 +27,63 @@ func newPair(t *testing.T, nl *circuit.Netlist) *pair {
 	if err != nil {
 		t.Fatalf("reference Compile: %v", err)
 	}
-	ev, err := event.Compile(nl)
+	ln, err := lanes.Compile(nl)
 	if err != nil {
-		t.Fatalf("event Compile: %v", err)
+		t.Fatalf("lanes Compile: %v", err)
 	}
-	p := &pair{t: t, nl: nl, ref: ref, ev: ev}
+	p := &pair{t: t, nl: nl, ref: ref, ln: ln}
 	p.check("after compile")
 	return p
 }
 
 func (p *pair) check(when string) {
 	p.t.Helper()
-	if rc, ec := p.ref.Cycle(), p.ev.Cycle(); rc != ec {
-		p.t.Fatalf("%s: cycle mismatch: ref=%d event=%d", when, rc, ec)
+	if rc, lc := p.ref.Cycle(), p.ln.Cycle(); rc != lc {
+		p.t.Fatalf("%s: cycle mismatch: ref=%d lanes=%d", when, rc, lc)
 	}
 	for i := 0; i < p.nl.NumNets(); i++ {
 		net := circuit.Net(i)
-		if rv, ev := p.ref.Value(net), p.ev.Value(net); rv != ev {
-			p.t.Fatalf("%s: net %d value mismatch: ref=%v event=%v", when, i, rv, ev)
+		if rv, lv := p.ref.Value(net), p.ln.Value(net); rv != lv {
+			p.t.Fatalf("%s: net %d value mismatch: ref=%v lanes=%v", when, i, rv, lv)
 		}
-		if ra, ea := p.ref.Arrival(net), p.ev.Arrival(net); ra != ea {
-			p.t.Fatalf("%s: net %d arrival mismatch: ref=%v event=%v", when, i, ra, ea)
+		if ra, la := p.ref.Arrival(net), p.ln.Arrival(net); ra != la {
+			p.t.Fatalf("%s: net %d arrival mismatch: ref=%v lanes=%v", when, i, ra, la)
 		}
-		if rt, et := p.ref.Toggles(net), p.ev.Toggles(net); rt != et {
-			p.t.Fatalf("%s: net %d toggles mismatch: ref=%d event=%d", when, i, rt, et)
+		if rt, lt := p.ref.Toggles(net), p.ln.Toggles(net); rt != lt {
+			p.t.Fatalf("%s: net %d toggles mismatch: ref=%d lanes=%d", when, i, rt, lt)
 		}
 	}
-	ra, ea := p.ref.Activity(), p.ev.Activity()
-	if !reflect.DeepEqual(ra, ea) {
-		p.t.Fatalf("%s: activity mismatch:\nref:   %+v\nevent: %+v", when, ra, ea)
+	ra, la := p.ref.Activity(), p.ln.Activity()
+	if !reflect.DeepEqual(ra, la) {
+		p.t.Fatalf("%s: activity mismatch:\nref:   %+v\nlanes: %+v", when, ra, la)
 	}
 }
 
 func (p *pair) set(net circuit.Net, v bool) {
 	p.t.Helper()
 	p.ref.SetInput(net, v)
-	p.ev.SetInput(net, v)
+	p.ln.SetInput(net, v)
 	p.check("after SetInput")
 }
 
 func (p *pair) step() {
 	p.t.Helper()
 	p.ref.Step()
-	p.ev.Step()
+	p.ln.Step()
 	p.check("after Step")
 }
 
 func (p *pair) run(k int) {
 	p.t.Helper()
 	p.ref.Run(k)
-	p.ev.Run(k)
+	p.ln.Run(k)
 	p.check("after Run")
 }
 
 func (p *pair) reset() {
 	p.t.Helper()
 	p.ref.Reset()
-	p.ev.Reset()
+	p.ln.Reset()
 	p.check("after Reset")
 }
 
@@ -96,14 +97,14 @@ func TestDelayChainLockstep(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.step()
 	}
-	if got := p.ev.Arrival(out); got != 5 {
+	if got := p.ln.Arrival(out); got != 5 {
 		t.Errorf("delayed arrival = %v, want 5", got)
 	}
 	// A second race after Reset must be identical.
 	p.reset()
 	p.set(in, true)
 	p.run(8)
-	if got := p.ev.Arrival(out); got != 5 {
+	if got := p.ln.Arrival(out); got != 5 {
 		t.Errorf("after reset: delayed arrival = %v, want 5", got)
 	}
 }
@@ -117,18 +118,18 @@ func TestRunUntilQuiescentFastForward(t *testing.T) {
 	// Quiescent circuit (input still 0): both backends must advance the
 	// clock accounting to the horizon and report Never.
 	rt := p.ref.RunUntil(out, 20)
-	et := p.ev.RunUntil(out, 20)
-	if rt != et {
-		t.Fatalf("RunUntil mismatch: ref=%v event=%v", rt, et)
+	lt := p.ln.RunUntil(out, 20)
+	if rt != lt {
+		t.Fatalf("RunUntil mismatch: ref=%v lanes=%v", rt, lt)
 	}
 	p.check("after quiescent RunUntil")
 
 	p.reset()
 	p.set(in, true)
 	rt = p.ref.RunUntil(out, 20)
-	et = p.ev.RunUntil(out, 20)
-	if rt != et || et != 3 {
-		t.Fatalf("RunUntil = ref %v, event %v; want 3", rt, et)
+	lt = p.ln.RunUntil(out, 20)
+	if rt != lt || lt != 3 {
+		t.Fatalf("RunUntil = ref %v, lanes %v; want 3", rt, lt)
 	}
 	p.check("after racing RunUntil")
 }
@@ -145,7 +146,7 @@ func TestStickyLatchLockstep(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.step()
 	}
-	if !p.ev.Value(latched) || !p.ev.Value(immediate) {
+	if !p.ln.Value(latched) || !p.ln.Value(immediate) {
 		t.Error("sticky latch did not hold after the pulse")
 	}
 }
@@ -161,7 +162,7 @@ func TestSatCounterLockstep(t *testing.T) {
 		p.step()
 	}
 	for _, b := range bus {
-		if !p.ev.Value(b) {
+		if !p.ln.Value(b) {
 			t.Fatal("counter did not saturate at all-ones")
 		}
 	}
@@ -178,19 +179,19 @@ func TestGatedDFFELockstep(t *testing.T) {
 	p := newPair(t, nl)
 
 	p.set(d, true)
-	p.step() // enable low: no sample, but ffClockedCycles differ per backend if wrong
-	if p.ev.Value(q) {
+	p.step() // enable low: no sample, but ffClockedCycles differ per engine if wrong
+	if p.ln.Value(q) {
 		t.Error("gated FF sampled while disabled")
 	}
 	p.set(en, true)
 	p.step()
-	if !p.ev.Value(q) {
+	if !p.ln.Value(q) {
 		t.Error("gated FF did not sample once enabled")
 	}
 	p.set(en, false)
 	p.set(d, false)
 	p.run(3)
-	if !p.ev.Value(q) {
+	if !p.ln.Value(q) {
 		t.Error("gated FF lost state while disabled")
 	}
 }
@@ -210,18 +211,18 @@ func TestPatchedEnableAndDFFInit(t *testing.T) {
 	one := nl.DFFInit(circuit.Zero, true) // init-1 FF decays to 0 after one edge
 	p := newPair(t, nl)
 
-	if !p.ev.Value(one) {
+	if !p.ln.Value(one) {
 		t.Error("init-1 FF not 1 at power-on")
 	}
 	p.set(d, true)
 	p.step()
-	if !p.ev.Value(q) {
+	if !p.ln.Value(q) {
 		t.Error("FF did not sample while ungated")
 	}
 	p.set(trig, true) // latch sets, enable drops this settle
 	p.set(d, false)
 	p.run(4)
-	if !p.ev.Value(q) {
+	if !p.ln.Value(q) {
 		t.Error("FF changed state after its clock was gated off")
 	}
 }
@@ -239,7 +240,7 @@ func TestMuxTreeLockstep(t *testing.T) {
 		p.set(s1, sel&2 == 2)
 		for i, in := range ins {
 			p.set(in, true)
-			if got := p.ev.Value(out); got != (i == sel) {
+			if got := p.ln.Value(out); got != (i == sel) {
 				t.Errorf("sel=%d in=%d: out=%v", sel, i, got)
 			}
 			p.set(in, false)
@@ -255,8 +256,8 @@ func TestCombLoopRejected(t *testing.T) {
 	// Rewire the OR to read the AND: a pure combinational cycle.
 	g := nl.Gate(int(x) - 2)
 	g.In[1] = y
-	if _, err := event.Compile(nl); !errors.Is(err, circuit.ErrCombLoop) {
-		t.Fatalf("event Compile error = %v, want ErrCombLoop", err)
+	if _, err := lanes.Compile(nl); !errors.Is(err, circuit.ErrCombLoop) {
+		t.Fatalf("lanes Compile error = %v, want ErrCombLoop", err)
 	}
 	if _, err := nl.Compile(); !errors.Is(err, circuit.ErrCombLoop) {
 		t.Fatalf("reference Compile error = %v, want ErrCombLoop", err)

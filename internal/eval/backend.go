@@ -6,7 +6,7 @@ import (
 )
 
 // simBackend is the simulation engine every measurement compiles its
-// arrays onto.  The oracle suite proves the backends bit-identical, so
+// arrays onto.  The oracle suite proves the engines bit-identical, so
 // switching it never changes a regenerated figure — only how long the
 // sweeps take to produce it.
 //
@@ -14,13 +14,14 @@ import (
 var simBackend = race.BackendCycle
 
 // SetBackend selects the simulation backend for all subsequent
-// measurements.  Call it before starting a sweep; the setting is not
-// synchronized against concurrent measurements.
+// measurements (BackendEvent selects BackendLanes).  Call it before
+// starting a sweep; the setting is not synchronized against concurrent
+// measurements.
 func SetBackend(b race.Backend) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	simBackend = b
+	simBackend = b.Resolve()
 	return nil
 }
 

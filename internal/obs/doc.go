@@ -15,8 +15,8 @@
 //
 // A Registry owns metric families created through Counter, Gauge,
 // CounterFunc, GaugeFunc, and Histogram.  Families are identified by
-// name; per-series constant labels (e.g. backend="event", shard="3")
-// distinguish series within one family, so the cycle and event
+// name; per-series constant labels (e.g. backend="lanes", shard="3")
+// distinguish series within one family, so the cycle and lanes
 // simulation backends land in one scrape side by side.  Histograms use
 // fixed exponential buckets (ExpBuckets) so a long-running service's
 // memory never grows with its traffic.  WritePrometheus renders the

@@ -1,23 +1,24 @@
 // Package oracle is the differential-testing harness that licenses the
-// fast simulation backends: the cycle-accurate simulator is the oracle,
+// fast simulation backend: the cycle-accurate simulator is the oracle,
 // and every observable — per-net values, first-arrival times, toggle
 // counts, cycle counters, and the full Activity report — must be
-// identical between it and each candidate backend (the event-driven
-// engine and the bit-parallel lanes engine) after every operation, on
-// every netlist, under every stimulus.
+// identical between it and the bit-parallel lanes engine after every
+// operation, on every netlist, under every stimulus.
 //
 // The harness has two generator halves sharing one decoder:
 //
 //   - property tests drive the decoder from a seeded math/rand source,
 //     sweeping thousands of random netlists and stimulus scripts per
 //     test run;
-//   - FuzzEventBackendEquivalence, FuzzLanesBackendEquivalence and
+//   - FuzzLockstepEquivalence, FuzzLanesBackendEquivalence and
 //     FuzzSymbolLoadEquivalence drive the same decoders from raw fuzzer
 //     bytes, so coverage-guided mutation explores netlist and schedule
 //     shapes no seed thought of.
 //
-// The lanes engine gets a second, word-parallel check on top of the
-// lockstep one: CheckLaneEquivalence decodes a per-lane stimulus
+// CheckEquivalence drives the lanes engine through the scalar
+// circuit.Backend contract, every lane in lockstep.  The lanes engine
+// gets a second, word-parallel check on top of that lockstep one:
+// CheckLaneEquivalence decodes a per-lane stimulus
 // schedule, runs it through one lanes simulation carrying several
 // divergent candidates at once, and compares every lane against its own
 // dedicated cycle-accurate simulation.
@@ -30,7 +31,7 @@
 //
 // Higher layers get their own differential coverage in oracle_test.go:
 // the three race arrays (plain, clock-gated, generalized) and whole
-// Databases across shard counts are raced under every backend and the
+// Databases across shard counts are raced on both backends and the
 // resulting AlignResults/SearchReports compared field by field.
 package oracle
 
@@ -39,7 +40,6 @@ import (
 	"math/rand"
 
 	"racelogic/internal/circuit"
-	"racelogic/internal/circuit/event"
 	"racelogic/internal/circuit/lanes"
 )
 
@@ -174,7 +174,7 @@ func GenerateScript(src Source, nIn int) []Op {
 // reference and a candidate backend — the failure artifact a property
 // test or fuzz crash prints.
 type Diverged struct {
-	Backend string // which candidate disagreed ("event", "lanes", "lanes[k]")
+	Backend string // which candidate disagreed ("lanes", "lanes[k@l]")
 	Op      int    // index into the script, -1 for the post-compile state
 	What    string
 	Net     circuit.Net
@@ -226,62 +226,39 @@ func compareActivity(ra, ca circuit.Activity, name string, op int) error {
 	return nil
 }
 
-// CheckEquivalence compiles nl under all three backends, applies the
-// script to each in lockstep, and returns the first divergence (nil
-// when the backends agree everywhere).  All compiles must agree on
-// success; a combinational loop (possible for decoded netlists only
-// through builder misuse, not this package's generators) must be
-// rejected by every backend.
+// CheckEquivalence compiles nl under the reference and the lanes
+// engine, applies the script to both in lockstep through the scalar
+// circuit.Backend contract, and returns the first divergence (nil when
+// they agree everywhere).  The compiles must agree on success; a
+// combinational loop (possible for decoded netlists only through
+// builder misuse, not this package's generators) must be rejected by
+// both.
 func CheckEquivalence(nl *circuit.Netlist, inputs []circuit.Net, script []Op) error {
 	ref, rerr := nl.Compile()
-	ev, everr := event.Compile(nl)
 	ln, lnerr := lanes.Compile(nl)
-	if (rerr == nil) != (everr == nil) || (rerr == nil) != (lnerr == nil) {
-		return fmt.Errorf("oracle: compile disagreement: reference %v, event %v, lanes %v", rerr, everr, lnerr)
+	if (rerr == nil) != (lnerr == nil) {
+		return fmt.Errorf("oracle: compile disagreement: reference %v, lanes %v", rerr, lnerr)
 	}
 	if rerr != nil {
-		return nil // all rejected: agreement
+		return nil // both rejected: agreement
 	}
-	cands := []struct {
-		name string
-		sim  circuit.Backend
-	}{{"event", ev}, {"lanes", ln}}
-	compare := func(op int) error {
-		for _, c := range cands {
-			if err := compareState(nl, ref, c.sim, c.name, op); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := compare(-1); err != nil {
+	if err := compareState(nl, ref, ln, "lanes", -1); err != nil {
 		return err
 	}
 	for i, op := range script {
-		switch op.Kind {
-		case 0:
-			net := inputs[op.Input%len(inputs)]
-			ref.SetInput(net, op.Value)
-			for _, c := range cands {
-				c.sim.SetInput(net, op.Value)
-			}
-		case 1:
-			ref.Step()
-			for _, c := range cands {
-				c.sim.Step()
-			}
-		case 2:
-			ref.Run(op.K)
-			for _, c := range cands {
-				c.sim.Run(op.K)
-			}
-		default:
-			ref.Reset()
-			for _, c := range cands {
-				c.sim.Reset()
+		for _, sim := range []circuit.Backend{ref, ln} {
+			switch op.Kind {
+			case 0:
+				sim.SetInput(inputs[op.Input%len(inputs)], op.Value)
+			case 1:
+				sim.Step()
+			case 2:
+				sim.Run(op.K)
+			default:
+				sim.Reset()
 			}
 		}
-		if err := compare(i); err != nil {
+		if err := compareState(nl, ref, ln, "lanes", i); err != nil {
 			return err
 		}
 	}

@@ -18,8 +18,9 @@ import (
 )
 
 // TestNetlistEquivalence is the core property suite: random netlists
-// under random stimulus, every backend compared against the reference
-// observable-by-observable after every operation.
+// under random stimulus, the lanes engine driven in lockstep and
+// compared against the reference observable-by-observable after every
+// operation.
 func TestNetlistEquivalence(t *testing.T) {
 	trials := 400
 	if testing.Short() {
@@ -98,7 +99,8 @@ func alignCases(t *testing.T, gen *seqgen.Generator, n, m int) []alignCase {
 }
 
 // runCases races every case through ref and fast (two arrays of the same
-// shape on different backends) and requires identical AlignResults.
+// shape, on the cycle reference and on lanes) and requires identical
+// AlignResults.
 func runCases(t *testing.T, name string, cases []alignCase,
 	ref, fast interface {
 		Align(p, q string) (*race.AlignResult, error)
@@ -116,62 +118,55 @@ func runCases(t *testing.T, name string, cases []alignCase,
 			fres, ferr = fast.AlignThreshold(c.p, c.q, temporal.Time(c.threshold))
 		}
 		if (rerr == nil) != (ferr == nil) {
-			t.Fatalf("%s case %d: error disagreement: cycle %v, event %v", name, i, rerr, ferr)
+			t.Fatalf("%s case %d: error disagreement: cycle %v, lanes %v", name, i, rerr, ferr)
 		}
 		if rerr != nil {
 			continue
 		}
 		if !reflect.DeepEqual(rres, fres) {
-			t.Fatalf("%s case %d (%q vs %q, thr %d): results differ\ncycle: %+v\nevent: %+v",
+			t.Fatalf("%s case %d (%q vs %q, thr %d): results differ\ncycle: %+v\nlanes: %+v",
 				name, i, c.p, c.q, c.threshold, rres, fres)
 		}
 	}
 }
 
-// fastBackends are the candidate engines the array-level differential
-// suites run against the cycle-accurate reference.
-var fastBackends = []race.Backend{race.BackendEvent, race.BackendLanes}
-
-// TestArrayEquivalence races the plain DNA array under every backend on
-// a mixed workload and requires bit-identical results, reusing each
-// array across races exactly like the search pipeline does.
+// TestArrayEquivalence races the plain DNA array on lanes on a mixed
+// workload and requires results bit-identical to the reference's,
+// reusing each array across races exactly like the search pipeline
+// does.
 func TestArrayEquivalence(t *testing.T) {
 	gen := seqgen.NewDNA(11)
 	shapes := [][2]int{{1, 1}, {3, 5}, {8, 8}, {12, 7}}
 	for _, s := range shapes {
-		for _, backend := range fastBackends {
-			ref, err := race.NewArray(s[0], s[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := race.NewArray(s[0], s[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast.SetBackend(backend)
-			runCases(t, "array/"+backend.String(), alignCases(t, gen, s[0], s[1]), ref, fast)
+		ref, err := race.NewArray(s[0], s[1])
+		if err != nil {
+			t.Fatal(err)
 		}
+		fast, err := race.NewArray(s[0], s[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast.SetBackend(race.BackendLanes)
+		runCases(t, "array", alignCases(t, gen, s[0], s[1]), ref, fast)
 	}
 }
 
-// TestGatedArrayEquivalence covers the clock-gated fabric, where the
-// fast backends must track enable nets and the per-region DFFE clock
-// accounting exactly.
+// TestGatedArrayEquivalence covers the clock-gated fabric, where lanes
+// must track enable nets and the per-region DFFE clock accounting
+// exactly.
 func TestGatedArrayEquivalence(t *testing.T) {
 	gen := seqgen.NewDNA(12)
 	for _, region := range []int{1, 2, 4} {
-		for _, backend := range fastBackends {
-			ref, err := race.NewGatedArray(6, 9, region)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := race.NewGatedArray(6, 9, region)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast.SetBackend(backend)
-			runCases(t, "gated/"+backend.String(), alignCases(t, gen, 6, 9), ref, fast)
+		ref, err := race.NewGatedArray(6, 9, region)
+		if err != nil {
+			t.Fatal(err)
 		}
+		fast, err := race.NewGatedArray(6, 9, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast.SetBackend(race.BackendLanes)
+		runCases(t, "gated", alignCases(t, gen, 6, 9), ref, fast)
 	}
 }
 
@@ -189,26 +184,24 @@ func TestGeneralArrayEquivalence(t *testing.T) {
 		n, m = 2, 3
 	}
 	for _, enc := range []race.Encoding{race.BinaryCounter, race.OneHot} {
-		for _, backend := range fastBackends {
-			ref, err := race.NewGeneralArray(n, m, prepared, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := race.NewGeneralArray(n, m, prepared, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast.SetBackend(backend)
-			p, q := gen.RandomPair(n)
-			if m != n {
-				q = gen.Random(m)
-			}
-			runCases(t, "general/"+enc.String()+"/"+backend.String(), []alignCase{
-				{p, q, -1},
-				{p, q, 20},
-				{p, gen.Random(m), -1},
-			}, ref, fast)
+		ref, err := race.NewGeneralArray(n, m, prepared, enc)
+		if err != nil {
+			t.Fatal(err)
 		}
+		fast, err := race.NewGeneralArray(n, m, prepared, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast.SetBackend(race.BackendLanes)
+		p, q := gen.RandomPair(n)
+		if m != n {
+			q = gen.Random(m)
+		}
+		runCases(t, "general/"+enc.String(), []alignCase{
+			{p, q, -1},
+			{p, q, 20},
+			{p, gen.Random(m), -1},
+		}, ref, fast)
 	}
 }
 
@@ -383,7 +376,7 @@ func TestAlignLanesEquivalence(t *testing.T) {
 // TestAlignLanesErrors pins the pack path's error contract: a bad
 // symbol in lane k surfaces as a LaneError carrying k and the same
 // underlying error a scalar Align would return, before any engine state
-// is touched.  It also pins the scalar backends' packs of one.
+// is touched.  It also pins the cycle reference's packs of one.
 func TestAlignLanesErrors(t *testing.T) {
 	arr, err := race.NewArray(3, 4)
 	if err != nil {
@@ -407,56 +400,184 @@ func TestAlignLanesErrors(t *testing.T) {
 		t.Fatal("oversized pack: want error")
 	}
 
-	// On the scalar backends LaneWidth is 1: a pack of one races as
+	// On the cycle reference LaneWidth is 1: a pack of one races as
 	// Align or AlignThreshold does, without the timing matrix, and a
 	// pack of two is refused.
 	prepared, err := score.BLOSUM62().PrepareForRace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []race.Backend{race.BackendCycle, race.BackendEvent} {
-		general, err := race.NewGeneralArray(3, 4, prepared, race.BinaryCounter)
+	general, err := race.NewGeneralArray(3, 4, prepared, race.BinaryCounter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := race.NewArray(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		arr       *race.Array
+		p, q      string
+		threshold temporal.Time
+	}{
+		{plain, "ACG", "ACGT", -1},
+		{plain, "ACG", "TTTT", 5},
+		{general.Array, "WAR", "WYRD", -1},
+		{general.Array, "WAR", "MKVL", 30},
+	} {
+		if w := c.arr.LaneWidth(); w != 1 {
+			t.Fatalf("cycle: LaneWidth = %d, want 1", w)
+		}
+		var want *race.AlignResult
+		if c.threshold < 0 {
+			want, err = c.arr.Align(c.p, c.q)
+		} else {
+			want, err = c.arr.AlignThreshold(c.p, c.q, c.threshold)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := race.NewArray(3, 4)
+		want.Arrivals = nil
+		got, err := c.arr.AlignLanes(c.p, []string{c.q}, c.threshold)
+		if err != nil {
+			t.Fatalf("cycle: pack of one: %v", err)
+		}
+		if !reflect.DeepEqual(want, got[0]) {
+			t.Fatalf("cycle %q vs %q thr %d: pack of one differs from Align\nalign: %+v\npack:  %+v", c.p, c.q, c.threshold, want, got[0])
+		}
+		if _, err := c.arr.AlignLanesMulti([]string{c.p, c.p}, []string{c.q, c.q}, c.threshold); err == nil {
+			t.Fatal("cycle: pack of two on the reference: want error")
+		}
+	}
+}
+
+// TestAlignPackOfOne pins Align and AlignThreshold on lanes, which race
+// a pack of one and read the Fig. 4c timing matrix from its lane, field
+// by field against the cycle reference, timing matrix included: on the
+// plain, clock-gated and 12×12 BLOSUM62 arrays, at 64 and 256 lanes.
+// Every single race sits between two multi-lane packs on the same
+// array, whose lanes must match the reference too, so the one-lane mask
+// never leaks into a later pack.  A malformed pair fails Align with the
+// reference's error, not a LaneError.
+func TestAlignPackOfOne(t *testing.T) {
+	prepared, err := score.BLOSUM62().PrepareForRace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fab := range []struct {
+		name  string
+		build func() (*race.Array, error)
+		gen   *seqgen.Generator
+		n     int
+	}{
+		{"plain", func() (*race.Array, error) { return race.NewArray(16, 16) }, seqgen.NewDNA(41), 16},
+		{"gated4", func() (*race.Array, error) {
+			g, err := race.NewGatedArray(16, 16, 4)
+			if err != nil {
+				return nil, err
+			}
+			return g.Array, nil
+		}, seqgen.NewDNA(42), 16},
+		{"blosum62", func() (*race.Array, error) {
+			g, err := race.NewGeneralArray(12, 12, prepared, race.BinaryCounter)
+			if err != nil {
+				return nil, err
+			}
+			return g.Array, nil
+		}, seqgen.NewProtein(43), 12},
+	} {
+		ref, err := fab.build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range []struct {
-			arr       *race.Array
-			p, q      string
-			threshold temporal.Time
-		}{
-			{plain, "ACG", "ACGT", -1},
-			{plain, "ACG", "TTTT", 5},
-			{general.Array, "WAR", "WYRD", -1},
-			{general.Array, "WAR", "MKVL", 30},
-		} {
-			c.arr.SetBackend(b)
-			if w := c.arr.LaneWidth(); w != 1 {
-				t.Fatalf("%v: LaneWidth = %d, want 1", b, w)
-			}
-			var want *race.AlignResult
-			if c.threshold < 0 {
-				want, err = c.arr.Align(c.p, c.q)
-			} else {
-				want, err = c.arr.AlignThreshold(c.p, c.q, c.threshold)
-			}
+		// Three pairs make the pack.  The first two also race alone: in
+		// full, cut off one cycle before their score, and (the first)
+		// under a threshold the score meets.
+		var cases []alignCase
+		var ps, qs []string
+		var wantPack []*race.AlignResult
+		for i := 0; i < 3; i++ {
+			p, q := fab.gen.RandomPair(fab.n)
+			full, err := ref.Align(p, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.Arrivals = nil
-			got, err := c.arr.AlignLanes(c.p, []string{c.q}, c.threshold)
+			ps, qs = append(ps, p), append(qs, q)
+			lane := *full
+			lane.Arrivals = nil
+			wantPack = append(wantPack, &lane)
+			switch i {
+			case 0:
+				cases = append(cases, alignCase{p, q, -1}, alignCase{p, q, int64(full.Score) - 1}, alignCase{p, q, int64(full.Score)})
+			case 1:
+				cases = append(cases, alignCase{p, q, -1}, alignCase{p, q, int64(full.Score) - 1})
+			}
+		}
+		race1 := func(arr *race.Array, c alignCase) (*race.AlignResult, error) {
+			if c.threshold < 0 {
+				return arr.Align(c.p, c.q)
+			}
+			return arr.AlignThreshold(c.p, c.q, temporal.Time(c.threshold))
+		}
+		want := make([]*race.AlignResult, len(cases))
+		for i, c := range cases {
+			if want[i], err = race1(ref, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want[1].Score != temporal.Never || want[2].Score == temporal.Never {
+			t.Fatalf("%s: thresholds %d and %d do not cut and pass", fab.name, cases[1].threshold, cases[2].threshold)
+		}
+		bad := []alignCase{{"#" + ps[0][1:], qs[0], -1}, {ps[0][1:], qs[0], 5}}
+		badErrs := make([]error, len(bad))
+		for i, c := range bad {
+			if _, badErrs[i] = race1(ref, c); badErrs[i] == nil {
+				t.Fatalf("%s: reference raced malformed pair %q vs %q", fab.name, c.p, c.q)
+			}
+		}
+
+		for _, width := range []int{64, 256} {
+			name := fmt.Sprintf("%s width %d", fab.name, width)
+			arr, err := fab.build()
 			if err != nil {
-				t.Fatalf("%v: pack of one: %v", b, err)
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(want, got[0]) {
-				t.Fatalf("%v %q vs %q thr %d: pack of one differs from Align\nalign: %+v\npack:  %+v", b, c.p, c.q, c.threshold, want, got[0])
+			arr.SetBackend(race.BackendLanes)
+			if err := arr.SetLaneWidth(width); err != nil {
+				t.Fatal(err)
 			}
-			if _, err := c.arr.AlignLanesMulti([]string{c.p, c.p}, []string{c.q, c.q}, c.threshold); err == nil {
-				t.Fatalf("%v: pack of two on a scalar backend: want error", b)
+			pack := func(when string) {
+				t.Helper()
+				got, err := arr.AlignLanesMulti(ps, qs, -1)
+				if err != nil {
+					t.Fatalf("%s: pack %s: %v", name, when, err)
+				}
+				for k := range got {
+					if !reflect.DeepEqual(wantPack[k], got[k]) {
+						t.Fatalf("%s: pack %s, lane %d differs\ncycle: %+v\nlanes: %+v", name, when, k, wantPack[k], got[k])
+					}
+				}
 			}
+			pack("first")
+			for i, c := range cases {
+				got, err := race1(arr, c)
+				if err != nil {
+					t.Fatalf("%s case %d: %v", name, i, err)
+				}
+				if !reflect.DeepEqual(want[i], got) {
+					t.Fatalf("%s case %d (%q vs %q, thr %d): results differ\ncycle: %+v\nlanes: %+v",
+						name, i, c.p, c.q, c.threshold, want[i], got)
+				}
+				pack(fmt.Sprintf("after case %d", i))
+			}
+			for i, c := range bad {
+				_, err := race1(arr, c)
+				var le *race.LaneError
+				if err == nil || err.Error() != badErrs[i].Error() || errors.As(err, &le) {
+					t.Fatalf("%s: malformed pair %q vs %q: error %v (%T), want the reference's %v", name, c.p, c.q, err, err, badErrs[i])
+				}
+			}
+			pack("after the malformed pairs")
 		}
 	}
 }
@@ -479,7 +600,7 @@ func TestEngineTracebackEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := racelogic.NewDNAEngine(len(p), len(q), append(opts, racelogic.WithBackend(racelogic.BackendEvent))...)
+		fast, err := racelogic.NewDNAEngine(len(p), len(q), append(opts, racelogic.WithBackend(racelogic.BackendLanes))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +613,7 @@ func TestEngineTracebackEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ra, fa) {
-			t.Fatalf("gating %d: alignments differ\ncycle: %+v\nevent: %+v", gating, ra, fa)
+			t.Fatalf("gating %d: alignments differ\ncycle: %+v\nlanes: %+v", gating, ra, fa)
 		}
 	}
 
@@ -502,7 +623,7 @@ func TestEngineTracebackEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfast, err := racelogic.NewProteinEngine(4, 4, "BLOSUM62", racelogic.WithBackend(racelogic.BackendEvent))
+	pfast, err := racelogic.NewProteinEngine(4, 4, "BLOSUM62", racelogic.WithBackend(racelogic.BackendLanes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +636,7 @@ func TestEngineTracebackEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ra, fa) {
-		t.Fatalf("protein alignments differ\ncycle: %+v\nevent: %+v", ra, fa)
+		t.Fatalf("protein alignments differ\ncycle: %+v\nlanes: %+v", ra, fa)
 	}
 }
 
@@ -541,7 +662,7 @@ func normalizeReport(r *racelogic.SearchReport) *racelogic.SearchReport {
 }
 
 // TestDatabaseEquivalence is the end-to-end oracle: whole databases
-// under {cycle, event, lanes} × {1, 3 shards} × {plain, gated, seeded,
+// under {cycle, lanes} × {1, 3 shards} × {plain, gated, seeded,
 // protein} configurations must produce byte-identical SearchReports
 // modulo EnginesBuilt.
 func TestDatabaseEquivalence(t *testing.T) {
@@ -575,7 +696,7 @@ func TestDatabaseEquivalence(t *testing.T) {
 		// it query for query.
 		var want []*racelogic.SearchReport
 		for _, shards := range shardCounts {
-			for _, backend := range []racelogic.Backend{racelogic.BackendCycle, racelogic.BackendEvent, racelogic.BackendLanes} {
+			for _, backend := range []racelogic.Backend{racelogic.BackendCycle, racelogic.BackendLanes} {
 				opts := append([]racelogic.Option{
 					racelogic.WithShards(shards),
 					racelogic.WithBackend(backend),
@@ -611,10 +732,11 @@ func TestDatabaseEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzEventBackendEquivalence feeds raw bytes through the shared
-// netlist/script decoder and requires backend agreement on every case
-// the fuzzer invents.
-func FuzzEventBackendEquivalence(f *testing.F) {
+// FuzzLockstepEquivalence feeds raw bytes through the shared
+// netlist/script decoder and requires the lanes engine, every lane
+// driven in lockstep through the scalar circuit.Backend contract, to
+// agree with the reference on every case the fuzzer invents.
+func FuzzLockstepEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 7, 3, 9, 200, 4, 4, 4, 250, 0, 13})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))

@@ -38,7 +38,7 @@
 // pool so independent arrays race concurrently.  A chunk races in lane
 // packs of its engine's LaneWidth, which span shard and query
 // boundaries: up to 512 pairs per pack under the lanes backend, and
-// packs of one on the scalar backends.  The Section 6 similarity
+// packs of one on the cycle reference.  The Section 6 similarity
 // threshold rejects dissimilar entries after only threshold+1 cycles,
 // and each query's outcomes fold under a global-ID ordering into a
 // deterministic top-K report with per-result hardware metrics, so a
@@ -1081,7 +1081,7 @@ func (p *Pools) runPairChunk(shardSets [][]ShardScan, plans [][]*scanPlan, queri
 	}
 
 	// The chunk races in mixed-query lane packs of up to LaneWidth pairs:
-	// packs of one on the scalar backends.  Outcomes, errors, and the
+	// packs of one on the cycle reference.  Outcomes, errors, and the
 	// (query, entry) pair an error is attributed to are byte-identical
 	// however wide the packs are; only the number of netlist passes
 	// changes.

@@ -248,14 +248,15 @@ func (a *Array) align(p, q string, bound int) (*AlignResult, error) {
 	if len(p) != a.n || len(q) != a.m {
 		return nil, a.shapeError(len(p), len(q))
 	}
-	slabs := make([]uint64, len(a.pins))
-	if err := a.encode(slabs, 1, 0, 1, p, 0); err != nil {
+	W := (a.LaneWidth() + lanes.WordBits - 1) / lanes.WordBits
+	slabs := make([]uint64, len(a.pins)*W)
+	if err := a.encode(slabs, W, 0, 1, p, 0); err != nil {
 		return nil, err
 	}
-	if err := a.encode(slabs, 1, 0, 1, q, a.n); err != nil {
+	if err := a.encode(slabs, W, 0, 1, q, a.n); err != nil {
 		return nil, err
 	}
-	sim, err := a.raceOne(slabs, bound)
+	sim, err := a.raceSolo(slabs, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -294,10 +295,22 @@ func (a *Array) encode(slabs []uint64, W, w int, bit uint64, s string, first int
 	return nil
 }
 
-// raceOne drives lane 0 of one-word symbol slabs and the root into the
-// reset scalar engine, pin by pin in drive order, and races it until the
-// output fires or bound cycles pass.
-func (a *Array) raceOne(slabs []uint64, bound int) (circuit.Backend, error) {
+// raceSolo races the pair encoded in lane 0 of the symbol slabs until
+// the output fires or bound cycles pass, and returns the engine whose
+// Arrival, Cycle and Activity read that race.  Lanes races it as a pack
+// of one; its lone lane stops the pack, so those reads, which are lane
+// 0's, see the race a solo run would.  The cycle reference takes lane
+// 0 of one-word slabs and the root pin by pin, in drive order.
+func (a *Array) raceSolo(slabs []uint64, bound int) (circuit.Backend, error) {
+	if a.backend == BackendLanes {
+		used := make([]uint64, a.laneWords)
+		used[0] = 1
+		ls, err := a.racePack(slabs, used, bound)
+		if err != nil {
+			return nil, err
+		}
+		return ls, nil
+	}
 	sim, err := a.simulator()
 	if err != nil {
 		return nil, err
@@ -311,9 +324,11 @@ func (a *Array) raceOne(slabs []uint64, bound int) (circuit.Backend, error) {
 }
 
 // SetBackend selects the simulation engine for this array's races
-// (default BackendCycle).  Switching after a race drops the compiled
-// engine, so the next Align pays one recompile.
+// (default BackendCycle; BackendEvent selects BackendLanes).  Switching
+// after a race drops the compiled engine, so the next Align pays one
+// recompile.
 func (a *Array) SetBackend(b Backend) {
+	b = b.Resolve()
 	if a.backend == b {
 		return
 	}
@@ -323,7 +338,7 @@ func (a *Array) SetBackend(b Backend) {
 
 // SetLaneWidth sizes the lane pack raced per netlist pass under
 // BackendLanes: 64, 128, 256, or 512 candidates (1–8 uint64 words per
-// net, default 64).  The other backends ignore it.  Switching after a
+// net, default 64).  The cycle reference ignores it.  Switching after a
 // race drops the compiled engine, so the next Align pays one recompile.
 func (a *Array) SetLaneWidth(width int) error {
 	if width%lanes.WordBits != 0 {

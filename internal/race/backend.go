@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"racelogic/internal/circuit"
-	"racelogic/internal/circuit/event"
 	"racelogic/internal/circuit/lanes"
 )
 
 // Backend selects the gate-level simulation engine an array races on.
-// All backends implement circuit.Backend and are arrival-, toggle- and
+// Both engines implement circuit.Backend and are arrival-, toggle- and
 // clock-accounting-identical — the internal/oracle differential suite
 // enforces that — so the choice changes wall-clock speed only, never a
 // score, a timing matrix, or an energy figure.
@@ -18,19 +17,20 @@ type Backend int
 const (
 	// BackendCycle is the cycle-accurate reference simulator: every
 	// combinational gate settles and every net is scanned once per clock
-	// cycle.  It is the oracle the fast paths are tested against.
+	// cycle.  It is the oracle the lanes engine is tested against.
 	BackendCycle Backend = iota
-	// BackendEvent is the event-driven engine in circuit/event: only
-	// gates whose inputs changed are re-evaluated, only armed flip-flops
-	// are clocked, and quiescent stretches fast-forward to the horizon.
+	// BackendEvent is a spelling of BackendLanes: "event" still parses,
+	// and the constant keeps its String for names built from it.  It has
+	// no engine of its own; every entry point that takes a Backend
+	// stores its Resolve, so nothing races on it.
 	BackendEvent
 	// BackendLanes is the bit-parallel engine in circuit/lanes: every
 	// net's state is a slab of 1–8 uint64 words (SetLaneWidth, default
 	// one word) whose bit l of word w is the value in lane w·64+l, so
 	// one settle wave races up to 64–512 same-shape candidates at once.
 	// Every array type batches candidates through
-	// AlignLanes/AlignLanesMulti; Align and AlignThreshold (the scalar
-	// circuit.Backend contract) race one candidate in lockstep lanes.
+	// AlignLanes/AlignLanesMulti; Align and AlignThreshold race a pack
+	// of one and read its lane.
 	BackendLanes
 )
 
@@ -56,14 +56,22 @@ func (b Backend) Validate() error {
 	return fmt.Errorf("race: unknown backend %d (have cycle, event, lanes)", int(b))
 }
 
-// ParseBackend maps a CLI spelling to a Backend.
+// Resolve returns the backend that races when b is selected:
+// BackendLanes for its spelling BackendEvent, b itself otherwise.
+func (b Backend) Resolve() Backend {
+	if b == BackendEvent {
+		return BackendLanes
+	}
+	return b
+}
+
+// ParseBackend maps a CLI spelling to a Backend; "event" spells
+// BackendLanes.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "cycle":
 		return BackendCycle, nil
-	case "event":
-		return BackendEvent, nil
-	case "lanes":
+	case "event", "lanes":
 		return BackendLanes, nil
 	}
 	return 0, fmt.Errorf("race: unknown backend %q (have cycle, event, lanes)", s)
@@ -71,12 +79,9 @@ func ParseBackend(s string) (Backend, error) {
 
 // compileBackend compiles nl under the selected engine.  words sizes
 // the lanes backend's per-net slab (1, 2, 4, or 8 uint64 words → 64 to
-// 512 lanes) and is ignored by the scalar backends.
+// 512 lanes) and is ignored by the cycle reference.
 func compileBackend(nl *circuit.Netlist, b Backend, words int) (circuit.Backend, error) {
-	switch b {
-	case BackendEvent:
-		return event.Compile(nl)
-	case BackendLanes:
+	if b == BackendLanes {
 		return lanes.CompileWords(nl, words)
 	}
 	return nl.Compile()

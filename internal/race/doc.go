@@ -28,6 +28,8 @@
 // lanes engine's tabulated plan when PlanSymbolLoad accepts the netlist
 // (the plain and clock-gated arrays) and pin by pin otherwise (the
 // generalized array, whose per-symbol decoders move with one symbol side
-// and whose protein symbols are wider than the plan's tables).  On the
-// scalar backends LaneWidth is 1 and a pack is one race.
+// and whose protein symbols are wider than the plan's tables).  Align
+// and AlignThreshold race a pack of one under BackendLanes and read the
+// timing matrix from its lane; on the cycle reference LaneWidth is 1
+// and a pack is one race.
 package race

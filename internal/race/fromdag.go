@@ -103,7 +103,7 @@ func FromDAG(g *dag.Graph, gateType GateType) (*Solver, error) {
 func (s *Solver) Netlist() *circuit.Netlist { return s.netlist }
 
 // SetBackend selects the simulation engine future Solve calls run on.
-func (s *Solver) SetBackend(b Backend) { s.backend = b }
+func (s *Solver) SetBackend(b Backend) { s.backend = b.Resolve() }
 
 // Result holds the outcome of one race.
 type Result struct {

@@ -43,7 +43,7 @@ func (a *Array) LaneWidth() int {
 // have produced candidate by candidate; Arrivals is left nil, since a
 // pack scores candidates and no caller traces back through one.  Use
 // Align for the Fig. 4c timing matrix.  Candidate-specific failures are
-// reported as *LaneError.  On the scalar backends LaneWidth is 1, and a
+// reported as *LaneError.  On the cycle reference LaneWidth is 1, and a
 // pack of one races as Align does, without the timing matrix.
 func (a *Array) AlignLanes(p string, qs []string, threshold temporal.Time) ([]*AlignResult, error) {
 	return a.alignLanes(p, nil, qs, threshold)
@@ -120,29 +120,16 @@ func (a *Array) alignLanes(sharedP string, ps []string, qs []string, threshold t
 	// One allocation holds every lane's result, however wide the pack.
 	backing := make([]AlignResult, len(qs))
 	if width == 1 {
-		sim, err := a.raceOne(slabs, bound)
+		sim, err := a.raceSolo(slabs, bound)
 		if err != nil {
 			return nil, err
 		}
 		backing[0] = AlignResult{Score: sim.Arrival(out), Cycles: sim.Cycle(), Activity: sim.Activity()}
 	} else {
-		ls, err := a.lanesSim()
+		ls, err := a.racePack(slabs, used, bound)
 		if err != nil {
 			return nil, err
 		}
-		ls.SetActiveLanes(used)
-		if a.symbols != nil {
-			// The tabulated load drives the pins in the order the
-			// pin-by-pin load does and leaves every lane's toggle counts
-			// as that load would, bit for bit.
-			ls.LoadSymbols(a.symbols, slabs)
-		} else {
-			for k, pin := range a.pins {
-				ls.SetInputWords(pin, slabs[k*W:(k+1)*W])
-			}
-		}
-		ls.SetInputWords(a.root, used)
-		ls.RaceUntil(out, bound)
 		for k := range backing {
 			backing[k] = AlignResult{Score: ls.LaneArrival(out, k), Cycles: ls.LaneCycle(k), Activity: ls.LaneActivity(k)}
 		}
@@ -155,6 +142,32 @@ func (a *Array) alignLanes(sharedP string, ps []string, qs []string, threshold t
 		results[k] = &backing[k]
 	}
 	return results, nil
+}
+
+// racePack races the lanes of used through the reset lanes engine: it
+// loads the symbol slabs (len(used) words a pin, in drive order), raises
+// the root in every used lane, and races until each lane's output fires
+// or bound cycles pass.
+func (a *Array) racePack(slabs, used []uint64, bound int) (*lanes.Sim, error) {
+	ls, err := a.lanesSim()
+	if err != nil {
+		return nil, err
+	}
+	ls.SetActiveLanes(used)
+	if a.symbols != nil {
+		// The tabulated load drives the pins in the order the pin-by-pin
+		// load does and leaves every lane's toggle counts as that load
+		// would, bit for bit.
+		ls.LoadSymbols(a.symbols, slabs)
+	} else {
+		W := len(used)
+		for k, pin := range a.pins {
+			ls.SetInputWords(pin, slabs[k*W:(k+1)*W])
+		}
+	}
+	ls.SetInputWords(a.root, used)
+	ls.RaceUntil(a.out[a.n][a.m], bound)
+	return ls, nil
 }
 
 // lanesSim returns the reset lanes engine, planning its tabulated

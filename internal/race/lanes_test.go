@@ -99,9 +99,9 @@ func TestLanePackSymbolLoad(t *testing.T) {
 // 256-lane pack of 16 queries times 16 entries (batch-lanes) — plus a
 // full 64-lane pack of four queries on a 24×24 array clock-gated in 4×4
 // regions and on a 12×12 generalized BLOSUM62 array, whose packs load
-// symbols pin by pin.  The 24x24-cycle and 24x24-event cases race the
-// same pair as the one-lane pack alone on the scalar backends.  Every
-// lane races to the end, as a full scan does.  The lanes cases report
+// symbols pin by pin.  The 24x24-cycle case races the same pair as the
+// one-lane pack alone on the cycle reference.  Every lane races to the
+// end, as a full scan does.  The lanes cases report
 // the kernel's work counters per pack (lanes.WorkCounters) and the
 // nanoseconds per net commit.
 func BenchmarkAlignLanesMulti(b *testing.B) {
@@ -137,7 +137,6 @@ func BenchmarkAlignLanesMulti(b *testing.B) {
 		{"24x24-gated4", gated, seqgen.NewDNA(7), BackendLanes, 24, 64, 64, 4},
 		{"12x12-blosum62", blosum, seqgen.NewProtein(7), BackendLanes, 12, 64, 64, 4},
 		{"24x24-cycle", NewArray, seqgen.NewDNA(7), BackendCycle, 24, 1, 1, 1},
-		{"24x24-event", NewArray, seqgen.NewDNA(7), BackendEvent, 24, 1, 1, 1},
 	} {
 		b.Run(fmt.Sprintf("%s/%dof%d", tc.name, tc.fill, tc.width), func(b *testing.B) {
 			a, err := tc.build(tc.n, tc.n)

@@ -802,8 +802,8 @@ type StatsResponse struct {
 	// GoVersion is the toolchain the serving binary was built with.
 	GoVersion string `json:"go_version"`
 	// Backend names the simulation engine the database races on:
-	// "cycle" (the reference simulator) or "event" (the event-driven
-	// fast path).
+	// "cycle" (the reference simulator) or "lanes" (the bit-parallel
+	// engine, which a database configured as "event" also reports).
 	Backend       string `json:"backend"`
 	Searches      int64  `json:"searches"`
 	Mutations     int64  `json:"mutations"`

@@ -58,7 +58,7 @@ func tracedMemo(t *testing.T, d *Database, query string, opts ...Option) (rep *S
 // inserts that add candidates to memoized queries, removes of memoized
 // candidates, and compaction.
 func TestMemoByteIdentity(t *testing.T) {
-	for _, backend := range []Backend{BackendEvent, BackendLanes} {
+	for _, backend := range []Backend{BackendCycle, BackendLanes} {
 		t.Run(backend.String(), func(t *testing.T) {
 			g := seqgen.NewDNA(97)
 			var entries []string

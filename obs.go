@@ -13,7 +13,7 @@ import (
 // and counters searches and journal appends feed directly, over a
 // registry that also reads the existing lifetime atomics at scrape
 // time.  Everything carries the backend label where the cycle and
-// event engines are worth comparing side by side.
+// lanes engines are worth comparing side by side.
 type dbMetrics struct {
 	reg *obs.Registry
 

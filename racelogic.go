@@ -162,7 +162,7 @@ var durabilityOptions = []string{
 }
 
 // Backend selects the gate-level simulation engine the races run on.
-// Every backend produces byte-identical scores, timing matrices, and
+// Both engines produce byte-identical scores, timing matrices, and
 // energy reports — the internal/oracle differential suite holds them to
 // that — so the choice trades nothing but wall-clock speed.
 type Backend = race.Backend
@@ -171,10 +171,9 @@ const (
 	// BackendCycle is the cycle-accurate reference simulator (default):
 	// every gate settles and every net is scanned once per clock cycle.
 	BackendCycle = race.BackendCycle
-	// BackendEvent is the event-driven engine: only gates whose inputs
-	// changed re-evaluate, only flip-flops about to change are clocked,
-	// and quiescent stretches fast-forward — several times faster on the
-	// full-scan search workload, with identical results.
+	// BackendEvent is a spelling of BackendLanes.  WithBackend and
+	// ParseBackend select BackendLanes for it, so a Database or engine
+	// built with it reports BackendLanes; its String stays "event".
 	BackendEvent = race.BackendEvent
 	// BackendLanes is the bit-parallel engine: every net's state is a
 	// slab of uint64 words whose bit l of word w is that net's value in
@@ -182,28 +181,29 @@ const (
 	// 512 (WithLaneWidth) same-shape database entries at once.  Full
 	// scans batch candidates into lane packs automatically — and
 	// SearchBatch additionally packs candidates of different in-flight
-	// queries into the same pass; the amortized per-candidate cost is
-	// the lowest of the three backends, with identical results.
+	// queries into the same pass — and a single pair races as a pack of
+	// one, with identical results.
 	BackendLanes = race.BackendLanes
 )
 
-// ParseBackend maps a CLI spelling ("cycle", "event", "lanes") to a
-// Backend.
+// ParseBackend maps a CLI spelling ("cycle", "lanes", or its alias
+// "event") to a Backend.
 func ParseBackend(s string) (Backend, error) { return race.ParseBackend(s) }
 
-// WithBackend selects the simulation engine (default BackendCycle).
-// It is accepted by the engine constructors, NewDatabase, and Open.  On
-// a Database it shapes the pooled engines and is therefore fixed at
-// construction — Search rejects it — but it is a pure runtime choice,
-// never part of a snapshot's options fingerprint: a database persisted
-// under one backend may reopen under another and still report
-// byte-identical results.
+// WithBackend selects the simulation engine (default BackendCycle;
+// BackendEvent selects BackendLanes).  It is accepted by the engine
+// constructors, NewDatabase, and Open.  On a Database it shapes the
+// pooled engines and is therefore fixed at construction — Search
+// rejects it — but it is a pure runtime choice, never part of a
+// snapshot's options fingerprint: a database persisted under one
+// backend may reopen under another and still report byte-identical
+// results.
 func WithBackend(b Backend) Option {
 	return func(c *config) error {
 		if err := b.Validate(); err != nil {
 			return err
 		}
-		c.backend = b
+		c.backend = b.Resolve()
 		c.applied = append(c.applied, "WithBackend")
 		return nil
 	}
@@ -214,7 +214,7 @@ func WithBackend(b Backend) Option {
 // per-pass settle cost over more candidates when enough same-shape
 // candidates are in flight — large full scans, or SearchBatch coalescing
 // several queries — at the price of proportionally more state per pooled
-// engine.  The other backends ignore it.  Like WithBackend it is a pure
+// engine.  The cycle reference ignores it.  Like WithBackend it is a pure
 // runtime choice: fixed at construction on a Database (Search rejects
 // it) but never part of a snapshot's options fingerprint, so any
 // database may reopen at any width with byte-identical results.

@@ -1,8 +1,109 @@
 package racelogic
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
+
+	"racelogic/internal/eval"
+	"racelogic/internal/race"
+	"racelogic/internal/seqgen"
 )
+
+// TestBackendEventAlias pins "event" as a spelling of the lanes engine.
+// Each entry point that takes a backend selects lanes for BackendEvent,
+// so what it reports (Backend) and races (LaneWidth) is what it does
+// for BackendLanes; the constant keeps its "event" name; and a database
+// built as event returns reports byte-identical to a lanes one.
+func TestBackendEventAlias(t *testing.T) {
+	if got := BackendEvent.String(); got != "event" {
+		t.Fatalf("BackendEvent.String() = %q, want \"event\"", got)
+	}
+	g := seqgen.NewDNA(5)
+	entries := g.Database(40, 8)
+	newArray := func(b Backend) *race.Array {
+		a, err := race.NewArray(4, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SetLaneWidth(256); err != nil {
+			t.Fatal(err)
+		}
+		a.SetBackend(b)
+		return a
+	}
+	type selected struct {
+		backend Backend
+		width   int
+	}
+	for _, c := range []struct {
+		entry  string
+		choose func(b Backend) selected
+	}{
+		{"ParseBackend", func(b Backend) selected {
+			parsed, err := ParseBackend(b.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return selected{parsed, newArray(parsed).LaneWidth()}
+		}},
+		{"WithBackend", func(b Backend) selected {
+			d, err := NewDatabase(entries, WithBackend(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewDNAEngine(4, 5, WithBackend(b), WithLaneWidth(256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return selected{d.Backend(), e.arr.LaneWidth()}
+		}},
+		{"SetBackend", func(b Backend) selected {
+			// An Array reports no backend; its lane width shows which
+			// engine it races on.
+			return selected{BackendLanes, newArray(b).LaneWidth()}
+		}},
+		{"eval.SetBackend", func(b Backend) selected {
+			defer eval.SetBackend(BackendCycle)
+			if err := eval.SetBackend(b); err != nil {
+				t.Fatal(err)
+			}
+			return selected{eval.Backend(), newArray(eval.Backend()).LaneWidth()}
+		}},
+	} {
+		got, want := c.choose(BackendEvent), c.choose(BackendLanes)
+		if got != want || want != (selected{BackendLanes, 256}) {
+			t.Errorf("%s: event selects %+v, lanes %+v, want both {lanes 256}", c.entry, got, want)
+		}
+	}
+
+	queries := []string{entries[3], g.Random(8), g.Random(7)}
+	reports := func(b Backend) []byte {
+		d, err := NewDatabase(entries, WithBackend(b), WithShards(2), WithSeedIndex(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reps []*SearchReport
+		for _, q := range queries {
+			for _, opts := range [][]Option{nil, {WithFullScan(), WithThreshold(5)}} {
+				rep, err := d.Search(q, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep.EnginesBuilt = 0
+				reps = append(reps, rep)
+			}
+		}
+		out, err := json.Marshal(reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if ev, ln := reports(BackendEvent), reports(BackendLanes); !bytes.Equal(ev, ln) {
+		t.Fatalf("database built as event reports differ from lanes':\nevent: %s\nlanes: %s", ev, ln)
+	}
+}
 
 func TestDNAEngineBasicAlign(t *testing.T) {
 	e, err := NewDNAEngine(7, 7)

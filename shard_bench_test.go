@@ -1,4 +1,4 @@
-package racelogic_test
+package racelogic
 
 // Shard-scaling benchmarks: BenchmarkSearchShards shows scatter-gather
 // search holding its throughput across partition counts (the shared
@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"racelogic"
 	"racelogic/internal/seqgen"
 )
 
@@ -22,17 +21,19 @@ import (
 var benchShardCounts = []int{1, 2, 4, 8}
 
 // BenchmarkSearchShards races one warm seeded query per iteration at
-// each shard count.
+// each shard count.  The database's memo stores nothing, so every
+// repeat races its candidates again.
 func BenchmarkSearchShards(b *testing.B) {
 	g := seqgen.NewDNA(211)
 	entries := g.Database(1500, 12)
 	query := g.Random(12)
 	for _, n := range benchShardCounts {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			db, err := racelogic.NewDatabase(entries, racelogic.WithSeedIndex(6), racelogic.WithShards(n))
+			db, err := NewDatabase(entries, WithSeedIndex(6), WithShards(n))
 			if err != nil {
 				b.Fatal(err)
 			}
+			db.memo = newOutcomeMemo(0)
 			if _, err := db.Search(query); err != nil { // warm the pools
 				b.Fatal(err)
 			}
@@ -60,7 +61,7 @@ func BenchmarkInsertShards(b *testing.B) {
 	}
 	for _, n := range benchShardCounts {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			db, err := racelogic.NewDatabase(seed, racelogic.WithSeedIndex(6), racelogic.WithShards(n))
+			db, err := NewDatabase(seed, WithSeedIndex(6), WithShards(n))
 			if err != nil {
 				b.Fatal(err)
 			}
